@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 usage error, 3 failed cross-check or validation.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import certcheck
 from .d3 import family_presentation, overtwisted_verdict, tight_census
@@ -24,7 +23,7 @@ from .kirby import IllegalMoveError, InvariantViolationError, replay
 from .lens import LensSpace, chain_to_lens, lens_equal, neg_cf_expand
 from .pages import family_word
 from .report import InternalCheckError, run_family, run_sweep
-from .serialize import canonical_dumps, fraction_str
+from .serialize import canonical_dumps, fraction_str, parse_fraction
 from .veering import Certificate, prove_right_veering
 
 EXIT_OK = 0
@@ -184,7 +183,7 @@ def _cmd_kirby_replay(args) -> int:
 
 
 def _cmd_lens_cf(args) -> int:
-    x = Fraction(args.value)
+    x = parse_fraction(args.value)
     cf = neg_cf_expand(x)
     payload = {
         "p": x.numerator,

@@ -95,7 +95,7 @@ def d3(pres: PM1Presentation) -> Fraction:
     """The d3 invariant of the presentation, an exact rational.
 
     Requires det Q != 0 (a rational homology sphere).  The reduced
-    denominator always divides 4 |det Q|, which is asserted.
+    denominator always divides 4 |det Q|, which is checked.
     """
     n = pres.size
     if n == 0:
@@ -111,7 +111,8 @@ def d3(pres: PM1Presentation) -> Fraction:
     sigma = linalg.signature(matrix)
     chi = 1 + n
     value = Fraction(c_squared - 2 * chi - 3 * sigma, 4) + pres.q_plus
-    assert (value * 4 * det).denominator == 1, "d3 denominator exceeded 4|det Q|"
+    if (value * 4 * det).denominator != 1:
+        raise ArithmeticError("d3 denominator exceeded 4|det Q|")
     return value
 
 

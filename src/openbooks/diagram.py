@@ -5,7 +5,11 @@ rational framings, together with symmetric integer edge weights recording
 pairwise linking numbers.  The presentation matrix of the first homology
 of the surgered manifold has M_ii = p_i and M_ij = q_i * lk_ij, where the
 framing of component i is p_i/q_i in lowest terms; the order of H_1 is
-|det M|, with 0 reported as INFINITE.
+|det M|, with 0 reported as INFINITE.  When the linking graph is a forest
+(every chain and tree the family reduction passes through) the
+determinant is expanded over the edges in O(n) (linalg.det_forest); any
+other graph is eliminated (linalg.det_sparse_rows).  Both give the
+determinant of the full matrix, so no move check is ever partial.
 
 Diagrams are immutable values.  Moves (in the kirby module) return new
 diagrams and append MoveRecords; every record stores the H_1 order on
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import det_sparse_rows
+from .linalg import det_forest, det_sparse_rows
 from .serialize import fraction_str, parse_fraction
 
 
@@ -266,11 +270,15 @@ class FramedLinkDiagram:
 
     @classmethod
     def from_jsonable(cls, data) -> "FramedLinkDiagram":
-        vs = tuple(
-            Vertex(v["id"], parse_fraction(v["framing"]), bool(v.get("unknot", True)))
-            for v in data["vertices"]
-        )
-        es = tuple(sorted((i, j, int(w)) for i, j, w in data.get("edges", [])))
+        """Parse a diagram document; any malformed input is a ValueError."""
+        try:
+            vs = tuple(
+                Vertex(v["id"], parse_fraction(v["framing"]), bool(v.get("unknot", True)))
+                for v in data["vertices"]
+            )
+            es = tuple(sorted((i, j, int(w)) for i, j, w in data.get("edges", [])))
+        except (KeyError, TypeError, AttributeError) as e:
+            raise ValueError(f"malformed diagram JSON: {e!r}") from None
         return cls(vs, es)
 
     def same_diagram(self, other: "FramedLinkDiagram") -> bool:
@@ -279,21 +287,36 @@ class FramedLinkDiagram:
 
 
 def compute_h1(vertices, edges):
-    """H_1 order from raw vertex/edge data: |det| of the presentation matrix."""
+    """H_1 order from raw vertex/edge data: |det| of the presentation matrix.
+
+    Forests (the chains and trees the family reduction passes through) are
+    expanded over their edges; any other graph is eliminated.  Both give the
+    determinant of the full matrix.
+    """
     n = len(vertices)
     if n == 0:
         return 1
-    idx = {v.id: i for i, v in enumerate(vertices)}
-    qs = [v.framing.denominator for v in vertices]
-    rows = [
-        {i: v.framing.numerator} if v.framing.numerator else {}
-        for i, v in enumerate(vertices)
-    ]
-    for a, b, w in edges:
-        ia, ib = idx[a], idx[b]
-        rows[ia][ib] = qs[ia] * w
-        rows[ib][ia] = qs[ib] * w
-    d = det_sparse_rows(rows, n)
+    idx = {}
+    ps = []
+    qs = []
+    for i, v in enumerate(vertices):
+        idx[v.id] = i
+        p, q = v.framing.as_integer_ratio()
+        ps.append(p)
+        qs.append(q)
+    # an edge contributes the product of its two entries, q_a w * q_b w
+    if qs.count(1) == n:  # integer framings
+        products = [(idx[a], idx[b], w * w) for a, b, w in edges]
+    else:
+        products = [(idx[a], idx[b], qs[idx[a]] * qs[idx[b]] * w * w) for a, b, w in edges]
+    d = det_forest(ps, products)
+    if d is None:
+        rows = [{i: p} if p else {} for i, p in enumerate(ps)]
+        for a, b, w in edges:
+            ia, ib = idx[a], idx[b]
+            rows[ia][ib] = qs[ia] * w
+            rows[ib][ia] = qs[ib] * w
+        d = det_sparse_rows(rows, n)
     return INFINITE if d == 0 else abs(d)
 
 

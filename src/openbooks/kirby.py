@@ -3,9 +3,12 @@
 Moves act on the weighted-graph model of a diagram (framings on vertices,
 linking numbers on edges), not on pictures.  Each move returns a new
 diagram whose move log gains one record; the order of the first homology
-of the presented 3-manifold is recomputed on both sides of every move and
-any disagreement aborts with a diagnostic, since each move is supposed to
-be a diffeomorphism of the underlying manifold.
+of the presented 3-manifold is recomputed from scratch on both sides of
+every move and any disagreement aborts with a diagnostic, since each move
+is supposed to be a diffeomorphism of the underlying manifold.  The check
+is the full determinant either way: diagrams whose linking graph is a
+forest are expanded over their edges, other graphs eliminated (see the
+diagram module), and replay re-verifies every move of a script.
 
 Geometric validity (e.g. that a component really is an unknot after a
 handle slide) is only guaranteed for diagrams built by this package's
@@ -76,7 +79,7 @@ def _record(before, after_vertices, after_edges, move, args):
     """
     before_h1 = before.h1
     vertices = tuple(after_vertices)
-    edges = tuple(sorted((i, j, w) for (i, j), w in after_edges.items() if w))
+    edges = tuple(sorted([(i, j, w) for (i, j), w in after_edges.items() if w]))
     after_h1 = compute_h1(vertices, edges)
     if after_h1 != before_h1:
         raise InvariantViolationError(
@@ -89,8 +92,18 @@ def _record(before, after_vertices, after_edges, move, args):
     return final
 
 
+def _reframed(d: FramedLinkDiagram, framings) -> list:
+    """d's vertices as a list, with the framings {id: framing} replaced."""
+    vertices = list(d.vertices)
+    idx = d._index
+    for vid, framing in framings.items():
+        i = idx[vid]
+        vertices[i] = Vertex(vid, framing, vertices[i].is_unknot)
+    return vertices
+
+
 def _fresh_id(d: FramedLinkDiagram, base: str) -> str:
-    ids = {v.id for v in d.vertices}
+    ids = d._index
     if base not in ids:
         return base
     n = 1
@@ -114,14 +127,9 @@ def blow_down(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     if not v.is_unknot:
         raise IllegalMoveError(f"blow down needs an unknot at {vid!r}")
     eps = int(v.framing)
-    lk = {u: w for u, w in d.neighbors(vid)}
-    vertices = [
-        Vertex(u.id, u.framing - eps * lk[u.id] ** 2, u.is_unknot)
-        if u.id in lk
-        else u
-        for u in d.vertices
-        if u.id != vid
-    ]
+    lk = dict(d.neighbors(vid))
+    vertices = _reframed(d, {u: d.framing(u) - eps * w * w for u, w in lk.items()})
+    del vertices[d._index[vid]]
     edges = {k: w for k, w in _edge_dict(d).items() if vid not in k}
     touched = sorted(lk)
     for a in range(len(touched)):
@@ -143,16 +151,11 @@ def blow_up(d: FramedLinkDiagram, sign: int, star=None, new_id: str = None) -> F
         raise IllegalMoveError(f"blow up sign must be +-1, got {sign}")
     star = dict(star or {})
     for u in star:
-        if u not in {v.id for v in d.vertices}:
+        if u not in d._index:
             raise IllegalMoveError(f"star references unknown vertex {u!r}")
     star = {u: int(w) for u, w in star.items() if w}
     vid = _fresh_id(d, new_id or "u")
-    vertices = [
-        Vertex(u.id, u.framing + sign * star[u.id] ** 2, u.is_unknot)
-        if u.id in star
-        else u
-        for u in d.vertices
-    ]
+    vertices = _reframed(d, {u: d.framing(u) + sign * w * w for u, w in star.items()})
     vertices.append(Vertex(vid, Fraction(sign), True))
     edges = _edge_dict(d)
     touched = sorted(star)
@@ -205,10 +208,7 @@ def inverse_slam_dunk(d: FramedLinkDiagram, vid: str, n: int = None, leaf_id: st
         raise IllegalMoveError(f"forced split n={n} equals the framing itself")
     x = 1 / (Fraction(n) - r)  # n - 1/x = r
     leaf = _fresh_id(d, leaf_id or f"{vid}_leaf")
-    vertices = [
-        Vertex(u.id, Fraction(n), u.is_unknot) if u.id == vid else u
-        for u in d.vertices
-    ]
+    vertices = _reframed(d, {vid: Fraction(n)})
     vertices.append(Vertex(leaf, x, True))
     edges = _edge_dict(d)
     edges[_key(vid, leaf)] = 1
@@ -242,12 +242,8 @@ def slam_dunk(d: FramedLinkDiagram, leaf_id: str) -> FramedLinkDiagram:
     x = leaf.framing
     if x == 0:
         raise IllegalMoveError("0-framed leaf: coefficient would become infinite")
-    new_framing = nv.framing - 1 / x
-    vertices = [
-        Vertex(u.id, new_framing, u.is_unknot) if u.id == nid else u
-        for u in d.vertices
-        if u.id != leaf_id
-    ]
+    vertices = _reframed(d, {nid: nv.framing - 1 / x})
+    del vertices[d._index[leaf_id]]
     edges = {k: w2 for k, w2 in _edge_dict(d).items() if leaf_id not in k}
     args = (("leaf", leaf_id), ("into", nid))
     return _record(d, vertices, edges, "slam_dunk", args)
@@ -274,11 +270,7 @@ def handle_slide(d: FramedLinkDiagram, slide_id: str, over_id: str, sign: int) -
     if vi.framing.denominator != 1 or vj.framing.denominator != 1:
         raise IllegalMoveError("handle slide needs integer framings on both components")
     lij = d.linking(slide_id, over_id)
-    new_fi = vi.framing + vj.framing + 2 * sign * lij
-    vertices = [
-        Vertex(u.id, new_fi, u.is_unknot) if u.id == slide_id else u
-        for u in d.vertices
-    ]
+    vertices = _reframed(d, {slide_id: vi.framing + vj.framing + 2 * sign * lij})
     edges = _edge_dict(d)
     for uid, ljk in d.neighbors(over_id):
         if uid == slide_id:
@@ -296,7 +288,7 @@ def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     A relabeling of the same diagram, recorded in the move log so replays
     stay complete; framings and all invariants are untouched.
     """
-    if vid not in {v.id for v in d.vertices}:
+    if vid not in d._index:
         raise IllegalMoveError(f"no vertex {vid!r}")
     edges = {
         k: (-w if vid in k else w)
@@ -306,23 +298,42 @@ def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     return _record(d, list(d.vertices), edges, "reverse_orientation", args)
 
 
+# move name -> (required argument names, the move applied to (diagram, args))
 MOVES = {
-    "blow_down": lambda d, a: blow_down(d, a["vertex"]),
-    "blow_up": lambda d, a: blow_up(d, a["sign"], a.get("star", {}), a.get("id")),
-    "inverse_slam_dunk": lambda d, a: inverse_slam_dunk(d, a["vertex"], a.get("n"), a.get("leaf")),
-    "slam_dunk": lambda d, a: slam_dunk(d, a["leaf"]),
-    "handle_slide": lambda d, a: handle_slide(d, a["slide"], a["over"], a["sign"]),
-    "reverse_orientation": lambda d, a: reverse_orientation(d, a["vertex"]),
+    "blow_down": (("vertex",), lambda d, a: blow_down(d, a["vertex"])),
+    "blow_up": (("sign",), lambda d, a: blow_up(d, a["sign"], a.get("star", {}), a.get("id"))),
+    "inverse_slam_dunk": (
+        ("vertex",),
+        lambda d, a: inverse_slam_dunk(d, a["vertex"], a.get("n"), a.get("leaf")),
+    ),
+    "slam_dunk": (("leaf",), lambda d, a: slam_dunk(d, a["leaf"])),
+    "handle_slide": (
+        ("slide", "over", "sign"),
+        lambda d, a: handle_slide(d, a["slide"], a["over"], a["sign"]),
+    ),
+    "reverse_orientation": (("vertex",), lambda d, a: reverse_orientation(d, a["vertex"])),
 }
 
 
 def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
-    """Apply a JSON move script, a list of {"move": name, "args": {...}}."""
+    """Apply a JSON move script, a list of {"move": name, "args": {...}}.
+
+    A malformed step (not an object, or missing a required argument) is a
+    ValueError; an unknown move or a failed precondition is an
+    IllegalMoveError.
+    """
     for step in script:
-        name = step["move"]
-        if name not in MOVES:
+        if not isinstance(step, dict) or not isinstance(step.get("args", {}), dict):
+            raise ValueError(f"move script step must be an object with object args: {step!r}")
+        name = step.get("move")
+        if not isinstance(name, str) or name not in MOVES:
             raise IllegalMoveError(f"unknown move {name!r}")
-        d = MOVES[name](d, step.get("args", {}))
+        required, apply = MOVES[name]
+        args = step.get("args", {})
+        missing = [a for a in required if a not in args]
+        if missing:
+            raise ValueError(f"move {name!r} is missing argument {', '.join(missing)}")
+        d = apply(d, args)
     return d
 
 

@@ -2,16 +2,82 @@
 
 Everything in here is integer or fractions.Fraction arithmetic; no floats.
 The matrices that show up downstream are small (a few dozen rows) but the
-determinant routine sits on the hot path of the move engine, where it runs
-tens of thousands of times on nearly-tridiagonal matrices, so it works on
-sparse rows and avoids Fraction objects entirely.
+determinants sit on the hot path of the move engine, where they run tens
+of thousands of times on chain- and tree-shaped matrices.  Two integer
+routines serve it: det_forest expands matrices whose off-diagonal pattern
+is a forest in O(n), and det_sparse_rows eliminates any other sparse
+matrix; neither uses Fraction objects.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 class SingularMatrixError(ValueError):
     """Raised when a linear solve meets a singular coefficient matrix."""
+
+
+def det_forest(diag, edges):
+    """Determinant of an integer matrix whose off-diagonal pattern is a forest.
+
+    The matrix has diagonal `diag` and, for each (i, j, t) in `edges`, a
+    pair of nonzero entries a_ij, a_ji with t = a_ij * a_ji; every other
+    entry is 0.  Returns None when the edges do not form a forest on the
+    n = len(diag) vertices (a cycle, a repeated pair or a self-loop), so
+    the caller can eliminate instead.
+
+    On a forest every permutation with a nonzero Leibniz term is a product
+    of transpositions along edges, so the determinant is a sum over
+    matchings.  Rooting each tree and working bottom-up, with D_c the
+    determinant of the subtree at c and E_c = prod of D over c's children,
+
+        D_v = a_vv * prod D_c - sum_c t_vc * E_c * prod_{c' != c} D_c'
+
+    which costs O(n) exact integer operations on subtree determinants.
+    Leaves are folded into their neighbors one at a time, so each tree is
+    rooted wherever its last vertex happens to be.
+    """
+    n = len(diag)
+    if edges and len(edges) >= n:  # more edges than any forest on n vertices
+        return None
+    # Peel leaves.  A vertex keeps the XOR of its remaining neighbors and
+    # the sum of their t, so once it is a leaf these name its one neighbor
+    # and that edge's t.
+    deg = [0] * n
+    nbr = [0] * n
+    tsum = [0] * n
+    for i, j, t in edges:
+        deg[i] += 1
+        deg[j] += 1
+        nbr[i] ^= j
+        nbr[j] ^= i
+        tsum[i] += t
+        tsum[j] += t
+    # a[v]: det of the part of the tree folded into v so far;
+    # b[v]: the same with v deleted, i.e. the product of the folded D
+    a = list(diag)
+    b = [1] * n
+    leaves = [v for v in range(n) if deg[v] < 2]
+    peeled = 0
+    result = 1
+    while leaves:
+        v = leaves.pop()
+        peeled += 1
+        if not deg[v]:  # the last vertex of its tree
+            result *= a[v]
+            continue
+        u = nbr[v]
+        t = tsum[v]
+        av = a[v]
+        a[u] = a[u] * av - t * b[u] * b[v]
+        b[u] *= av
+        nbr[u] ^= v
+        tsum[u] -= t
+        deg[u] -= 1
+        if deg[u] == 1:
+            leaves.append(u)
+    # vertices on a cycle never become leaves
+    return result if peeled == n else None
 
 
 def det_sparse_rows(rows, n):
@@ -83,7 +149,8 @@ def det_sparse_rows(rows, n):
         if length % 2 == 0:
             sign = -sign
     d, rem = divmod(sign * num, den)
-    assert rem == 0, "exact division failed in fraction-free elimination"
+    if rem:
+        raise ArithmeticError("exact division failed in fraction-free elimination")
     return d
 
 
@@ -105,16 +172,10 @@ def det(matrix):
         for x in row:
             if isinstance(x, Fraction):
                 q = x.denominator
-                d = d * q // _gcd(d, q)
+                d = d * q // gcd(d, q)
         scale *= d
         rows.append({j: int(x * d) for j, x in enumerate(row) if x})
     return Fraction(det_sparse_rows(rows, n), scale)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def signature(matrix):

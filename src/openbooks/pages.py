@@ -177,6 +177,12 @@ class TwistWord:
 
     @classmethod
     def from_jsonable(cls, data) -> "TwistWord":
+        if not isinstance(data, list) or not all(
+            isinstance(letter, list) and len(letter) == 2
+            and isinstance(letter[0], str) and isinstance(letter[1], int)
+            for letter in data
+        ):
+            raise ValueError(f"twist word must be a list of [curve, exponent] pairs: {data!r}")
         return cls(tuple((name, exp) for name, exp in data))
 
     def __str__(self) -> str:

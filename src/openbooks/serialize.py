@@ -19,7 +19,11 @@ def fraction_str(x) -> str:
 
 
 def parse_fraction(s) -> Fraction:
-    return Fraction(s)
+    """Parse an exact rational such as "-3/2"; malformed input is a ValueError."""
+    try:
+        return Fraction(s)
+    except (TypeError, ZeroDivisionError):
+        raise ValueError(f"not an exact rational: {s!r}") from None
 
 
 def canonical_dumps(obj) -> str:

@@ -82,6 +82,8 @@ class CertNode:
 
     @classmethod
     def from_jsonable(cls, data) -> "CertNode":
+        if not isinstance(data, dict) or not {"rule", "boundary", "word"} <= data.keys():
+            raise ValueError("certificate node needs \"rule\", \"boundary\" and \"word\"")
         return cls(
             rule=data["rule"],
             boundary=data["boundary"],
@@ -118,6 +120,9 @@ class Certificate:
 
     @classmethod
     def from_jsonable(cls, data) -> "Certificate":
+        if (not isinstance(data, dict) or "word" not in data
+                or not isinstance(data.get("goals"), dict)):
+            raise ValueError("certificate needs a \"word\" and a \"goals\" object")
         goals = tuple(sorted(
             (b, CertNode.from_jsonable(node)) for b, node in data["goals"].items()
         ))

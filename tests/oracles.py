@@ -107,19 +107,24 @@ def dense_det(mat):
     return det
 
 
-def h1_oracle(d):
-    """|H1| of a framed link diagram by dense elimination on the
-    presentation matrix (rows p_i, q_i * lk)."""
+def presentation_matrix(d):
+    """Dense integer presentation matrix of H1: rows p_i, q_i * lk."""
     n = len(d.vertices)
-    if n == 0:
-        return 1
     idx = {v.id: i for i, v in enumerate(d.vertices)}
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for i, v in enumerate(d.vertices):
-        m[i][i] = Fraction(v.framing.numerator)
+        m[i][i] = v.framing.numerator
     for a, b, w in d.edges:
         ia, ib = idx[a], idx[b]
-        m[ia][ib] = Fraction(d.vertices[ia].framing.denominator * w)
-        m[ib][ia] = Fraction(d.vertices[ib].framing.denominator * w)
-    det = dense_det(m)
+        m[ia][ib] = d.vertices[ia].framing.denominator * w
+        m[ib][ia] = d.vertices[ib].framing.denominator * w
+    return m
+
+
+def h1_oracle(d):
+    """|H1| of a framed link diagram by dense elimination on the
+    presentation matrix."""
+    if not d.vertices:
+        return 1
+    det = dense_det(presentation_matrix(d))
     return INFINITE if det == 0 else abs(int(det))

@@ -18,7 +18,16 @@ from openbooks.kirby import (
 from openbooks.lens import chain_to_lens, family_lens, lens_equal
 from openbooks.linalg import det, signature
 
-from diagram_gen import exercise_moves, random_diagram
+from diagram_gen import (
+    exercise_moves,
+    exercise_script,
+    is_forest,
+    random_chain,
+    random_cyclic,
+    random_diagram,
+    random_forest,
+)
+from oracles import h1_oracle
 
 
 def chain(*framings, weight=1):
@@ -327,3 +336,50 @@ def test_move_property_suite_small():
         d = random_diagram(rng)
         moves += exercise_moves(d, rng)
     assert moves >= 750
+
+
+def test_h1_on_forests_matches_oracle():
+    rng = random.Random(1618)
+    infinite = 0
+    for _ in range(400):
+        d = random_forest(rng)
+        assert d.h1 == h1_oracle(d)
+        infinite += d.h1 is INFINITE
+    for n in (1, 2, 100, 400):
+        d = random_chain(rng, n)
+        assert d.h1 == h1_oracle(d)
+    assert infinite >= 20
+
+
+def test_h1_eliminates_only_graphs_with_a_cycle(monkeypatch):
+    import openbooks.diagram as diagram_mod
+
+    calls = []
+    eliminate = diagram_mod.det_sparse_rows
+
+    def counting(rows, n):
+        calls.append(n)
+        return eliminate(rows, n)
+
+    monkeypatch.setattr(diagram_mod, "det_sparse_rows", counting)
+    rng = random.Random(1619)
+    for _ in range(100):
+        d = random_forest(rng)
+        assert diagram_mod.compute_h1(d.vertices, d.edges) == h1_oracle(d)
+    assert calls == []
+    for _ in range(100):
+        d = random_cyclic(rng)
+        assert not is_forest(d)
+        assert diagram_mod.compute_h1(d.vertices, d.edges) == h1_oracle(d)
+    assert len(calls) == 100
+
+
+def test_random_move_scripts_record_oracle_h1():
+    rng = random.Random(1620)
+    moves = forests = 0
+    for _ in range(60):
+        applied, on_forests = exercise_script(random_forest(rng, max_vertices=8), rng, 12)
+        moves += applied
+        forests += on_forests
+    assert moves >= 400
+    assert 100 <= forests < moves  # both the expansion and elimination ran

@@ -3,9 +3,28 @@ from fractions import Fraction
 
 import pytest
 
-from openbooks.linalg import SingularMatrixError, det, signature, solve
+from openbooks.linalg import (
+    SingularMatrixError,
+    det,
+    det_forest,
+    det_sparse_rows,
+    signature,
+    solve,
+)
 
-from oracles import leibniz_det, signature_oracle
+from diagram_gen import random_chain, random_cyclic, random_forest
+from oracles import dense_det, leibniz_det, presentation_matrix, signature_oracle
+
+
+def _forest_input(m):
+    """det_forest's arguments for a matrix with a symmetric nonzero pattern."""
+    n = len(m)
+    edges = [(i, j, m[i][j] * m[j][i]) for i in range(n) for j in range(i + 1, n) if m[i][j]]
+    return [m[i][i] for i in range(n)], edges
+
+
+def _sparse_rows(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 def test_det_matches_leibniz_on_random_integer_matrices():
@@ -77,3 +96,42 @@ def test_solve_roundtrip_on_random_systems():
 def test_solve_raises_on_singular():
     with pytest.raises(SingularMatrixError):
         solve([[1, 2], [2, 4]], [1, 1])
+
+
+def test_det_forest_matches_elimination_and_dense_oracle():
+    rng = random.Random(20244)
+    zero = several_trees = 0
+    for _ in range(600):
+        d = random_forest(rng)
+        m = presentation_matrix(d)
+        value = det_forest(*_forest_input(m))
+        assert value == det_sparse_rows(_sparse_rows(m), len(m)) == dense_det(m)
+        zero += value == 0
+        several_trees += len(d.edges) < len(d.vertices) - 1
+    assert zero >= 30 and several_trees >= 200
+
+
+def test_det_forest_on_long_chains():
+    rng = random.Random(20245)
+    for n in (1, 2, 3, 50, 199, 400):
+        m = presentation_matrix(random_chain(rng, n))
+        value = det_forest(*_forest_input(m))
+        assert value == det_sparse_rows(_sparse_rows(m), n) == dense_det(m)
+    # the family's chain [-2, -(k+1), -2 x h] has determinant +-p
+    h, k = 399, 3
+    framings = [-2, -(k + 1)] + [-2] * h
+    edges = [(i, i + 1, 1) for i in range(len(framings) - 1)]
+    assert abs(det_forest(framings, edges)) == (h + 1) * (2 * k - 1) + 2
+
+
+def test_det_forest_declines_graphs_with_a_cycle():
+    rng = random.Random(20246)
+    for _ in range(200):
+        m = presentation_matrix(random_cyclic(rng))
+        assert det_forest(*_forest_input(m)) is None
+    # a cycle beside an isolated vertex: fewer edges than vertices
+    assert det_forest([1, 1, 1, 1], [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) is None
+    # a repeated pair and a self-loop are not forests either
+    assert det_forest([1, 1, 1], [(0, 1, 1), (0, 1, 1)]) is None
+    assert det_forest([1, 1], [(0, 0, 1)]) is None
+    assert det_forest([], []) == 1

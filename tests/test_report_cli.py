@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import openbooks
 from openbooks.cli import main
 from openbooks.d3 import OVERTWISTED_CERTIFIED
 from openbooks.lens import LensSpace
@@ -212,3 +217,34 @@ def test_internal_check_error_reports_first_violation(monkeypatch):
     monkeypatch.setattr(report_mod, "family_lens", lambda h, k: LensSpace(7, 1))
     with pytest.raises(InternalCheckError, match="lens_chain_equals_formula"):
         run_family(1, 1)
+
+
+_REPLAY = ["kirby", "replay", "--diagram", "d.json", "--script", "s.json"]
+_ONE_UNKNOT = {"vertices": [{"id": "x", "framing": "1"}]}
+
+
+@pytest.mark.parametrize("files, argv", [
+    pytest.param({"d.json": _ONE_UNKNOT, "s.json": [{"move": "blow_up", "args": {"star": {"x": 1}}}]},
+                 _REPLAY, id="blow_up_without_sign"),
+    pytest.param({"d.json": {"vertices": [{"id": "x", "framing": "1/0"}]}, "s.json": []},
+                 _REPLAY, id="zero_denominator_framing"),
+    pytest.param({}, ["lens", "cf", "1/0"], id="lens_cf_zero_denominator"),
+    pytest.param({"c.json": {"goals": []}}, ["rv", "check", "c.json"],
+                 id="certificate_goals_not_an_object"),
+    pytest.param({"c.json": {"word": 5, "goals": {}}}, ["rv", "check", "c.json"],
+                 id="certificate_word_not_a_list"),
+])
+def test_cli_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    # a fresh interpreter, so an escaping exception would print a traceback
+    env = dict(os.environ)
+    src = str(Path(openbooks.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "openbooks.cli", *argv],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
