@@ -23,7 +23,7 @@ from .d3 import (
     overtwisted_verdict,
     tight_census,
 )
-from .diagram import INFINITE, FramedLinkDiagram, MoveRecord, Vertex, h1_order
+from .diagram import INFINITE, FramedLinkDiagram, MoveRecord, Vertex
 from .kirby import (
     blow_down,
     blow_up,
@@ -49,7 +49,6 @@ from .pages import (
     TwistWord,
     family_word,
     geometric_intersection,
-    is_positive,
 )
 from .report import FamilyReport, run_family, run_sweep
 from .veering import (

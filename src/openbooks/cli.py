@@ -81,12 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--json", action="store_true")
     p_family.add_argument("--verbose", action="store_true",
                           help="include the move log and full certificate")
+    p_family.set_defaults(run=_cmd_family)
 
     p_sweep = sub.add_parser("sweep", help="reports over a grid of (h, k)")
     p_sweep.add_argument("--hmax", type=_positive_int, required=True)
     p_sweep.add_argument("--kmax", type=_positive_int, required=True)
     p_sweep.add_argument("--out", help="write one JSON report per line here")
     p_sweep.add_argument("--json", action="store_true")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_kirby = sub.add_parser("kirby", help="move engine utilities")
     kirby_sub = p_kirby.add_subparsers(dest="kirby_verb", required=True)
@@ -94,26 +96,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--diagram", required=True, help="diagram JSON file")
     p_replay.add_argument("--script", required=True, help="move script JSON file")
     p_replay.add_argument("--json", action="store_true")
+    p_replay.set_defaults(run=_cmd_kirby_replay)
 
     p_lens = sub.add_parser("lens", help="continued fractions and lens spaces")
     lens_sub = p_lens.add_subparsers(dest="lens_verb", required=True)
     p_cf = lens_sub.add_parser("cf", help="negative continued fraction of p/q")
     p_cf.add_argument("value", help="a rational > 1, e.g. 8/5")
     p_cf.add_argument("--json", action="store_true")
+    p_cf.set_defaults(run=_cmd_lens_cf)
     p_chain = lens_sub.add_parser("chain", help="identify a chain of framed unknots")
     p_chain.add_argument("framings", type=_parse_chain,
                          help='framing list, e.g. "[-2,-3,-2]"')
     p_chain.add_argument("--json", action="store_true")
+    p_chain.set_defaults(run=_cmd_lens_chain)
     p_eq = lens_sub.add_parser("eq", help="compare two lens spaces")
     p_eq.add_argument("left", type=_parse_pq, help="p,q")
     p_eq.add_argument("right", type=_parse_pq, help="p,q")
     p_eq.add_argument("--unoriented", action="store_true")
     p_eq.add_argument("--json", action="store_true")
+    p_eq.set_defaults(run=_cmd_lens_eq)
 
     p_census = sub.add_parser("census", help="tight structures on L(p, q)")
     p_census.add_argument("p", type=int)
     p_census.add_argument("q", type=int)
     p_census.add_argument("--json", action="store_true")
+    p_census.set_defaults(run=_cmd_census)
 
     p_d3 = sub.add_parser("d3", help="homotopy invariant computations")
     d3_sub = p_d3.add_subparsers(dest="d3_verb", required=True)
@@ -121,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_d3f.add_argument("h", type=_positive_int)
     p_d3f.add_argument("k", type=_positive_int)
     p_d3f.add_argument("--json", action="store_true")
+    p_d3f.set_defaults(run=_cmd_d3_family)
 
     p_rv = sub.add_parser("rv", help="right-veering certificates")
     rv_sub = p_rv.add_subparsers(dest="rv_verb", required=True)
@@ -129,8 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove.add_argument("--k", type=_positive_int, required=True)
     p_prove.add_argument("--out", help="write the certificate JSON here")
     p_prove.add_argument("--json", action="store_true")
+    p_prove.set_defaults(run=_cmd_rv_prove)
     p_check = rv_sub.add_parser("check", help="validate a certificate file")
     p_check.add_argument("certificate", help="certificate JSON file")
+    p_check.set_defaults(run=_cmd_rv_check)
 
     return parser
 
@@ -280,29 +290,9 @@ def _cmd_rv_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.verb == "family":
-            return _cmd_family(args)
-        if args.verb == "sweep":
-            return _cmd_sweep(args)
-        if args.verb == "kirby":
-            return _cmd_kirby_replay(args)
-        if args.verb == "lens":
-            if args.lens_verb == "cf":
-                return _cmd_lens_cf(args)
-            if args.lens_verb == "chain":
-                return _cmd_lens_chain(args)
-            return _cmd_lens_eq(args)
-        if args.verb == "census":
-            return _cmd_census(args)
-        if args.verb == "d3":
-            return _cmd_d3_family(args)
-        if args.verb == "rv":
-            if args.rv_verb == "prove":
-                return _cmd_rv_prove(args)
-            return _cmd_rv_check(args)
+        return args.run(args)
     except InternalCheckError as e:
         print(f"internal cross-check failure: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -312,8 +302,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    parser.error("unknown verb")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ rational framed-link diagram that the move engine reduces.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import FramedLinkDiagram, Vertex
+from .diagram import FramedLinkDiagram, Vertex, _canonical_edges
 from .serialize import fraction_str, parse_fraction
 
 
@@ -98,31 +98,16 @@ class ContactSurgeryDiagram:
             seen.add((i, j))
 
     @staticmethod
-    def build(components, linking) -> "ContactSurgeryDiagram":
-        if isinstance(linking, dict):
-            items = [(i, j, w) for (i, j), w in linking.items()]
-        else:
-            items = list(linking)
-        canon = {}
-        for i, j, w in items:
-            if w == 0:
-                continue
-            canon[(i, j) if i < j else (j, i)] = int(w)
-        return ContactSurgeryDiagram(
-            tuple(components), tuple(sorted((i, j, w) for (i, j), w in canon.items()))
-        )
+    def build(components, linking: dict) -> "ContactSurgeryDiagram":
+        """Construct from components and a linking dict {(i, j): lk}; zero
+        entries are dropped and pairs are canonicalized."""
+        return ContactSurgeryDiagram(tuple(components), _canonical_edges(linking))
 
     def lk(self, i: str, j: str) -> int:
         for a, b, w in self.linking:
             if (a, b) in ((i, j), (j, i)):
                 return w
         return 0
-
-    def component(self, cid: str) -> LegendrianUnknotData:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(f"no component {cid!r}")
 
     def to_jsonable(self):
         return {
@@ -136,7 +121,7 @@ class ContactSurgeryDiagram:
             LegendrianUnknotData(c["id"], int(c["tb"]), int(c["rot"]), parse_fraction(c["coeff"]))
             for c in data["components"]
         )
-        return cls.build(comps, [(i, j, int(w)) for i, j, w in data.get("linking", [])])
+        return cls.build(comps, {(i, j): int(w) for i, j, w in data.get("linking", [])})
 
 
 def presentation_for(h: int, k: int) -> ContactSurgeryDiagram:

@@ -11,7 +11,10 @@ where chi = 1 + size(Q), sigma is the signature of Q, and c^2 = x . r for
 the exact solution of Q x = r.  The normalization makes the empty
 presentation give d3(S^3, standard) = -1/2, and adding a cancelling
 (+1, -1) pushoff pair never changes the value; both facts are pinned by
-calibration tests rather than trusted.
+calibration tests rather than trusted.  Only c^2 depends on the rotation
+vector, so det Q and sigma are computed once per Q and c^2 once per
+rotation vector: the verdict reads all three terms from one pass, and the
+census solves its chain's Q once for each rotation choice.
 
 Every tight contact structure on a lens space L(p, q) (p >= 2) arises
 from Legendrian surgery on a chain of stabilized unknots realizing the
@@ -91,28 +94,36 @@ def family_presentation(h: int, k: int) -> PM1Presentation:
     return from_expanded_diagram(expand_to_unit_coefficients(presentation_for(h, k)))
 
 
+def _d3_terms(q, rotations, q_plus):
+    """det Q, sigma(Q), and (d3, c^2) for each rotation vector; see d3."""
+    matrix = [list(row) for row in q]
+    det = linalg.det(matrix)
+    if det == 0:
+        raise linalg.SingularMatrixError(
+            "d3 needs a rational homology sphere (det Q != 0)"
+        )
+    sigma = linalg.signature(matrix)
+    constant = -2 * (1 + len(matrix)) - 3 * sigma  # -2 chi - 3 sigma
+    values = []
+    for rot in rotations:
+        x = linalg.solve(matrix, list(rot))
+        c_squared = sum(xi * ri for xi, ri in zip(x, rot))
+        value = Fraction(c_squared + constant, 4) + q_plus
+        if (value * 4 * det).denominator != 1:
+            raise ArithmeticError("d3 denominator exceeded 4|det Q|")
+        values.append((value, c_squared))
+    return det, sigma, values
+
+
 def d3(pres: PM1Presentation) -> Fraction:
     """The d3 invariant of the presentation, an exact rational.
 
     Requires det Q != 0 (a rational homology sphere).  The reduced
     denominator always divides 4 |det Q|, which is checked.
     """
-    n = pres.size
-    if n == 0:
+    if pres.size == 0:
         return Fraction(-1, 2)
-    matrix = [list(row) for row in pres.q]
-    det = linalg.det(matrix)
-    if det == 0:
-        raise linalg.SingularMatrixError(
-            "d3 needs a rational homology sphere (det Q != 0)"
-        )
-    x = linalg.solve(matrix, list(pres.rho))
-    c_squared = sum(xi * ri for xi, ri in zip(x, pres.rho))
-    sigma = linalg.signature(matrix)
-    chi = 1 + n
-    value = Fraction(c_squared - 2 * chi - 3 * sigma, 4) + pres.q_plus
-    if (value * 4 * det).denominator != 1:
-        raise ArithmeticError("d3 denominator exceeded 4|det Q|")
+    _, _, [(value, _)] = _d3_terms(pres.q, [pres.rho], pres.q_plus)
     return value
 
 
@@ -132,7 +143,7 @@ class TightDescriptor:
         }
 
 
-def _chain_presentation(chain, rot) -> PM1Presentation:
+def _chain_matrix(chain):
     n = len(chain)
     q = [[0] * n for _ in range(n)]
     for i, a in enumerate(chain):
@@ -140,7 +151,7 @@ def _chain_presentation(chain, rot) -> PM1Presentation:
     for i in range(n - 1):
         q[i][i + 1] = 1
         q[i + 1][i] = 1
-    return PM1Presentation(tuple(tuple(r) for r in q), tuple(rot), 0)
+    return q
 
 
 def tight_census(space: LensSpace):
@@ -153,12 +164,11 @@ def tight_census(space: LensSpace):
     if space.p < 2:
         raise ValueError(f"census needs p >= 2, got {space}")
     chain = tuple(-a for a in neg_cf_expand(Fraction(space.p, space.q)))
-    ranges = [range(a + 2, -a - 1, 2) for a in chain]
-    out = []
-    for rot in itertools.product(*ranges):
-        out.append(TightDescriptor(chain, rot, d3(_chain_presentation(chain, rot))))
-    out.sort(key=lambda t: t.rot)
-    return tuple(out)
+    rotations = sorted(itertools.product(*(range(a + 2, -a - 1, 2) for a in chain)))
+    _, _, values = _d3_terms(_chain_matrix(chain), rotations, 0)
+    return tuple(
+        TightDescriptor(chain, rot, value) for rot, (value, _) in zip(rotations, values)
+    )
 
 
 def census_size_formula(space: LensSpace) -> int:
@@ -210,12 +220,7 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
     if h < 1 or k < 1:
         raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
     pres = family_presentation(h, k)
-    matrix = [list(row) for row in pres.q]
-    det = linalg.det(matrix)
-    x = linalg.solve(matrix, list(pres.rho))
-    c_squared = sum(xi * ri for xi, ri in zip(x, pres.rho))
-    sigma = linalg.signature(matrix)
-    value = d3(pres)
+    det, sigma, [(value, c_squared)] = _d3_terms(pres.q, [pres.rho], pres.q_plus)
     space = family_lens(h, k)
     census = tight_census(space)
     census_values = tuple(t.d3 for t in census)

@@ -11,6 +11,10 @@ determinant is expanded over the edges in O(n) (linalg.det_forest); any
 other graph is eliminated (linalg.det_sparse_rows).  Both give the
 determinant of the full matrix, so no move check is ever partial.
 
+Each diagram keeps one adjacency map {id: {neighbour: weight}}, built on
+first use in edge order; linking numbers, neighbour lists and the path
+walk behind the chain queries all read it.
+
 Diagrams are immutable values.  Moves (in the kirby module) return new
 diagrams and append MoveRecords; every record stores the H_1 order on
 both sides of the move, which must agree.
@@ -41,10 +45,6 @@ INFINITE = _InfiniteOrder()
 
 def order_to_jsonable(order):
     return "INF" if order is INFINITE else order
-
-
-def order_from_jsonable(data):
-    return INFINITE if data == "INF" else int(data)
 
 
 @dataclass(frozen=True)
@@ -110,36 +110,14 @@ class FramedLinkDiagram:
         return d
 
     @staticmethod
-    def build(vertices, edges, move_log=()) -> "FramedLinkDiagram":
-        """Construct from any iterable of vertices and an edge mapping/iterable.
-
-        Edges may be given as ((i, j), w) pairs, (i, j, w) triples, or a dict
-        {(i, j): w}; zero weights are dropped and pairs are canonicalized.
-        """
+    def build(vertices, edges: dict, move_log=()) -> "FramedLinkDiagram":
+        """Construct from any iterable of vertices and an edge dict {(i, j): w};
+        zero weights are dropped and pairs are canonicalized."""
         vs = tuple(
             v if isinstance(v, Vertex) else Vertex(v[0], Fraction(v[1]), *(v[2:] or (True,)))
             for v in vertices
         )
-        if isinstance(edges, dict):
-            items = [(i, j, w) for (i, j), w in edges.items()]
-        else:
-            items = []
-            for e in edges:
-                if len(e) == 2:
-                    (i, j), w = e
-                else:
-                    i, j, w = e
-                items.append((i, j, w))
-        canon = {}
-        for i, j, w in items:
-            if w == 0:
-                continue
-            key = (i, j) if i < j else (j, i)
-            if key in canon:
-                raise ValueError(f"duplicate edge {key}")
-            canon[key] = int(w)
-        es = tuple(sorted((i, j, w) for (i, j), w in canon.items()))
-        return FramedLinkDiagram(vs, es, tuple(move_log))
+        return FramedLinkDiagram(vs, _canonical_edges(edges), tuple(move_log))
 
     # -- accessors ---------------------------------------------------------
 
@@ -148,12 +126,12 @@ class FramedLinkDiagram:
         return {v.id: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _edge_map(self):
-        m = {}
+    def _adjacency(self):
+        adj = {v.id: {} for v in self.vertices}
         for i, j, w in self.edges:
-            m[(i, j)] = w
-            m[(j, i)] = w
-        return m
+            adj[i][j] = w
+            adj[j][i] = w
+        return adj
 
     def vertex(self, vid: str) -> Vertex:
         return self.vertices[self._index[vid]]
@@ -162,16 +140,11 @@ class FramedLinkDiagram:
         return self.vertex(vid).framing
 
     def linking(self, i: str, j: str) -> int:
-        return self._edge_map.get((i, j), 0)
+        return self._adjacency.get(i, {}).get(j, 0)
 
     def neighbors(self, vid: str):
-        out = []
-        for i, j, w in self.edges:
-            if i == vid:
-                out.append((j, w))
-            elif j == vid:
-                out.append((i, w))
-        return out
+        """[(neighbour, weight), ...] in edge order."""
+        return list(self._adjacency.get(vid, {}).items())
 
     def has_integer_framings(self) -> bool:
         return all(v.framing.denominator == 1 for v in self.vertices)
@@ -201,60 +174,36 @@ class FramedLinkDiagram:
             m[ib][ia] = w
         return m
 
+    @cached_property
+    def _chain(self):
+        """Vertex ids along the path, from the endpoint that appears first in
+        vertex order, or None unless the diagram is a connected path with
+        every linking weight +-1."""
+        n = len(self.vertices)
+        if n == 0 or len(self.edges) != n - 1 or any(abs(w) != 1 for _, _, w in self.edges):
+            return None
+        adj = self._adjacency
+        # n - 1 edges leave some vertex of degree < 2; the walk starts there
+        path = [next(v.id for v in self.vertices if len(adj[v.id]) < 2)]
+        prev = None
+        while len(path) < n:
+            onward = [u for u in adj[path[-1]] if u != prev]
+            if len(onward) != 1:  # a branch, or the end of a smaller component
+                return None
+            prev = path[-1]
+            path.append(onward[0])
+        return tuple(path)
+
     def is_linear_chain(self) -> bool:
         """Connected path with all linking weights of absolute value 1."""
-        n = len(self.vertices)
-        if n == 0:
-            return False
-        if len(self.edges) != n - 1:
-            return False
-        if any(abs(w) != 1 for _, _, w in self.edges):
-            return False
-        deg = {v.id: 0 for v in self.vertices}
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        if any(d > 2 for d in deg.values()):
-            return False
-        # n-1 edges with max degree 2 and no repeats: a path iff connected
-        return self._is_connected()
-
-    def _is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = {v.id: [] for v in self.vertices}
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.vertices)
+        return self._chain is not None
 
     def chain_framings(self) -> list:
         """Framings read along the chain, starting from the endpoint that
         appears first in vertex order (deterministic)."""
-        if not self.is_linear_chain():
+        if self._chain is None:
             raise ValueError("diagram is not a linear chain")
-        if len(self.vertices) == 1:
-            return [self.vertices[0].framing]
-        deg = {v.id: [] for v in self.vertices}
-        for i, j, _ in self.edges:
-            deg[i].append(j)
-            deg[j].append(i)
-        start = next(v.id for v in self.vertices if len(deg[v.id]) == 1)
-        out = [start]
-        prev = None
-        cur = start
-        while len(out) < len(self.vertices):
-            nxt = next(u for u in deg[cur] if u != prev)
-            out.append(nxt)
-            prev, cur = cur, nxt
-        return [self.framing(v) for v in out]
+        return [self.framing(v) for v in self._chain]
 
     # -- serialization -----------------------------------------------------
 
@@ -320,6 +269,15 @@ def compute_h1(vertices, edges):
     return INFINITE if d == 0 else abs(d)
 
 
-def h1_order(d: FramedLinkDiagram):
-    """Order of the first homology of the 3-manifold presented by d."""
-    return d.h1
+def _canonical_edges(edges: dict) -> tuple:
+    """Sorted (i, j, w) triples with i < j from {(i, j): w}; zero weights are
+    dropped and a pair given in both orders is an error."""
+    canon = {}
+    for (i, j), w in edges.items():
+        if w == 0:
+            continue
+        key = (i, j) if i < j else (j, i)
+        if key in canon:
+            raise ValueError(f"duplicate edge {key}")
+        canon[key] = int(w)
+    return tuple(sorted((i, j, w) for (i, j), w in canon.items()))

@@ -28,14 +28,7 @@ The result is the chain [-2, -(k+1), -2 x h] with all edges +1.
 
 from fractions import Fraction
 
-from .diagram import (
-    INFINITE,
-    FramedLinkDiagram,
-    MoveRecord,
-    Vertex,
-    compute_h1,
-    h1_order,
-)
+from .diagram import INFINITE, FramedLinkDiagram, MoveRecord, Vertex, compute_h1
 
 __all__ = [
     "INFINITE",
@@ -45,7 +38,6 @@ __all__ = [
     "MoveRecord",
     "blow_down",
     "blow_up",
-    "h1_order",
     "handle_slide",
     "inverse_slam_dunk",
     "reduce_family_diagram",
@@ -298,29 +290,48 @@ def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     return _record(d, list(d.vertices), edges, "reverse_orientation", args)
 
 
-# move name -> (required argument names, the move applied to (diagram, args))
+# move name -> (required {argument: type}, optional {argument: type}, the
+# move applied to (diagram, args)); a star is an object {id: weight} or the
+# [id, weight] pairs that a move log records
 MOVES = {
-    "blow_down": (("vertex",), lambda d, a: blow_down(d, a["vertex"])),
-    "blow_up": (("sign",), lambda d, a: blow_up(d, a["sign"], a.get("star", {}), a.get("id"))),
+    "blow_down": ({"vertex": str}, {}, lambda d, a: blow_down(d, a["vertex"])),
+    "blow_up": (
+        {"sign": int},
+        {"star": dict, "id": str},
+        lambda d, a: blow_up(d, a["sign"], a.get("star"), a.get("id")),
+    ),
     "inverse_slam_dunk": (
-        ("vertex",),
+        {"vertex": str},
+        {"n": int, "leaf": str},
         lambda d, a: inverse_slam_dunk(d, a["vertex"], a.get("n"), a.get("leaf")),
     ),
-    "slam_dunk": (("leaf",), lambda d, a: slam_dunk(d, a["leaf"])),
+    "slam_dunk": ({"leaf": str}, {}, lambda d, a: slam_dunk(d, a["leaf"])),
     "handle_slide": (
-        ("slide", "over", "sign"),
+        {"slide": str, "over": str, "sign": int},
+        {},
         lambda d, a: handle_slide(d, a["slide"], a["over"], a["sign"]),
     ),
-    "reverse_orientation": (("vertex",), lambda d, a: reverse_orientation(d, a["vertex"])),
+    "reverse_orientation": ({"vertex": str}, {}, lambda d, a: reverse_orientation(d, a["vertex"])),
 }
+
+
+def _well_typed(kind, value) -> bool:
+    if kind is dict:
+        pairs = value.items() if isinstance(value, dict) else value
+        return isinstance(value, (dict, list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2
+            and _well_typed(str, p[0]) and _well_typed(int, p[1])
+            for p in pairs
+        )
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
     """Apply a JSON move script, a list of {"move": name, "args": {...}}.
 
-    A malformed step (not an object, or missing a required argument) is a
-    ValueError; an unknown move or a failed precondition is an
-    IllegalMoveError.
+    A malformed step (not an object, missing a required argument, or an
+    argument of the wrong type) is a ValueError; an unknown move or a
+    failed precondition is an IllegalMoveError.
     """
     for step in script:
         if not isinstance(step, dict) or not isinstance(step.get("args", {}), dict):
@@ -328,11 +339,15 @@ def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
         name = step.get("move")
         if not isinstance(name, str) or name not in MOVES:
             raise IllegalMoveError(f"unknown move {name!r}")
-        required, apply = MOVES[name]
+        required, optional, apply = MOVES[name]
         args = step.get("args", {})
         missing = [a for a in required if a not in args]
         if missing:
             raise ValueError(f"move {name!r} is missing argument {', '.join(missing)}")
+        for a, kind in {**required, **optional}.items():
+            value = args.get(a)
+            if (a in required or value is not None) and not _well_typed(kind, value):
+                raise ValueError(f"move {name!r}: argument {a!r} has the wrong type: {value!r}")
         d = apply(d, args)
     return d
 

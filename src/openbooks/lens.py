@@ -117,9 +117,6 @@ class LensSpace:
             return cls(1, 0)
         return cls(p, q % p)
 
-    def is_sphere(self) -> bool:
-        return self.p == 1
-
     def surgery_fraction(self):
         """The coefficient p/q this space is the -p/q surgery for (POLE for S^3)."""
         if self.q == 0:

@@ -21,8 +21,6 @@ b, c, d, and k+1 negative twists about the separating curve e.
 
 from dataclasses import dataclass
 
-TABLE_VERSION = 1
-
 BOUNDARY_A = "∂a"
 BOUNDARY_B = "∂b"
 BOUNDARY_C = "∂c"
@@ -167,6 +165,7 @@ class TwistWord:
         return len(self.letters)
 
     def is_positive(self) -> bool:
+        """True when every letter is a positive twist (empty word included)."""
         return all(exp >= 1 for _, exp in self.letters)
 
     def exponent_sum(self, curve_name: str) -> int:
@@ -183,17 +182,15 @@ class TwistWord:
             for letter in data
         ):
             raise ValueError(f"twist word must be a list of [curve, exponent] pairs: {data!r}")
+        unknown = sorted({name for name, _ in data} - CURVES.keys())
+        if unknown:
+            raise ValueError(f"twist word names unknown curves {unknown}")
         return cls(tuple((name, exp) for name, exp in data))
 
     def __str__(self) -> str:
         if not self.letters:
             return "1"
         return " ".join(f"{n}^{e}" if e != 1 else n for n, e in self.letters)
-
-
-def is_positive(word: TwistWord) -> bool:
-    """True when every letter of the word is a positive twist (empty word included)."""
-    return word.is_positive()
 
 
 def family_word(h: int, k: int) -> TwistWord:

@@ -5,7 +5,7 @@ contact surgery presentation, pushoff expansion, smooth diagram, scripted
 move reduction, lens identification, d3 comparison against the tight
 census, right-veering certificate, and the non-destabilizability report.
 Every cross-check between independently computed quantities is recorded;
-a failed check raises InternalCheckError naming the first violation.
+a failed check raises InternalCheckError naming every failed check.
 """
 
 from dataclasses import dataclass
@@ -83,6 +83,14 @@ class FamilyReport:
         return out
 
 
+def _require(h, k, checks):
+    failed = [name for name, ok in checks if not ok]
+    if failed:
+        raise InternalCheckError(
+            f"cross-check failed for (h, k) = ({h}, {k}): {', '.join(failed)}"
+        )
+
+
 def run_family(h: int, k: int) -> FamilyReport:
     """Run the full pipeline for one (h, k) and cross-check every stage."""
     if h < 1 or k < 1:
@@ -120,20 +128,13 @@ def run_family(h: int, k: int) -> FamilyReport:
     minus = sum(1 for c in expanded.components if c.contact_coeff == -1)
     checks.append(("expansion_counts", plus == k + 1 and minus == h))
 
-    failed = [name for name, ok in checks if not ok]
-    if failed or not cert_ok:
-        raise InternalCheckError(
-            f"cross-check failed for (h, k) = ({h}, {k}): {failed[0]}"
-        )
-
+    _require(h, k, checks)
+    # the report rejects an invalid certificate, so it runs once all checks hold
     destab = destabilization_report(h, k, verdict, cert)
     checks.append(("destabilization_closes",
                    destab.conclusion == NOT_DESTABILIZABLE
                    and destab.unverified_computed_count == 0))
-    if not checks[-1][1]:
-        raise InternalCheckError(
-            f"cross-check failed for (h, k) = ({h}, {k}): destabilization_closes"
-        )
+    _require(h, k, checks)
 
     return FamilyReport(
         h=h,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from openbooks import linalg
 from openbooks.d3 import (
     INCONCLUSIVE,
     OVERTWISTED_CERTIFIED,
@@ -113,12 +114,16 @@ def test_census_rejects_small_p():
 def test_census_counts_small():
     import math
 
-    for p in range(2, 26):
+    for p in range(2, 41):
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
             space = LensSpace(p, q)
-            assert len(tight_census(space)) == census_size_formula(space)
+            census = tight_census(space)
+            assert len(census) == census_size_formula(space)
+            # one factorization per chain gives what d3 gives per entry
+            for t in census:
+                assert t.d3 == d3(chain_pm1(t.chain, t.rot))
 
 
 def test_census_rot_ranges_and_parity():
@@ -149,8 +154,23 @@ def test_d3_signature_path_matches_oracle():
         assert signature(m) == signature_oracle(m)
 
 
-def test_verdict_1_1():
+def test_verdict_1_1(monkeypatch):
+    calls = {"det": 0, "signature": 0}
+
+    def counted(name):
+        fn = getattr(linalg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counted(name))
     v = overtwisted_verdict(1, 1)
+    # det and signature once for the family Q, once for the census chain
+    assert calls == {"det": 2, "signature": 2}
     assert v.status == OVERTWISTED_CERTIFIED
     assert v.d3_value == Fraction(1, 2)
     assert v.census_d3 == (Fraction(1, 4),)
@@ -166,6 +186,14 @@ def test_verdict_consistency_and_lens_match():
         for k in range(1, 7):
             v = overtwisted_verdict(h, k)
             assert v.lens == family_lens(h, k)
+            # the terms the verdict reads, computed directly
+            pres = family_presentation(h, k)
+            m = [list(r) for r in pres.q]
+            x = linalg.solve(m, list(pres.rho))
+            assert v.det == linalg.det(m)
+            assert v.sigma == linalg.signature(m)
+            assert v.c_squared == sum(xi * ri for xi, ri in zip(x, pres.rho))
+            assert v.d3_value == d3(pres)
             assert abs(v.det) == (h + 1) * (2 * k - 1) + 2
             match = v.d3_value in v.census_d3
             if v.status == OVERTWISTED_CERTIFIED:

@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from openbooks.diagram import INFINITE, FramedLinkDiagram, h1_order
+from openbooks.diagram import INFINITE, FramedLinkDiagram
 from openbooks.kirby import (
     IllegalMoveError,
     blow_down,
@@ -37,12 +38,12 @@ def chain(*framings, weight=1):
 
 
 def test_h1_order_examples():
-    assert h1_order(FramedLinkDiagram.build([], {})) == 1
-    assert h1_order(FramedLinkDiagram.build([("x", 0)], {})) is INFINITE
+    assert FramedLinkDiagram.build([], {}).h1 == 1
+    assert FramedLinkDiagram.build([("x", 0)], {}).h1 is INFINITE
     d = FramedLinkDiagram.build(
         [("x", Fraction(-3, 2)), ("y", -4)], {("x", "y"): -2}
     )
-    assert h1_order(d) == 4  # det [[-3, -4], [-2, -4]]
+    assert d.h1 == 4  # det [[-3, -4], [-2, -4]]
 
 
 def test_blow_down_chain_to_s1xs2():
@@ -327,6 +328,58 @@ def test_diagram_serialization_roundtrip():
     d = reduce_family_diagram(2, 2)
     back = FramedLinkDiagram.from_jsonable(d.to_jsonable())
     assert back.same_diagram(d)
+
+
+def test_linear_chain_walk():
+    assert not FramedLinkDiagram.build([], {}).is_linear_chain()
+    assert FramedLinkDiagram.build([("x", 3)], {}).chain_framings() == [3]
+    # read from the endpoint that comes first in vertex order
+    d = FramedLinkDiagram.build(
+        [("m", -3), ("z", -4), ("a", -2)], {("a", "m"): 1, ("m", "z"): -1}
+    )
+    assert d.chain_framings() == [-4, -3, -2]
+    not_chains = [
+        {("c", "x"): 1, ("c", "y"): 1, ("c", "z"): 1, ("z", "t"): 1},  # a branch
+        {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 1, ("t", "c"): 1},  # a cycle
+        {("p", "q"): 1, ("q", "r"): 1, ("r", "s"): 1, ("q", "s"): 1},  # a loop, t apart
+        {("c", "x"): 2, ("x", "y"): 1, ("y", "z"): 1, ("z", "t"): 1},  # weight 2
+    ]
+    for edges in not_chains:
+        ids = sorted({v for pair in edges for v in pair} | {"t"})
+        d = FramedLinkDiagram.build([(v, -2) for v in ids], edges)
+        assert not d.is_linear_chain()
+        with pytest.raises(ValueError):
+            d.chain_framings()
+
+
+def test_replay_accepts_its_own_json_move_log():
+    # the log writes each blow-up star as [id, weight] pairs
+    from openbooks.contact import presentation_for, smooth_diagram
+    from openbooks.serialize import canonical_dumps
+
+    d = reduce_family_diagram(3, 2)
+    moves = json.loads(canonical_dumps(d.to_jsonable()))["moves"]
+    assert any(isinstance(m["args"].get("star"), list) for m in moves)
+    replayed = replay(smooth_diagram(presentation_for(3, 2)), moves)
+    assert replayed.same_diagram(d)
+    assert replayed.move_log == d.move_log
+
+
+@pytest.mark.parametrize("step", [
+    {"move": "blow_down", "args": {"vertex": ["c0"]}},
+    {"move": "blow_down", "args": {"vertex": None}},
+    {"move": "inverse_slam_dunk", "args": {"vertex": "c1", "n": [1]}},
+    {"move": "inverse_slam_dunk", "args": {"vertex": "c1", "leaf": 3}},
+    {"move": "blow_up", "args": {"sign": "1"}},
+    {"move": "blow_up", "args": {"sign": True}},
+    {"move": "blow_up", "args": {"sign": 1, "star": {"c0": "1"}}},
+    {"move": "blow_up", "args": {"sign": 1, "star": [["c0"]]}},
+    {"move": "blow_up", "args": {"sign": 1, "star": 5}},
+    {"move": "handle_slide", "args": {"slide": "c0", "over": {"c1": 1}, "sign": 1}},
+])
+def test_replay_rejects_mistyped_arguments(step):
+    with pytest.raises(ValueError, match="wrong type"):
+        replay(chain(-2, -3), [step])
 
 
 def test_move_property_suite_small():

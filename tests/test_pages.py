@@ -12,7 +12,6 @@ from openbooks.pages import (
     TwistWord,
     family_word,
     geometric_intersection,
-    is_positive,
 )
 
 
@@ -70,9 +69,9 @@ def test_arc_table_invariants():
 
 
 def test_is_positive():
-    assert is_positive(TwistWord((("a", 2), ("b", 1))))
-    assert is_positive(TwistWord(()))
-    assert not is_positive(family_word(1, 1))
+    assert TwistWord((("a", 2), ("b", 1))).is_positive()
+    assert TwistWord(()).is_positive()
+    assert not family_word(1, 1).is_positive()
 
 
 def test_normal_form_merges_adjacent_letters():

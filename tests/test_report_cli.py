@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -74,6 +75,17 @@ def test_run_sweep_consistency(tmp_path):
     # deterministic h-major ordering
     hk = [(json.loads(l)["h"], json.loads(l)["k"]) for l in lines]
     assert hk == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def test_run_sweep_golden_output(tmp_path):
+    # byte-identical canonical output of the paper's 10 x 10 grid
+    out = tmp_path / "rows.jsonl"
+    run_sweep(10, 10, out)
+    data = out.read_bytes()
+    assert len(data) == 577_288
+    assert hashlib.sha256(data).hexdigest() == (
+        "57d1b2d4b4b0de7fd73e06805d649f84e878f6d5acba6359d24243af8ef5b54d"
+    )
 
 
 def test_run_sweep_io_error():
@@ -219,6 +231,16 @@ def test_internal_check_error_reports_first_violation(monkeypatch):
         run_family(1, 1)
 
 
+def test_internal_check_error_names_every_failed_check(monkeypatch):
+    import openbooks.report as report_mod
+
+    # L(7, 1) is neither the chain's lens space nor of order |H1| = 4
+    monkeypatch.setattr(report_mod, "family_lens", lambda h, k: LensSpace(7, 1))
+    with pytest.raises(InternalCheckError) as err:
+        run_family(1, 1)
+    assert str(err.value).endswith(": lens_chain_equals_formula, h1_equals_lens_p")
+
+
 _REPLAY = ["kirby", "replay", "--diagram", "d.json", "--script", "s.json"]
 _ONE_UNKNOT = {"vertices": [{"id": "x", "framing": "1"}]}
 
@@ -233,6 +255,13 @@ _ONE_UNKNOT = {"vertices": [{"id": "x", "framing": "1"}]}
                  id="certificate_goals_not_an_object"),
     pytest.param({"c.json": {"word": 5, "goals": {}}}, ["rv", "check", "c.json"],
                  id="certificate_word_not_a_list"),
+    pytest.param({"c.json": {"word": [["z", 1]], "goals": {}}}, ["rv", "check", "c.json"],
+                 id="certificate_word_unknown_curve"),
+    pytest.param({"d.json": _ONE_UNKNOT, "s.json": [{"move": "blow_down", "args": {"vertex": ["a"]}}]},
+                 _REPLAY, id="replay_vertex_not_a_string"),
+    pytest.param({"d.json": _ONE_UNKNOT,
+                  "s.json": [{"move": "inverse_slam_dunk", "args": {"vertex": "x", "n": [1]}}]},
+                 _REPLAY, id="replay_n_not_an_integer"),
 ])
 def test_cli_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     for name, doc in files.items():
