@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import certcheck
-from .d3 import family_presentation, overtwisted_verdict, tight_census
+from .d3 import overtwisted_verdict, tight_census
 from .diagram import FramedLinkDiagram, order_to_jsonable
 from .kirby import IllegalMoveError, InvariantViolationError, replay
 from .lens import LensSpace, chain_to_lens, lens_equal, neg_cf_expand
@@ -245,11 +245,10 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_d3_family(args) -> int:
-    pres = family_presentation(args.h, args.k)
     verdict = overtwisted_verdict(args.h, args.k)
     payload = verdict.to_jsonable()
-    payload["Q"] = [list(row) for row in pres.q]
-    payload["rho"] = list(pres.rho)
+    payload["Q"] = [list(row) for row in verdict.presentation.q]
+    payload["rho"] = list(verdict.presentation.rho)
     lines = [
         f"(h, k) = ({args.h}, {args.k}) on {verdict.lens}",
         f"d3 = {fraction_str(verdict.d3_value)}  (sigma = {verdict.sigma}, "

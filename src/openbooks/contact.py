@@ -23,8 +23,9 @@ rational framed-link diagram that the move engine reduces.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .diagram import FramedLinkDiagram, Vertex, _canonical_edges
+from .diagram import FramedLinkDiagram, Vertex, canonical_edges, check_edges
 from .serialize import fraction_str, parse_fraction
 
 
@@ -80,34 +81,23 @@ class ContactSurgeryDiagram:
     """Legendrian unknot components with a symmetric pairwise linking form."""
 
     components: tuple
-    linking: tuple  # ((id_i, id_j, lk), ...) canonical: id_i < id_j, sorted
+    linking: tuple  # ((id_i, id_j, lk), ...), canonical as a diagram's edges
 
     def __post_init__(self):
-        ids = [c.id for c in self.components]
-        if len(set(ids)) != len(ids):
-            raise ValueError("component ids must be distinct")
-        idset = set(ids)
-        seen = set()
-        for i, j, w in self.linking:
-            if i == j or i not in idset or j not in idset:
-                raise ValueError(f"bad linking pair ({i!r}, {j!r})")
-            if i > j or (i, j) in seen:
-                raise ValueError("linking must be canonical: id_i < id_j, unique")
-            if not isinstance(w, int):
-                raise ValueError("linking numbers must be integers")
-            seen.add((i, j))
+        check_edges([c.id for c in self.components], self.linking)
 
     @staticmethod
     def build(components, linking: dict) -> "ContactSurgeryDiagram":
         """Construct from components and a linking dict {(i, j): lk}; zero
         entries are dropped and pairs are canonicalized."""
-        return ContactSurgeryDiagram(tuple(components), _canonical_edges(linking))
+        return ContactSurgeryDiagram(tuple(components), canonical_edges(linking))
+
+    @cached_property
+    def _lk(self):
+        return {(i, j): w for i, j, w in self.linking}
 
     def lk(self, i: str, j: str) -> int:
-        for a, b, w in self.linking:
-            if (a, b) in ((i, j), (j, i)):
-                return w
-        return 0
+        return self._lk.get((i, j) if i < j else (j, i), 0)
 
     def to_jsonable(self):
         return {
@@ -182,6 +172,4 @@ def expand_to_unit_coefficients(d: ContactSurgeryDiagram) -> ContactSurgeryDiagr
 
 def smooth_diagram(d: ContactSurgeryDiagram) -> FramedLinkDiagram:
     """Forget the contact structure: framings become tb + contact coefficient."""
-    vertices = [Vertex(c.id, c.smooth_coeff, True) for c in d.components]
-    edges = {(i, j): w for i, j, w in d.linking}
-    return FramedLinkDiagram.build(vertices, edges)
+    return FramedLinkDiagram(tuple(Vertex(c.id, c.smooth_coeff) for c in d.components), d.linking)

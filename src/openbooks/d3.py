@@ -32,7 +32,7 @@ match spin-c structures across presentations.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -191,6 +191,8 @@ class Verdict:
     c_squared: Fraction
     q_plus: int
     det: int
+    # the family presentation the values came from; not serialized or compared
+    presentation: PM1Presentation = field(default=None, compare=False, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -236,4 +238,5 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
         c_squared=c_squared,
         q_plus=pres.q_plus,
         det=int(det),
+        presentation=pres,
     )

@@ -11,13 +11,19 @@ determinant is expanded over the edges in O(n) (linalg.det_forest); any
 other graph is eliminated (linalg.det_sparse_rows).  Both give the
 determinant of the full matrix, so no move check is ever partial.
 
-Each diagram keeps one adjacency map {id: {neighbour: weight}}, built on
-first use in edge order; linking numbers, neighbour lists and the path
-walk behind the chain queries all read it.
+This module alone knows how a diagram stores its graph: the canonical
+edge rule (check_edges, shared with the contact surgery diagrams), the
+id index, and one adjacency map {id: {neighbour: weight}}, built on first
+use in edge order, that linking numbers, neighbour lists and the path
+walk behind the chain queries all read.
 
-Diagrams are immutable values.  Moves (in the kirby module) return new
-diagrams and append MoveRecords; every record stores the H_1 order on
-both sides of the move, which must agree.
+Diagrams are immutable values.  This module also owns the move
+bookkeeping: every Kirby move is a congruence of the linking form plus
+at most one +-1 or leaf block, and FramedLinkDiagram.apply_move takes a
+move as that data, builds the new diagram, checks |H_1| of the full
+post-move matrix against the order before the move, and appends the
+MoveRecord that stores both.  The kirby module holds each move's
+preconditions and congruence data.
 """
 
 from dataclasses import dataclass
@@ -75,6 +81,10 @@ class MoveRecord:
         }
 
 
+class InvariantViolationError(RuntimeError):
+    """A move changed the order of the first homology; the diagram is corrupt."""
+
+
 @dataclass(frozen=True)
 class FramedLinkDiagram:
     """Framed unknots with integer pairwise linking, plus a move log."""
@@ -84,30 +94,7 @@ class FramedLinkDiagram:
     move_log: tuple = ()
 
     def __post_init__(self):
-        ids = [v.id for v in self.vertices]
-        idset = set(ids)
-        if len(idset) != len(ids):
-            raise ValueError("vertex ids must be distinct")
-        seen = set()
-        for i, j, w in self.edges:
-            if i == j:
-                raise ValueError(f"self-edge at {i!r}")
-            if i not in idset or j not in idset:
-                raise ValueError(f"edge ({i!r}, {j!r}) references unknown vertex")
-            if not isinstance(w, int) or w == 0:
-                raise ValueError("edge weights must be nonzero integers")
-            if (i, j) in seen or i > j:
-                raise ValueError("edges must be canonical: id_i < id_j, unique")
-            seen.add((i, j))
-
-    @staticmethod
-    def _trusted(vertices, edges, move_log) -> "FramedLinkDiagram":
-        # fast path for the move engine: inputs are canonical by construction
-        d = object.__new__(FramedLinkDiagram)
-        object.__setattr__(d, "vertices", vertices)
-        object.__setattr__(d, "edges", edges)
-        object.__setattr__(d, "move_log", move_log)
-        return d
+        check_edges([v.id for v in self.vertices], self.edges)
 
     @staticmethod
     def build(vertices, edges: dict, move_log=()) -> "FramedLinkDiagram":
@@ -117,13 +104,59 @@ class FramedLinkDiagram:
             v if isinstance(v, Vertex) else Vertex(v[0], Fraction(v[1]), *(v[2:] or (True,)))
             for v in vertices
         )
-        return FramedLinkDiagram(vs, _canonical_edges(edges), tuple(move_log))
+        return FramedLinkDiagram(vs, canonical_edges(edges), tuple(move_log))
+
+    def apply_move(self, move, args, framings=None, deltas=None, drop=None,
+                   append=None) -> "FramedLinkDiagram":
+        """Apply one Kirby move given as its congruence data, checked and logged.
+
+        framings {id: framing} replaces framings; deltas {(i, j): dw}, keyed
+        by id pair in either order, adds to linking numbers; `drop` names a
+        vertex to remove with its edges and `append` is a new Vertex.  The
+        move's preconditions (the kirby module) make the data refer to this
+        diagram's vertices.  Zero weights are dropped, |H_1| of the full
+        post-move matrix must equal this diagram's (InvariantViolationError
+        otherwise), and the MoveRecord (move, args, both orders) is appended.
+        """
+        vertices = list(self.vertices)
+        idx = self._index
+        for vid, framing in (framings or {}).items():
+            i = idx[vid]
+            vertices[i] = Vertex(vid, framing, vertices[i].is_unknot)
+        if drop is None:
+            edges = {(i, j): w for i, j, w in self.edges}
+        else:
+            del vertices[idx[drop]]
+            edges = {(i, j): w for i, j, w in self.edges if drop != i and drop != j}
+        if append is not None:
+            vertices.append(append)
+        for (i, j), dw in (deltas or {}).items():
+            key = (i, j) if i < j else (j, i)
+            edges[key] = edges.get(key, 0) + dw
+        vertices = tuple(vertices)
+        edges = tuple(sorted((i, j, w) for (i, j), w in edges.items() if w))
+        before, after = self.h1, compute_h1(vertices, edges)
+        if after != before:
+            raise InvariantViolationError(
+                f"move {move} with args {dict(args)} changed |H_1|: {before!r} -> {after!r}"
+            )
+        # canonical by construction, so __post_init__ is skipped; h1 is the
+        # order just checked
+        moved = object.__new__(FramedLinkDiagram)
+        moved.__dict__.update(
+            vertices=vertices, edges=edges, h1=after,
+            move_log=self.move_log + (MoveRecord(move, tuple(args), before, after),),
+        )
+        return moved
 
     # -- accessors ---------------------------------------------------------
 
     @cached_property
     def _index(self):
         return {v.id: i for i, v in enumerate(self.vertices)}
+
+    def __contains__(self, vid) -> bool:
+        return vid in self._index
 
     @cached_property
     def _adjacency(self):
@@ -269,7 +302,27 @@ def compute_h1(vertices, edges):
     return INFINITE if d == 0 else abs(d)
 
 
-def _canonical_edges(edges: dict) -> tuple:
+def check_edges(ids, edges):
+    """The canonical-edge rule of every diagram: distinct ids, and edges
+    (i, j, w) between two of them with i < j, each pair once, w a nonzero
+    integer."""
+    idset = set(ids)
+    if len(idset) != len(ids):
+        raise ValueError("vertex ids must be distinct")
+    seen = set()
+    for i, j, w in edges:
+        if i == j:
+            raise ValueError(f"self-edge at {i!r}")
+        if i not in idset or j not in idset:
+            raise ValueError(f"edge ({i!r}, {j!r}) references unknown vertex")
+        if not isinstance(w, int) or w == 0:
+            raise ValueError("edge weights must be nonzero integers")
+        if (i, j) in seen or i > j:
+            raise ValueError("edges must be canonical: id_i < id_j, unique")
+        seen.add((i, j))
+
+
+def canonical_edges(edges: dict) -> tuple:
     """Sorted (i, j, w) triples with i < j from {(i, j): w}; zero weights are
     dropped and a pair given in both orders is an error."""
     canon = {}

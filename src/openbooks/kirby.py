@@ -1,14 +1,18 @@
 """Kirby calculus moves on framed link diagrams, done algebraically.
 
 Moves act on the weighted-graph model of a diagram (framings on vertices,
-linking numbers on edges), not on pictures.  Each move returns a new
-diagram whose move log gains one record; the order of the first homology
-of the presented 3-manifold is recomputed from scratch on both sides of
-every move and any disagreement aborts with a diagnostic, since each move
-is supposed to be a diffeomorphism of the underlying manifold.  The check
-is the full determinant either way: diagrams whose linking graph is a
-forest are expanded over their edges, other graphs eliminated (see the
-diagram module), and replay re-verifies every move of a script.
+linking numbers on edges), not on pictures.  Every move is a congruence of
+the linking form plus at most one +-1 or leaf block (Gompf-Stipsicz,
+4-Manifolds and Kirby Calculus, ch. 5), so this module holds only each
+move's preconditions and its congruence data: the framings it replaces,
+the linking-number deltas, and the vertex it drops or appends.
+FramedLinkDiagram.apply_move, in the diagram module that owns the edge
+format, the per-move |H_1| check and the MoveRecord, applies the data.
+It recomputes the order of the first homology of the full post-move
+matrix and aborts with InvariantViolationError if it differs from the
+order before the move, since each move is supposed to be a
+diffeomorphism of the underlying manifold; replay re-verifies every
+move of a script.
 
 Geometric validity (e.g. that a component really is an unknot after a
 handle slide) is only guaranteed for diagrams built by this package's
@@ -28,7 +32,7 @@ The result is the chain [-2, -(k+1), -2 x h] with all edges +1.
 
 from fractions import Fraction
 
-from .diagram import INFINITE, FramedLinkDiagram, MoveRecord, Vertex, compute_h1
+from .diagram import INFINITE, FramedLinkDiagram, InvariantViolationError, MoveRecord, Vertex
 
 __all__ = [
     "INFINITE",
@@ -51,57 +55,29 @@ class IllegalMoveError(ValueError):
     """The requested move's preconditions are not met."""
 
 
-class InvariantViolationError(RuntimeError):
-    """A move changed the order of the first homology; the diagram is corrupt."""
-
-
-def _edge_dict(d: FramedLinkDiagram):
-    return {(i, j): w for i, j, w in d.edges}
-
-
-def _key(i, j):
-    return (i, j) if i < j else (j, i)
-
-
-def _record(before, after_vertices, after_edges, move, args):
-    """Assemble the post-move diagram and verify the H_1 order is unchanged.
-
-    `after_edges` is a dict keyed by canonical (sorted) id pairs; zero
-    weights may be present and are dropped here.
-    """
-    before_h1 = before.h1
-    vertices = tuple(after_vertices)
-    edges = tuple(sorted([(i, j, w) for (i, j), w in after_edges.items() if w]))
-    after_h1 = compute_h1(vertices, edges)
-    if after_h1 != before_h1:
-        raise InvariantViolationError(
-            f"move {move} with args {dict(args)} changed |H_1|: "
-            f"{before_h1!r} -> {after_h1!r}"
-        )
-    rec = MoveRecord(move, tuple(args), before_h1, after_h1)
-    final = FramedLinkDiagram._trusted(vertices, edges, before.move_log + (rec,))
-    final.__dict__["h1"] = after_h1
-    return final
-
-
-def _reframed(d: FramedLinkDiagram, framings) -> list:
-    """d's vertices as a list, with the framings {id: framing} replaced."""
-    vertices = list(d.vertices)
-    idx = d._index
-    for vid, framing in framings.items():
-        i = idx[vid]
-        vertices[i] = Vertex(vid, framing, vertices[i].is_unknot)
-    return vertices
+def _vertex(d: FramedLinkDiagram, vid: str) -> Vertex:
+    try:
+        return d.vertex(vid)
+    except KeyError:
+        raise IllegalMoveError(f"no vertex {vid!r}") from None
 
 
 def _fresh_id(d: FramedLinkDiagram, base: str) -> str:
-    ids = d._index
-    if base not in ids:
+    if base not in d:
         return base
     n = 1
-    while f"{base}{n}" in ids:
+    while f"{base}{n}" in d:
         n += 1
     return f"{base}{n}"
+
+
+def _twist(d: FramedLinkDiagram, star: list, eps: int):
+    """The rank-one twist by a +-1 unknot that links each u of the [(u, lk)]
+    star lk times: framing_u += eps * lk_u^2 and lk_uv += eps * lk_u * lk_v.
+    Returns the move's (framings, deltas)."""
+    framings = {u: d.framing(u) + eps * w * w for u, w in star}
+    deltas = {(u, v): eps * wu * wv for a, (u, wu) in enumerate(star) for v, wv in star[a + 1:]}
+    return framings, deltas
 
 
 def blow_down(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
@@ -110,27 +86,14 @@ def blow_down(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     For framing e = +-1: each remaining framing drops by e * lk^2 and each
     remaining linking number by e * lk_i * lk_j.
     """
-    try:
-        v = d.vertex(vid)
-    except KeyError:
-        raise IllegalMoveError(f"no vertex {vid!r}") from None
+    v = _vertex(d, vid)
     if v.framing not in (1, -1):
         raise IllegalMoveError(f"blow down needs framing +-1, got {v.framing}")
     if not v.is_unknot:
         raise IllegalMoveError(f"blow down needs an unknot at {vid!r}")
     eps = int(v.framing)
-    lk = dict(d.neighbors(vid))
-    vertices = _reframed(d, {u: d.framing(u) - eps * w * w for u, w in lk.items()})
-    del vertices[d._index[vid]]
-    edges = {k: w for k, w in _edge_dict(d).items() if vid not in k}
-    touched = sorted(lk)
-    for a in range(len(touched)):
-        for b in range(a + 1, len(touched)):
-            i, j = touched[a], touched[b]
-            key = _key(i, j)
-            edges[key] = edges.get(key, 0) - eps * lk[i] * lk[j]
-    args = (("vertex", vid), ("sign", eps))
-    return _record(d, vertices, edges, "blow_down", args)
+    framings, deltas = _twist(d, d.neighbors(vid), -eps)
+    return d.apply_move("blow_down", (("vertex", vid), ("sign", eps)), framings, deltas, drop=vid)
 
 
 def blow_up(d: FramedLinkDiagram, sign: int, star=None, new_id: str = None) -> FramedLinkDiagram:
@@ -143,27 +106,14 @@ def blow_up(d: FramedLinkDiagram, sign: int, star=None, new_id: str = None) -> F
         raise IllegalMoveError(f"blow up sign must be +-1, got {sign}")
     star = dict(star or {})
     for u in star:
-        if u not in d._index:
+        if u not in d:
             raise IllegalMoveError(f"star references unknown vertex {u!r}")
-    star = {u: int(w) for u, w in star.items() if w}
+    star = [(u, int(w)) for u, w in star.items() if w]
     vid = _fresh_id(d, new_id or "u")
-    vertices = _reframed(d, {u: d.framing(u) + sign * w * w for u, w in star.items()})
-    vertices.append(Vertex(vid, Fraction(sign), True))
-    edges = _edge_dict(d)
-    touched = sorted(star)
-    for a in range(len(touched)):
-        for b in range(a + 1, len(touched)):
-            i, j = touched[a], touched[b]
-            key = _key(i, j)
-            edges[key] = edges.get(key, 0) + sign * star[i] * star[j]
-    for u, w in star.items():
-        edges[_key(u, vid)] = w
-    args = (
-        ("id", vid),
-        ("sign", sign),
-        ("star", tuple(sorted(star.items()))),
-    )
-    return _record(d, vertices, edges, "blow_up", args)
+    framings, deltas = _twist(d, star, sign)
+    deltas.update(((u, vid), w) for u, w in star)
+    args = (("id", vid), ("sign", sign), ("star", tuple(sorted(star))))
+    return d.apply_move("blow_up", args, framings, deltas, append=Vertex(vid, sign))
 
 
 def _canonical_split(r: Fraction) -> int:
@@ -184,11 +134,7 @@ def inverse_slam_dunk(d: FramedLinkDiagram, vid: str, n: int = None, leaf_id: st
     rational (q >= 2) and the canonical split is used; a caller-forced n is
     accepted for any framing as long as n differs from it.
     """
-    try:
-        v = d.vertex(vid)
-    except KeyError:
-        raise IllegalMoveError(f"no vertex {vid!r}") from None
-    r = v.framing
+    r = _vertex(d, vid).framing
     if n is None:
         if r.denominator in (0, 1):
             raise IllegalMoveError(
@@ -200,12 +146,8 @@ def inverse_slam_dunk(d: FramedLinkDiagram, vid: str, n: int = None, leaf_id: st
         raise IllegalMoveError(f"forced split n={n} equals the framing itself")
     x = 1 / (Fraction(n) - r)  # n - 1/x = r
     leaf = _fresh_id(d, leaf_id or f"{vid}_leaf")
-    vertices = _reframed(d, {vid: Fraction(n)})
-    vertices.append(Vertex(leaf, x, True))
-    edges = _edge_dict(d)
-    edges[_key(vid, leaf)] = 1
     args = (("vertex", vid), ("n", n), ("leaf", leaf))
-    return _record(d, vertices, edges, "inverse_slam_dunk", args)
+    return d.apply_move("inverse_slam_dunk", args, {vid: n}, {(vid, leaf): 1}, append=Vertex(leaf, x))
 
 
 def slam_dunk(d: FramedLinkDiagram, leaf_id: str) -> FramedLinkDiagram:
@@ -216,29 +158,20 @@ def slam_dunk(d: FramedLinkDiagram, leaf_id: str) -> FramedLinkDiagram:
     and the leaf framing must be nonzero (a 0-framed leaf would send the
     neighbor's coefficient to infinity; cancel such pairs by other means).
     """
-    try:
-        leaf = d.vertex(leaf_id)
-    except KeyError:
-        raise IllegalMoveError(f"no vertex {leaf_id!r}") from None
+    x = _vertex(d, leaf_id).framing
     nbrs = d.neighbors(leaf_id)
     if len(nbrs) != 1:
         raise IllegalMoveError(f"slam dunk needs a leaf; {leaf_id!r} has {len(nbrs)} neighbors")
     (nid, w) = nbrs[0]
     if abs(w) != 1:
         raise IllegalMoveError(f"leaf must link its neighbor once, got {w}")
-    nv = d.vertex(nid)
-    if nv.framing.denominator != 1:
-        raise IllegalMoveError(
-            f"slam dunk needs an integer framing on the neighbor, got {nv.framing}"
-        )
-    x = leaf.framing
+    n = d.framing(nid)
+    if n.denominator != 1:
+        raise IllegalMoveError(f"slam dunk needs an integer framing on the neighbor, got {n}")
     if x == 0:
         raise IllegalMoveError("0-framed leaf: coefficient would become infinite")
-    vertices = _reframed(d, {nid: nv.framing - 1 / x})
-    del vertices[d._index[leaf_id]]
-    edges = {k: w2 for k, w2 in _edge_dict(d).items() if leaf_id not in k}
     args = (("leaf", leaf_id), ("into", nid))
-    return _record(d, vertices, edges, "slam_dunk", args)
+    return d.apply_move("slam_dunk", args, {nid: n - 1 / x}, drop=leaf_id)
 
 
 def handle_slide(d: FramedLinkDiagram, slide_id: str, over_id: str, sign: int) -> FramedLinkDiagram:
@@ -254,24 +187,15 @@ def handle_slide(d: FramedLinkDiagram, slide_id: str, over_id: str, sign: int) -
         raise IllegalMoveError("cannot slide a component over itself")
     if sign not in (1, -1):
         raise IllegalMoveError(f"slide sign must be +-1, got {sign}")
-    try:
-        vi = d.vertex(slide_id)
-        vj = d.vertex(over_id)
-    except KeyError as e:
-        raise IllegalMoveError(str(e)) from None
-    if vi.framing.denominator != 1 or vj.framing.denominator != 1:
+    fi, fj = _vertex(d, slide_id).framing, _vertex(d, over_id).framing
+    if fi.denominator != 1 or fj.denominator != 1:
         raise IllegalMoveError("handle slide needs integer framings on both components")
-    lij = d.linking(slide_id, over_id)
-    vertices = _reframed(d, {slide_id: vi.framing + vj.framing + 2 * sign * lij})
-    edges = _edge_dict(d)
-    for uid, ljk in d.neighbors(over_id):
-        if uid == slide_id:
-            continue
-        key = _key(slide_id, uid)
-        edges[key] = edges.get(key, 0) + sign * ljk
-    edges[_key(slide_id, over_id)] = lij + sign * vj.framing.numerator
+    # the over-component's row: its linking off the slid pair, its framing on it
+    deltas = {(slide_id, u): sign * w for u, w in d.neighbors(over_id) if u != slide_id}
+    deltas[(slide_id, over_id)] = sign * fj.numerator
+    framing = fi + fj + 2 * sign * d.linking(slide_id, over_id)
     args = (("slide", slide_id), ("over", over_id), ("sign", sign))
-    return _record(d, vertices, edges, "handle_slide", args)
+    return d.apply_move("handle_slide", args, {slide_id: framing}, deltas)
 
 
 def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
@@ -280,14 +204,9 @@ def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     A relabeling of the same diagram, recorded in the move log so replays
     stay complete; framings and all invariants are untouched.
     """
-    if vid not in d._index:
-        raise IllegalMoveError(f"no vertex {vid!r}")
-    edges = {
-        k: (-w if vid in k else w)
-        for k, w in _edge_dict(d).items()
-    }
-    args = (("vertex", vid),)
-    return _record(d, list(d.vertices), edges, "reverse_orientation", args)
+    _vertex(d, vid)
+    deltas = {(vid, u): -2 * w for u, w in d.neighbors(vid)}
+    return d.apply_move("reverse_orientation", (("vertex", vid),), deltas=deltas)
 
 
 # move name -> (required {argument: type}, optional {argument: type}, the
@@ -329,10 +248,12 @@ def _well_typed(kind, value) -> bool:
 def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
     """Apply a JSON move script, a list of {"move": name, "args": {...}}.
 
-    A malformed step (not an object, missing a required argument, or an
+    A script that is not a list, a malformed step (not an object, missing a required argument, or an
     argument of the wrong type) is a ValueError; an unknown move or a
     failed precondition is an IllegalMoveError.
     """
+    if not isinstance(script, list):
+        raise ValueError(f"move script must be a list of steps: {script!r}")
     for step in script:
         if not isinstance(step, dict) or not isinstance(step.get("args", {}), dict):
             raise ValueError(f"move script step must be an object with object args: {step!r}")

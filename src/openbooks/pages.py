@@ -77,12 +77,6 @@ class NamedArc:
     endpoints: tuple
     intersections: tuple  # ((curve name, intersection number), ...)
 
-    def intersection_with(self, curve_name: str) -> int:
-        for c, n in self.intersections:
-            if c == curve_name:
-                return n
-        raise KeyError(f"no intersection entry for curve {curve_name!r}")
-
 
 CURVES = {
     "a": NamedCurve("a", boundary=BOUNDARY_A),
@@ -124,7 +118,7 @@ def geometric_intersection(curve, arc) -> int:
         raise KeyError(f"unknown curve {cname!r}")
     if aname not in ARCS:
         raise KeyError(f"unknown arc {aname!r}")
-    return ARCS[aname].intersection_with(cname)
+    return dict(ARCS[aname].intersections)[cname]
 
 
 def _normalize(letters):
@@ -157,9 +151,6 @@ class TwistWord:
 
     def __init__(self, letters=()):
         object.__setattr__(self, "letters", _normalize(letters))
-
-    def __mul__(self, other: "TwistWord") -> "TwistWord":
-        return TwistWord(self.letters + other.letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openbooks.diagram import INFINITE, FramedLinkDiagram
 from openbooks.kirby import (
+    MOVES,
     IllegalMoveError,
     blow_down,
     blow_up,
@@ -18,6 +21,7 @@ from openbooks.kirby import (
 )
 from openbooks.lens import chain_to_lens, family_lens, lens_equal
 from openbooks.linalg import det, signature
+from openbooks.serialize import canonical_dumps
 
 from diagram_gen import (
     exercise_moves,
@@ -436,3 +440,89 @@ def test_random_move_scripts_record_oracle_h1():
         forests += on_forests
     assert moves >= 400
     assert 100 <= forests < moves  # both the expansion and elimination ran
+
+
+def test_family_move_logs_golden():
+    # the golden sweep writes no move log; this pins every record of the
+    # reductions for h, k <= 8, byte for byte
+    text = "".join(
+        canonical_dumps(reduce_family_diagram(h, k).to_jsonable())
+        for h in range(1, 9) for k in range(1, 9)
+    )
+    data = text.encode("utf-8")
+    assert len(data) == 234_858
+    assert hashlib.sha256(data).hexdigest() == (
+        "d271fa9110c59264c8ddd02954957b4ea5e68c805001a037224c83790041a615"
+    )
+
+
+# move-script fuzzing: each step is drawn against the current diagram, so
+# most ids name its vertices; signs include 0 and +-2, splits may equal the
+# framing, and a quarter of the steps are malformed
+_SIGNS = st.sampled_from([1, -1, 1, -1, 0, 2, -2])
+_JUNK = st.none() | st.booleans() | st.floats(-2, 2) | st.text(max_size=2) | st.integers(-2, 2)
+_ARG_NAMES = sorted({a for required, optional, _ in MOVES.values() for a in {**required, **optional}})
+
+
+def _step(ids):
+    stars = st.dictionaries(ids, st.integers(-2, 2), max_size=3) | st.lists(
+        st.tuples(ids, st.integers(-2, 2)).map(list), max_size=3
+    )
+
+    def move(name, required, optional=None):
+        args = st.fixed_dictionaries(required, optional=optional or {})
+        return args.map(lambda a: {"move": name, "args": a})
+
+    well_formed = st.one_of(
+        move("blow_up", {"sign": _SIGNS}, {"star": stars, "id": ids}),
+        move("blow_down", {"vertex": ids}),
+        move("inverse_slam_dunk", {"vertex": ids}, {"n": st.integers(-3, 3), "leaf": ids}),
+        move("slam_dunk", {"leaf": ids}),
+        move("handle_slide", {"slide": ids, "over": ids, "sign": _SIGNS}),
+        move("reverse_orientation", {"vertex": ids}),
+    )
+    malformed = st.one_of(
+        _JUNK | st.lists(ids, max_size=2),  # not an object
+        st.fixed_dictionaries({"move": st.sampled_from(["twist", "", None, 3]), "args": st.just({})}),
+        st.fixed_dictionaries({"move": st.sampled_from(sorted(MOVES)), "args": _JUNK}),
+        st.fixed_dictionaries({  # missing or mistyped arguments
+            "move": st.sampled_from(sorted(MOVES)),
+            "args": st.dictionaries(
+                st.sampled_from(_ARG_NAMES), _JUNK | ids | stars | st.lists(ids, max_size=1), max_size=3
+            ),
+        }),
+    )
+    return st.one_of(well_formed, well_formed, well_formed, malformed)
+
+
+_SHAPES = {"diagram": random_diagram, "forest": random_forest, "cyclic": random_cyclic}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(shape=st.sampled_from(sorted(_SHAPES)), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_replay_fuzz_raises_typed_errors_or_records_oracle_h1(shape, seed, data):
+    start = d = _SHAPES[shape](random.Random(seed))
+    with pytest.raises(ValueError):
+        replay(start, data.draw(_JUNK))  # a script that is not a list
+    script = []
+    rejected = 0
+    for _ in range(data.draw(st.integers(1, 8))):
+        step = data.draw(_step(st.sampled_from([v.id for v in d.vertices] + ["zz"])))
+        script.append(step)
+        before = h1_oracle(d)
+        try:
+            d = replay(d, [step])
+        except ValueError:  # IllegalMoveError is one; nothing else may escape
+            rejected += 1
+            continue
+        rec = d.move_log[-1]
+        assert rec.h1_before == rec.h1_after == before == h1_oracle(d)
+    # the whole script stops at its first rejected step, or reproduces the
+    # diagram and the log
+    if rejected:
+        with pytest.raises(ValueError):
+            replay(start, script)
+    else:
+        result = replay(start, script)
+        assert result.same_diagram(d)
+        assert result.move_log == d.move_log

@@ -168,6 +168,26 @@ def test_cli_d3_family(capsys):
     assert payload["status"] == OVERTWISTED_CERTIFIED
 
 
+def test_cli_d3_family_builds_the_presentation_once(monkeypatch, capsys):
+    d3_module = sys.modules["openbooks.d3"]
+    calls = []
+    build = d3_module.from_expanded_diagram
+
+    def counting(d):
+        calls.append(d)
+        return build(d)
+
+    monkeypatch.setattr(d3_module, "from_expanded_diagram", counting)
+    assert main(["d3", "family", "3", "2", "--json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert len(calls) == 1
+    # the same bytes as when Q and rho came from a second build
+    assert len(out) == 739
+    assert hashlib.sha256(out).hexdigest() == (
+        "58b450123f50aa82b225619a89102d2285d0a0d7084f8c998851772639b9b96f"
+    )
+
+
 def test_cli_rv_prove_and_check(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     assert main(["rv", "prove", "--h", "2", "--k", "2", "--out", str(cert_path)]) == 0
@@ -262,6 +282,7 @@ _ONE_UNKNOT = {"vertices": [{"id": "x", "framing": "1"}]}
     pytest.param({"d.json": _ONE_UNKNOT,
                   "s.json": [{"move": "inverse_slam_dunk", "args": {"vertex": "x", "n": [1]}}]},
                  _REPLAY, id="replay_n_not_an_integer"),
+    pytest.param({"d.json": _ONE_UNKNOT, "s.json": 5}, _REPLAY, id="replay_script_not_a_list"),
 ])
 def test_cli_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     for name, doc in files.items():
