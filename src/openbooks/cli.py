@@ -30,6 +30,20 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
+# Larger inputs are usage errors, so that no argument starts an unbounded
+# computation.  family and d3 family eliminate a dense (h+k+1)-square
+# matrix, and sweep runs one family report per grid cell: each takes about
+# 5 s at its limit on a 2-vCPU VM.  A census of L(p, q) has a chain of
+# fewer than p components and fewer than p entries.
+MAX_FAMILY_DIM = 201
+MAX_SWEEP_SIDE = 20
+MAX_CENSUS_P = 1000
+
+
+def _check_limit(name, value, limit):
+    if value > limit:
+        raise ValueError(f"{name} = {value} is above the limit {limit}")
+
 
 def _positive_int(text):
     try:
@@ -146,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_family(args) -> int:
+    _check_limit("h + k + 1", args.h + args.k + 1, MAX_FAMILY_DIM)
     report = run_family(args.h, args.k)
     payload = report.to_jsonable(verbose=args.verbose)
     lines = [
@@ -165,6 +180,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_limit("hmax", args.hmax, MAX_SWEEP_SIDE)
+    _check_limit("kmax", args.kmax, MAX_SWEEP_SIDE)
     summary = run_sweep(args.hmax, args.kmax, args.out)
     lines = [f"rows: {summary['rows']}"]
     for status, count in summary["verdicts"].items():
@@ -231,6 +248,7 @@ def _cmd_lens_eq(args) -> int:
 
 def _cmd_census(args) -> int:
     space = LensSpace.normalized(args.p, args.q)
+    _check_limit("p", space.p, MAX_CENSUS_P)
     census = tight_census(space)
     payload = {
         "lens": space.to_jsonable(),
@@ -245,6 +263,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_d3_family(args) -> int:
+    _check_limit("h + k + 1", args.h + args.k + 1, MAX_FAMILY_DIM)
     verdict = overtwisted_verdict(args.h, args.k)
     payload = verdict.to_jsonable()
     payload["Q"] = [list(row) for row in verdict.presentation.q]

@@ -12,9 +12,11 @@ the exact solution of Q x = r.  The normalization makes the empty
 presentation give d3(S^3, standard) = -1/2, and adding a cancelling
 (+1, -1) pushoff pair never changes the value; both facts are pinned by
 calibration tests rather than trusted.  Only c^2 depends on the rotation
-vector, so det Q and sigma are computed once per Q and c^2 once per
-rotation vector: the verdict reads all three terms from one pass, and the
-census solves its chain's Q once for each rotation choice.
+vector, so det Q and sigma are computed once per Q, each by linalg's
+integer Bareiss elimination (the last pivot, and Jacobi's rule on the
+pivots' signs), and c^2 once per rotation vector by an exact solve: the
+verdict reads all three terms from one pass, and the census solves its
+chain's Q once for each rotation choice.
 
 Every tight contact structure on a lens space L(p, q) (p >= 2) arises
 from Legendrian surgery on a chain of stabilized unknots realizing the

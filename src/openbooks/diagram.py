@@ -8,8 +8,9 @@ framing of component i is p_i/q_i in lowest terms; the order of H_1 is
 |det M|, with 0 reported as INFINITE.  When the linking graph is a forest
 (every chain and tree the family reduction passes through) the
 determinant is expanded over the edges in O(n) (linalg.det_forest); any
-other graph is eliminated (linalg.det_sparse_rows).  Both give the
-determinant of the full matrix, so no move check is ever partial.
+other graph goes through linalg's sparse fraction-free Bareiss elimination
+(linalg.det_sparse_rows).  Both give the determinant of the full matrix,
+so no move check is ever partial.
 
 This module alone knows how a diagram stores its graph: the canonical
 edge rule (check_edges, shared with the contact surgery diagrams), the
@@ -255,13 +256,18 @@ class FramedLinkDiagram:
         """Parse a diagram document; any malformed input is a ValueError."""
         try:
             vs = tuple(
-                Vertex(v["id"], parse_fraction(v["framing"]), bool(v.get("unknot", True)))
+                Vertex(v["id"], parse_fraction(v["framing"]), v.get("unknot", True))
                 for v in data["vertices"]
             )
-            es = tuple(sorted((i, j, int(w)) for i, j, w in data.get("edges", [])))
+            es = data.get("edges", [])
+            if not (all(isinstance(v.id, str) and isinstance(v.is_unknot, bool) for v in vs)
+                    and all(isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+                            and isinstance(e[1], str) and type(e[2]) is int for e in es)):
+                raise ValueError("diagram JSON needs string ids, boolean unknot flags and "
+                                 "[id, id, integer] edges")
+            return cls(vs, tuple(sorted(map(tuple, es))))
         except (KeyError, TypeError, AttributeError) as e:
             raise ValueError(f"malformed diagram JSON: {e!r}") from None
-        return cls(vs, es)
 
     def same_diagram(self, other: "FramedLinkDiagram") -> bool:
         """Equality of vertices and edges, ignoring the move logs."""

@@ -1,16 +1,17 @@
 """Exact linear algebra over Z and Q.
 
 Everything in here is integer or fractions.Fraction arithmetic; no floats.
-The matrices that show up downstream are small (a few dozen rows) but the
-determinants sit on the hot path of the move engine, where they run tens
-of thousands of times on chain- and tree-shaped matrices.  Two integer
-routines serve it: det_forest expands matrices whose off-diagonal pattern
-is a forest in O(n), and det_sparse_rows eliminates any other sparse
-matrix; neither uses Fraction objects.
+One sparse integer elimination (Bareiss 1968: fraction-free, every division
+by the previous pivot exact) is behind det_sparse_rows, det and signature.
+Its pivots are leading principal minors, so the last one is the
+determinant and, by Jacobi's rule, their signs give the signature.  The
+move engine's determinants run tens of thousands of times on chain- and
+tree-shaped matrices; det_forest expands those in O(n) over the edges.
+solve eliminates over Fractions.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 class SingularMatrixError(ValueError):
@@ -80,181 +81,145 @@ def det_forest(diag, edges):
     return result if peeled == n else None
 
 
-def det_sparse_rows(rows, n):
-    """Determinant of an n x n integer matrix given as a list of dict rows.
-
-    Fraction-free row elimination: each combined row is scaled by the pivot,
-    and the accumulated scalings are divided out at the end.  A column
-    occupancy index keeps every step proportional to the number of rows
-    that actually meet the pivot column, so chain-shaped matrices cost
-    O(n) instead of O(n^3).
-
-    Entries must be nonzero (sparse convention); the rows are consumed.
-    """
-    if n == 0:
-        return 1
-    col_rows = [set() for _ in range(n)]
-    for r in range(n):
-        for c in rows[r]:
-            col_rows[c].add(r)
-    unused = set(range(n))
-    perm = [0] * n  # perm[c] = original index of the pivot row for column c
-    num = 1
-    den = 1
-    for c in range(n):
-        cand = col_rows[c] & unused
-        if not cand:
-            return 0
-        piv = min(cand)
-        unused.discard(piv)
-        perm[c] = piv
-        prow = rows[piv]
-        pval = prow[c]
-        num *= pval
-        for r in cand:
-            if r == piv:
-                continue
-            row = rows[r]
-            v = row.pop(c)
-            col_rows[c].discard(r)
-            den *= pval
-            newrow = {j: pval * rv for j, rv in row.items()}
-            for j, pv in prow.items():
-                if j == c:
-                    continue
-                x = newrow.get(j, 0) - v * pv
-                if x:
-                    newrow[j] = x
-                else:
-                    newrow.pop(j, None)
-            rows[r] = newrow
-            for j in row:
-                if j not in newrow:
-                    col_rows[j].discard(r)
-            for j in newrow:
-                if j not in row:
-                    col_rows[j].add(r)
-    # parity of the pivot-row permutation, by cycle decomposition
-    sign = 1
-    seen = [False] * n
-    for c in range(n):
-        if seen[c]:
-            continue
-        length = 0
-        j = c
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    d, rem = divmod(sign * num, den)
+def _exact_div(x, d):
+    q, rem = divmod(x, d)
     if rem:
         raise ArithmeticError("exact division failed in fraction-free elimination")
-    return d
+    return q
 
 
-def det(matrix):
-    """Determinant of a square matrix with int or Fraction entries, exact.
+def _pivots(rows, n):
+    """Yield the pivots d_1, d_2, ... of a sparse integer Bareiss elimination.
 
-    Fraction entries are cleared row by row; the row denominators are divided
-    back out of the integer determinant at the end.
+    The n x n matrix is given as dict rows {column: nonzero int}, which are
+    consumed.  Pivots are diagonal, first remaining index first.  If every
+    remaining diagonal entry is 0, row and column j are added to row and
+    column i for an a_ij != 0, so a_ii = a_ij + a_ji (2 a_ij on symmetric
+    input), or the row alone if that is 0, so a_ii = a_ji.  Both keep det,
+    and the congruence keeps the signature: d_t is the t-th leading
+    principal minor of such a transform of the input.  An empty row is
+    dropped with a yielded 0; on symmetric input its column is empty too.
+
+    Each division by the previous pivot is checked to be exact.  A row the
+    pivot column misses stays at level[r], the step it was last updated
+    at, and is multiplied by d_t / d_level when next touched, so with the
+    column occupancy index chain-shaped matrices cost O(n).
     """
+    d = [1]  # d[t]: the t-th pivot
+    level = [0] * n
+    col_rows = [set() for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(r)
+    remaining = list(range(n))
+
+    def lift(r):
+        """Row r, brought up to the current step."""
+        row = rows[r]
+        s = level[r]
+        if s != len(d) - 1:
+            for c, x in row.items():
+                row[c] = _exact_div(x * d[-1], d[s])
+            level[r] = len(d) - 1
+        return row
+
+    def add(r, c, x):
+        """a_rc += x, keeping the occupancy index."""
+        row = rows[r]
+        y = row.get(c, 0) + x
+        if y:
+            row[c] = y
+            col_rows[c].add(r)
+        else:
+            del row[c]
+            col_rows[c].discard(r)
+
+    while remaining:
+        for p in remaining:
+            if p in rows[p] or not rows[p]:
+                break
+        else:  # a nonzero remainder with a zero diagonal
+            p = remaining[0]
+            j = next(iter(rows[p]))
+            row_j = lift(j)
+            congruence = lift(p)[j] + row_j.get(p, 0)
+            for c, x in row_j.items():
+                add(p, c, x)
+            if congruence:
+                for r in list(col_rows[j]):
+                    add(r, p, rows[r][j])
+        remaining.remove(p)
+        if not rows[p]:
+            yield 0
+            continue
+        prow = lift(p)
+        for c in prow:
+            col_rows[c].discard(p)
+        piv = prow.pop(p)
+        for r in col_rows[p]:
+            row = lift(r)
+            v = row.pop(p)
+            new = {c: piv * x for c, x in row.items()}
+            for c, y in prow.items():
+                new[c] = new.get(c, 0) - v * y
+            new = {c: _exact_div(x, d[-1]) for c, x in new.items() if x}
+            for c in row:
+                if c not in new:
+                    col_rows[c].discard(r)
+            for c in new:
+                if c not in row:
+                    col_rows[c].add(r)
+            rows[r] = new
+            level[r] = len(d)
+        col_rows[p] = ()
+        d.append(piv)
+        yield piv
+
+
+def _integer_rows(matrix):
+    """Dict rows of a square int or Fraction matrix times a positive common
+    denominator, and that denominator."""
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    rows = []
     scale = 1
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
-        d = 1
         for x in row:
             if isinstance(x, Fraction):
-                q = x.denominator
-                d = d * q // gcd(d, q)
-        scale *= d
-        rows.append({j: int(x * d) for j, x in enumerate(row) if x})
-    return Fraction(det_sparse_rows(rows, n), scale)
+                scale = lcm(scale, x.denominator)
+    return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in matrix], scale
+
+
+def det_sparse_rows(rows, n):
+    """Determinant of an n x n integer matrix given as a list of dict rows:
+    the last pivot, or 0 when the elimination finds the rank short.
+
+    Entries must be nonzero (sparse convention); the rows are consumed.
+    """
+    last = 1
+    for last in _pivots(rows, n):
+        if not last:
+            return 0
+    return last
+
+
+def det(matrix):
+    """Determinant of a square matrix with int or Fraction entries, exact."""
+    rows, scale = _integer_rows(matrix)
+    return Fraction(det_sparse_rows(rows, len(rows)), scale ** len(rows))
 
 
 def signature(matrix):
     """Signature of a symmetric matrix with int or Fraction entries.
 
-    Diagonalizes by congruence: a nonzero diagonal pivot contributes its
-    sign and is cleared by a Schur complement; if every remaining diagonal
-    entry vanishes but some off-diagonal entry a survives, the corresponding
-    hyperbolic pair contributes 0 and is split off in one step.  Works for
-    singular matrices (null directions contribute nothing).
+    By Jacobi's rule each nonzero pivot d_t contributes sign(d_(t-1) d_t),
+    with d_0 = 1; null directions contribute nothing.
     """
-    n = len(matrix)
-    rows = {}
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        rows[i] = {j: Fraction(x) for j, x in enumerate(row) if x}
-        if any(matrix[i][j] != matrix[j][i] for j in range(i)):
-            raise ValueError("matrix is not symmetric")
-    active = set(range(n))
-    sig = 0
-    while active:
-        piv = next((i for i in active if rows[i].get(i)), None)
-        if piv is not None:
-            a = rows[piv][piv]
-            sig += 1 if a > 0 else -1
-            active.discard(piv)
-            col = [(j, rows[j][piv]) for j in active if rows[j].get(piv)]
-            for j, vj in col:
-                rj = rows[j]
-                rj.pop(piv, None)
-                for k, vk in col:
-                    if k < j:
-                        continue
-                    x = rj.get(k, 0) - vj * vk / a
-                    rk = rows[k]
-                    if x:
-                        rj[k] = x
-                        rk[j] = x
-                    else:
-                        rj.pop(k, None)
-                        rk.pop(j, None)
-            continue
-        pair = None
-        for i in active:
-            for j, v in rows[i].items():
-                if j in active and j != i and v:
-                    pair = (i, j, v)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        i, j, a = pair
-        active.discard(i)
-        active.discard(j)
-        coli = [(k, rows[k][i]) for k in active if rows[k].get(i)]
-        colj = [(k, rows[k][j]) for k in active if rows[k].get(j)]
-        di = dict(coli)
-        dj = dict(colj)
-        for k in active:
-            rows[k].pop(i, None)
-            rows[k].pop(j, None)
-        touched = set(di) | set(dj)
-        for k in touched:
-            rk = rows[k]
-            for l in touched:
-                if l < k:
-                    continue
-                # Schur complement of the block [[0, a], [a, 0]]
-                x = rk.get(l, 0) - (di.get(k, 0) * dj.get(l, 0) + dj.get(k, 0) * di.get(l, 0)) / a
-                rl = rows[l]
-                if x:
-                    rk[l] = x
-                    rl[k] = x
-                else:
-                    rk.pop(l, None)
-                    rl.pop(k, None)
-    return sig
+    rows, _ = _integer_rows(matrix)
+    if any(rows[j].get(i) != x for i, row in enumerate(rows) for j, x in row.items()):
+        raise ValueError("matrix is not symmetric")
+    signs = [1] + [1 if piv > 0 else -1 for piv in _pivots(rows, len(rows)) if piv]
+    return sum(a * b for a, b in zip(signs, signs[1:]))
 
 
 def solve(matrix, rhs):

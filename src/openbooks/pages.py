@@ -169,7 +169,7 @@ class TwistWord:
     def from_jsonable(cls, data) -> "TwistWord":
         if not isinstance(data, list) or not all(
             isinstance(letter, list) and len(letter) == 2
-            and isinstance(letter[0], str) and isinstance(letter[1], int)
+            and isinstance(letter[0], str) and type(letter[1]) is int
             for letter in data
         ):
             raise ValueError(f"twist word must be a list of [curve, exponent] pairs: {data!r}")

@@ -19,11 +19,14 @@ def fraction_str(x) -> str:
 
 
 def parse_fraction(s) -> Fraction:
-    """Parse an exact rational such as "-3/2"; malformed input is a ValueError."""
+    """Parse an int or an exact rational string such as "-3/2"; anything else
+    (a float or a bool included) is a ValueError."""
     try:
-        return Fraction(s)
-    except (TypeError, ZeroDivisionError):
-        raise ValueError(f"not an exact rational: {s!r}") from None
+        if isinstance(s, (str, int)) and not isinstance(s, bool):
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"not an exact rational: {s!r}")
 
 
 def canonical_dumps(obj) -> str:

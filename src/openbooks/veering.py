@@ -82,8 +82,12 @@ class CertNode:
 
     @classmethod
     def from_jsonable(cls, data) -> "CertNode":
-        if not isinstance(data, dict) or not {"rule", "boundary", "word"} <= data.keys():
-            raise ValueError("certificate node needs \"rule\", \"boundary\" and \"word\"")
+        if (not isinstance(data, dict) or not {"rule", "boundary", "word"} <= data.keys()
+                or not all(isinstance(data.get(f, ""), str) for f in ("rule", "boundary", "citation"))
+                or not isinstance(data.get("arc", ""), (str, type(None)))
+                or not isinstance(data.get("children", []), list)):
+            raise ValueError("certificate node needs a word, string rule and boundary, "
+                             "and optional string arc and citation and children list")
         return cls(
             rule=data["rule"],
             boundary=data["boundary"],

@@ -3,8 +3,10 @@
 These deliberately share no code with the library: the determinant is a
 Leibniz permutation sum, the signature comes from the characteristic
 polynomial via Descartes' rule (exact for the real-rooted polynomials of
-symmetric matrices), continued fractions are evaluated by plain Fraction
-division, and homology orders by dense fraction elimination.
+symmetric matrices) or, when no leading principal minor vanishes, from
+the signs of those minors by Jacobi's rule; continued fractions are
+evaluated by plain Fraction division, and homology orders and leading
+minors by dense fraction elimination.
 """
 
 import itertools
@@ -105,6 +107,19 @@ def dense_det(mat):
                 for j in range(c, n):
                     m[r][j] -= f * m[c][j]
     return det
+
+
+def leading_minors(m):
+    """dense_det of each leading principal k x k block, k = 1..n."""
+    return [dense_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+def jacobi_signature(minors):
+    """Signature of a symmetric matrix from its leading principal minors, none
+    of them 0 (Jacobi): each sign change in 1, D_1, ..., D_n is one negative
+    eigenvalue, so sigma is the sum of sign(D_(k-1) * D_k)."""
+    signs = [1] + [1 if d > 0 else -1 for d in minors]
+    return sum(a * b for a, b in zip(signs, signs[1:]))
 
 
 def presentation_matrix(d):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,10 +15,10 @@ from openbooks.d3 import (
     overtwisted_verdict,
     tight_census,
 )
-from openbooks.lens import LensSpace, family_lens
+from openbooks.lens import LensSpace, family_lens, neg_cf_expand
 from openbooks.linalg import SingularMatrixError, signature, solve
 
-from oracles import signature_oracle
+from oracles import dense_det, jacobi_signature, leading_minors, signature_oracle
 
 CANCELLING_PAIR = (((0, -1), (-1, -2)), (0, 0), 1)
 
@@ -152,6 +153,29 @@ def test_d3_signature_path_matches_oracle():
         pres = chain_pm1(chain, [0 if a % 2 == 0 else 1 for a in chain])
         m = [list(r) for r in pres.q]
         assert signature(m) == signature_oracle(m)
+
+
+def test_det_and_signature_match_leading_minors():
+    # the family Q for h, k <= 8 and every census chain with p <= 40: no
+    # leading principal minor is 0, so Jacobi's rule gives the signature
+    matrices = [[list(r) for r in family_presentation(h, k).q]
+                for h in range(1, 9) for k in range(1, 9)]
+    for p in range(2, 41):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                chain = [-a for a in neg_cf_expand(Fraction(p, q))]
+                matrices.append([list(r) for r in chain_pm1(chain, [0] * len(chain)).q])
+    for m in matrices:
+        minors = leading_minors(m)
+        assert all(minors)
+        assert linalg.det(m) == minors[-1] == dense_det(m)
+        assert linalg.signature(m) == jacobi_signature(minors)
+
+
+def test_family_det_at_k_1_for_large_h():
+    # |H1| of L(h + 3, h + 2); the elimination keeps the entries small
+    for h in (24, 40, 60):
+        assert abs(linalg.det([list(r) for r in family_presentation(h, 1).q])) == h + 3
 
 
 def test_verdict_1_1(monkeypatch):

@@ -27,12 +27,24 @@ def _sparse_rows(m):
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
+def _variants(m):
+    """m; its skew part m - m^T; the hyperbolic m + m^T with the diagonal
+    cleared, whose zero diagonal forces the elimination's congruence step;
+    and m with its last row replaced by the sum of the others (singular)."""
+    n = len(m)
+    skew = [[m[i][j] - m[j][i] for j in range(n)] for i in range(n)]
+    hyperbolic = [[m[i][j] + m[j][i] if i != j else 0 for j in range(n)] for i in range(n)]
+    singular = m[:-1] + [[sum(row[j] for row in m[:-1]) for j in range(n)]] if n else m
+    return m, skew, hyperbolic, singular
+
+
 def test_det_matches_leibniz_on_random_integer_matrices():
     rng = random.Random(20240)
     for _ in range(1500):
         n = rng.randint(0, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert det(m) == leibniz_det(m)
+        for v in _variants(m):
+            assert det(v) == leibniz_det(v)
 
 
 def test_det_matches_leibniz_on_rational_matrices():
@@ -43,7 +55,8 @@ def test_det_matches_leibniz_on_rational_matrices():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
             for _ in range(n)
         ]
-        assert det(m) == leibniz_det(m)
+        for v in _variants(m):
+            assert det(v) == leibniz_det(v)
 
 
 def test_det_empty_matrix_is_one():
@@ -71,6 +84,22 @@ def test_signature_handles_zero_diagonal_blocks():
     assert signature([[2, 0], [0, 5]]) == 2
     assert signature([[-1, 0], [0, -7]]) == -2
     assert signature([[0]]) == 0
+    # singular, and hyperbolic pairs beside other blocks
+    assert signature([[0, 0], [0, 0]]) == 0
+    assert signature([[1, 1], [1, 1]]) == 1
+    assert signature([[0, 1, 0], [1, 0, 0], [0, 0, -3]]) == -1
+    assert signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == -1
+    assert signature([[0, Fraction(1, 2)], [Fraction(1, 2), 0]]) == 0
+    rng = random.Random(20247)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for sym in (_variants(m)[2], [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]):
+            # index 0 repeated in place of the last: symmetric and singular
+            idx = [*range(n - 1), 0]
+            singular = [[sym[i][j] for j in idx] for i in idx]
+            assert signature(sym) == signature_oracle(sym)
+            assert signature(singular) == signature_oracle(singular)
 
 
 def test_signature_rejects_asymmetric_input():

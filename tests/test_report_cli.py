@@ -283,6 +283,20 @@ _ONE_UNKNOT = {"vertices": [{"id": "x", "framing": "1"}]}
                   "s.json": [{"move": "inverse_slam_dunk", "args": {"vertex": "x", "n": [1]}}]},
                  _REPLAY, id="replay_n_not_an_integer"),
     pytest.param({"d.json": _ONE_UNKNOT, "s.json": 5}, _REPLAY, id="replay_script_not_a_list"),
+    pytest.param({"d.json": {"vertices": [{"id": ["a"], "framing": "1"}]}, "s.json": []},
+                 _REPLAY, id="diagram_vertex_id_not_a_string"),
+    pytest.param({"d.json": {"vertices": [{"id": "a", "framing": "1"}, {"id": 5, "framing": "1"}],
+                             "edges": [["a", 5, 1]]}, "s.json": []},
+                 _REPLAY, id="diagram_edge_id_not_a_string"),
+    pytest.param({"d.json": {"vertices": [{"id": "x", "framing": 0.1}]}, "s.json": []},
+                 _REPLAY, id="diagram_float_framing"),
+    pytest.param({"c.json": {"word": [], "goals": {"∂a": {"rule": "POS", "boundary": "∂a",
+                                                          "word": [], "children": 5}}}},
+                 ["rv", "check", "c.json"], id="certificate_children_not_a_list"),
+    pytest.param({}, ["family", "--h", "200", "--k", "1"], id="family_above_limit"),
+    pytest.param({}, ["d3", "family", "1", "200"], id="d3_family_above_limit"),
+    pytest.param({}, ["sweep", "--hmax", "21", "--kmax", "1"], id="sweep_above_limit"),
+    pytest.param({}, ["census", "1001", "1"], id="census_above_limit"),
 ])
 def test_cli_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     for name, doc in files.items():
