@@ -44,7 +44,6 @@ from .lens import (
 )
 from .pages import (
     FOUR_HOLED_SPHERE,
-    THREE_HOLED_SPHERE,
     PageSpec,
     TwistWord,
     family_word,

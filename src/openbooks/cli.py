@@ -32,12 +32,14 @@ EXIT_CHECK_FAILED = 3
 
 # Larger inputs are usage errors, so that no argument starts an unbounded
 # computation.  family and d3 family eliminate a dense (h+k+1)-square
-# matrix, and sweep runs one family report per grid cell: each takes about
-# 5 s at its limit on a 2-vCPU VM.  A census of L(p, q) has a chain of
-# fewer than p components and fewer than p entries.
+# matrix, about 3 s at the limit on a 2-vCPU VM, and sweep runs one family
+# report per grid cell, about 4 s at its limit.  A census of L(p, q) has a
+# chain of fewer than p components and fewer than p entries, and the
+# continued fraction of p/q has at most q coefficients.
 MAX_FAMILY_DIM = 201
 MAX_SWEEP_SIDE = 20
 MAX_CENSUS_P = 1000
+MAX_CF_DENOMINATOR = 10000
 
 
 def _check_limit(name, value, limit):
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lens = sub.add_parser("lens", help="continued fractions and lens spaces")
     lens_sub = p_lens.add_subparsers(dest="lens_verb", required=True)
     p_cf = lens_sub.add_parser("cf", help="negative continued fraction of p/q")
-    p_cf.add_argument("value", help="a rational > 1, e.g. 8/5")
+    p_cf.add_argument("value", help="a rational > 1 written p/q, e.g. 8/5")
     p_cf.add_argument("--json", action="store_true")
     p_cf.set_defaults(run=_cmd_lens_cf)
     p_chain = lens_sub.add_parser("chain", help="identify a chain of framed unknots")
@@ -211,6 +213,7 @@ def _cmd_kirby_replay(args) -> int:
 
 def _cmd_lens_cf(args) -> int:
     x = parse_fraction(args.value)
+    _check_limit("q", x.denominator, MAX_CF_DENOMINATOR)
     cf = neg_cf_expand(x)
     payload = {
         "p": x.numerator,

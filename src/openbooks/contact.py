@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .diagram import FramedLinkDiagram, Vertex, canonical_edges, check_edges
+from .diagram import FramedLinkDiagram, Vertex, canonical_edges, check_edges, is_json_edge_list
 from .serialize import fraction_str, parse_fraction
 
 
@@ -107,11 +107,20 @@ class ContactSurgeryDiagram:
 
     @classmethod
     def from_jsonable(cls, data) -> "ContactSurgeryDiagram":
-        comps = tuple(
-            LegendrianUnknotData(c["id"], int(c["tb"]), int(c["rot"]), parse_fraction(c["coeff"]))
-            for c in data["components"]
-        )
-        return cls.build(comps, {(i, j): int(w) for i, j, w in data.get("linking", [])})
+        """Parse a contact diagram document; any malformed input is a ValueError."""
+        try:
+            comps = tuple(
+                LegendrianUnknotData(c["id"], c["tb"], c["rot"], parse_fraction(c["coeff"]))
+                for c in data["components"]
+            )
+            linking = data.get("linking", [])
+            if not (all(isinstance(c.id, str) and type(c.tb) is int and type(c.rot) is int
+                        for c in comps) and is_json_edge_list(linking)):
+                raise ValueError("contact diagram JSON needs string ids, integer tb and rot "
+                                 "and [id, id, integer] linking entries")
+            return cls(comps, tuple(sorted(map(tuple, linking))))
+        except (KeyError, TypeError, AttributeError) as e:
+            raise ValueError(f"malformed contact diagram JSON: {e!r}") from None
 
 
 def presentation_for(h: int, k: int) -> ContactSurgeryDiagram:

@@ -7,16 +7,17 @@ structure on the surgered rational homology sphere is
 
     d3 = (c^2 - 2*chi - 3*sigma) / 4 + q_+
 
-where chi = 1 + size(Q), sigma is the signature of Q, and c^2 = x . r for
-the exact solution of Q x = r.  The normalization makes the empty
-presentation give d3(S^3, standard) = -1/2, and adding a cancelling
-(+1, -1) pushoff pair never changes the value; both facts are pinned by
-calibration tests rather than trusted.  Only c^2 depends on the rotation
-vector, so det Q and sigma are computed once per Q, each by linalg's
-integer Bareiss elimination (the last pivot, and Jacobi's rule on the
-pivots' signs), and c^2 once per rotation vector by an exact solve: the
-verdict reads all three terms from one pass, and the census solves its
-chain's Q once for each rotation choice.
+where chi = 1 + size(Q), sigma is the signature of Q, and c^2 = r^T Q^-1 r.
+The normalization makes the empty presentation give d3(S^3, standard) =
+-1/2, and adding a cancelling (+1, -1) pushoff pair never changes the
+value; both facts are pinned by calibration tests rather than trusted.
+Only c^2 depends on the rotation vector, so det Q and sigma are computed
+once per Q, each by linalg's integer Bareiss elimination (the last pivot,
+and Jacobi's rule on the pivots' signs), and c^2 once per rotation vector
+by the same elimination of Q bordered by r (Schur's formula:
+det [[Q, r], [r^T, 0]] = -det Q * c^2): the verdict reads all three terms
+from one pass, and the census eliminates its bordered chain once for each
+rotation choice.
 
 Every tight contact structure on a lens space L(p, q) (p >= 2) arises
 from Legendrian surgery on a chain of stabilized unknots realizing the
@@ -71,10 +72,6 @@ class PM1Presentation:
         if self.q_plus < 0:
             raise ValueError("q_plus is a count")
 
-    @property
-    def size(self) -> int:
-        return len(self.q)
-
 
 def from_expanded_diagram(d) -> PM1Presentation:
     """Build the presentation data from an expanded contact surgery diagram."""
@@ -96,9 +93,8 @@ def family_presentation(h: int, k: int) -> PM1Presentation:
     return from_expanded_diagram(expand_to_unit_coefficients(presentation_for(h, k)))
 
 
-def _d3_terms(q, rotations, q_plus):
+def _d3_terms(matrix, rotations, q_plus):
     """det Q, sigma(Q), and (d3, c^2) for each rotation vector; see d3."""
-    matrix = [list(row) for row in q]
     det = linalg.det(matrix)
     if det == 0:
         raise linalg.SingularMatrixError(
@@ -108,8 +104,7 @@ def _d3_terms(q, rotations, q_plus):
     constant = -2 * (1 + len(matrix)) - 3 * sigma  # -2 chi - 3 sigma
     values = []
     for rot in rotations:
-        x = linalg.solve(matrix, list(rot))
-        c_squared = sum(xi * ri for xi, ri in zip(x, rot))
+        c_squared = linalg.solve(matrix, rot, det)
         value = Fraction(c_squared + constant, 4) + q_plus
         if (value * 4 * det).denominator != 1:
             raise ArithmeticError("d3 denominator exceeded 4|det Q|")
@@ -123,8 +118,6 @@ def d3(pres: PM1Presentation) -> Fraction:
     Requires det Q != 0 (a rational homology sphere).  The reduced
     denominator always divides 4 |det Q|, which is checked.
     """
-    if pres.size == 0:
-        return Fraction(-1, 2)
     _, _, [(value, _)] = _d3_terms(pres.q, [pres.rho], pres.q_plus)
     return value
 
@@ -147,13 +140,7 @@ class TightDescriptor:
 
 def _chain_matrix(chain):
     n = len(chain)
-    q = [[0] * n for _ in range(n)]
-    for i, a in enumerate(chain):
-        q[i][i] = a
-    for i in range(n - 1):
-        q[i][i + 1] = 1
-        q[i + 1][i] = 1
-    return q
+    return [[chain[i] if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
 
 
 def tight_census(space: LensSpace):

@@ -261,8 +261,7 @@ class FramedLinkDiagram:
             )
             es = data.get("edges", [])
             if not (all(isinstance(v.id, str) and isinstance(v.is_unknot, bool) for v in vs)
-                    and all(isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
-                            and isinstance(e[1], str) and type(e[2]) is int for e in es)):
+                    and is_json_edge_list(es)):
                 raise ValueError("diagram JSON needs string ids, boolean unknot flags and "
                                  "[id, id, integer] edges")
             return cls(vs, tuple(sorted(map(tuple, es))))
@@ -326,6 +325,12 @@ def check_edges(ids, edges):
         if (i, j) in seen or i > j:
             raise ValueError("edges must be canonical: id_i < id_j, unique")
         seen.add((i, j))
+
+
+def is_json_edge_list(edges) -> bool:
+    """True when every entry of a parsed JSON edge list is [str, str, int]."""
+    return all(isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+               and isinstance(e[1], str) and type(e[2]) is int for e in edges)
 
 
 def canonical_edges(edges: dict) -> tuple:

@@ -2,12 +2,12 @@
 
 Everything in here is integer or fractions.Fraction arithmetic; no floats.
 One sparse integer elimination (Bareiss 1968: fraction-free, every division
-by the previous pivot exact) is behind det_sparse_rows, det and signature.
-Its pivots are leading principal minors, so the last one is the
-determinant and, by Jacobi's rule, their signs give the signature.  The
-move engine's determinants run tens of thousands of times on chain- and
+by the previous pivot exact) is behind det_sparse_rows, det, signature and
+solve.  Its pivots are leading principal minors, so the last one is the
+determinant and, by Jacobi's rule, their signs give the signature; solve
+reads r^T Q^-1 r off the determinant of Q bordered by r.  The move
+engine's determinants run tens of thousands of times on chain- and
 tree-shaped matrices; det_forest expands those in O(n) over the edges.
-solve eliminates over Fractions.
 """
 
 from fractions import Fraction
@@ -15,7 +15,7 @@ from math import lcm
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a linear solve meets a singular coefficient matrix."""
+    """Raised when solve meets a singular matrix."""
 
 
 def det_forest(diag, edges):
@@ -178,7 +178,8 @@ def _pivots(rows, n):
 
 def _integer_rows(matrix):
     """Dict rows of a square int or Fraction matrix times a positive common
-    denominator, and that denominator."""
+    denominator, and that denominator; any other entry is a TypeError, since
+    int(x * scale) would truncate a float."""
     n = len(matrix)
     scale = 1
     for row in matrix:
@@ -187,6 +188,8 @@ def _integer_rows(matrix):
         for x in row:
             if isinstance(x, Fraction):
                 scale = lcm(scale, x.denominator)
+            elif not isinstance(x, int):
+                raise TypeError(f"matrix entries must be int or Fraction, got {x!r}")
     return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in matrix], scale
 
 
@@ -222,52 +225,24 @@ def signature(matrix):
     return sum(a * b for a, b in zip(signs, signs[1:]))
 
 
-def solve(matrix, rhs):
-    """Solve matrix @ x = rhs exactly over Q.
+def solve(matrix, rhs, det):
+    """rhs^T matrix^-1 rhs, exact, for a square int or Fraction matrix of
+    determinant det, which the caller already has; SingularMatrixError if 0.
 
-    Raises SingularMatrixError when the matrix is singular.  Entries may be
-    ints or Fractions; the result is a list of Fractions.
+    By Schur's formula det [[Q, r], [r^T, 0]] = -det Q * r^T Q^-1 r: one
+    elimination of the bordered matrix, in any pivot order, so the
+    congruence step may reach the border.  The name is kept from the
+    Fraction solver this replaced, for the benchmark's linalg.solve layer.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    if len(rhs) != n:
+    if not det:
+        raise SingularMatrixError("matrix is singular")
+    if len(rhs) != len(matrix):
         raise ValueError("right-hand side has wrong length")
-    aug = [
-        {j: Fraction(x) for j, x in enumerate(row) if x}
-        for row in matrix
-    ]
-    b = [Fraction(x) for x in rhs]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r].get(c)), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-            b[c], b[piv] = b[piv], b[c]
-        prow = aug[c]
-        pval = prow[c]
-        for r in range(c + 1, n):
-            row = aug[r]
-            v = row.pop(c, None)
-            if not v:
-                continue
-            f = v / pval
-            for j, pv in prow.items():
-                if j == c:
-                    continue
-                x = row.get(j, 0) - f * pv
-                if x:
-                    row[j] = x
-                else:
-                    row.pop(j, None)
-            b[r] -= f * b[c]
-    x = [Fraction(0)] * n
-    for c in range(n - 1, -1, -1):
-        row = aug[c]
-        acc = b[c]
-        for j, v in row.items():
-            if j != c:
-                acc -= v * x[j]
-        x[c] = acc / row[c]
-    return x
+    rows, scale = _integer_rows(
+        [list(row) + [b] for row, b in zip(matrix, rhs)] + [list(rhs) + [0]]
+    )
+    bordered = 0
+    for bordered in _pivots(rows, len(rows)):
+        if not bordered:
+            break
+    return Fraction(-bordered, scale ** len(rows) * det)

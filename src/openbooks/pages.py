@@ -44,7 +44,6 @@ class PageSpec:
 
 
 FOUR_HOLED_SPHERE = PageSpec(0, (BOUNDARY_A, BOUNDARY_B, BOUNDARY_C, BOUNDARY_D))
-THREE_HOLED_SPHERE = PageSpec(0, ("∂1", "∂2", "∂3"))
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,6 @@ class TwistWord:
     def is_positive(self) -> bool:
         """True when every letter is a positive twist (empty word included)."""
         return all(exp >= 1 for _, exp in self.letters)
-
-    def exponent_sum(self, curve_name: str) -> int:
-        return sum(exp for name, exp in self.letters if name == curve_name)
 
     def to_jsonable(self):
         return [[name, exp] for name, exp in self.letters]

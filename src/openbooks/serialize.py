@@ -7,6 +7,7 @@ fixed separators, and every rational rendered as an exact "p/q" string
 """
 
 import json
+import re
 from fractions import Fraction
 
 
@@ -18,15 +19,19 @@ def fraction_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(s) -> Fraction:
-    """Parse an int or an exact rational string such as "-3/2"; anything else
-    (a float or a bool included) is a ValueError."""
+    """Parse an int or a string of the form [+-]digits[/digits], such as
+    "-3/2"; anything else (a float, a bool, a decimal or exponent string
+    such as "1.6" or "1e3", or a zero denominator) is a ValueError."""
     try:
-        if isinstance(s, (str, int)) and not isinstance(s, bool):
+        if type(s) is int or (isinstance(s, str) and _RATIONAL.fullmatch(s)):
             return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
-    raise ValueError(f"not an exact rational: {s!r}")
+    raise ValueError(f"not an exact rational of the form [+-]digits[/digits]: {s!r}")
 
 
 def canonical_dumps(obj) -> str:

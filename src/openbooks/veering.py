@@ -105,12 +105,6 @@ class Certificate:
     word: TwistWord
     goals: tuple  # ((boundary, CertNode), ...) sorted by boundary name
 
-    def goal(self, boundary: str) -> CertNode:
-        for b, node in self.goals:
-            if b == boundary:
-                return node
-        raise KeyError(f"no goal for boundary {boundary!r}")
-
     @property
     def boundaries(self):
         return tuple(b for b, _ in self.goals)

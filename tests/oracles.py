@@ -5,8 +5,8 @@ Leibniz permutation sum, the signature comes from the characteristic
 polynomial via Descartes' rule (exact for the real-rooted polynomials of
 symmetric matrices) or, when no leading principal minor vanishes, from
 the signs of those minors by Jacobi's rule; continued fractions are
-evaluated by plain Fraction division, and homology orders and leading
-minors by dense fraction elimination.
+evaluated by plain Fraction division, and homology orders, leading
+minors and linear solves by dense fraction elimination.
 """
 
 import itertools
@@ -107,6 +107,24 @@ def dense_det(mat):
                 for j in range(c, n):
                     m[r][j] -= f * m[c][j]
     return det
+
+
+def dense_solve(mat, rhs):
+    """x with mat @ x = rhs, by dense Gauss-Jordan elimination over Fractions;
+    None when mat is singular."""
+    n = len(mat)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n] for row in m]
 
 
 def leading_minors(m):

@@ -148,20 +148,20 @@ def test_criterion_6_right_veering_certificates():
                 assert check_certificate(cert)
                 if h <= 3 or k <= 3 or (h, k) == (100, 100):
                     # the three-stage structure of the derivation
-                    d_goal = cert.goal("∂d")
+                    d_goal = dict(cert.goals)["∂d"]
                     assert d_goal.rule == "COMP"
                     assert d_goal.children[0].word.letters == (("a", h), ("b", 1), ("c", 1))
                     assert d_goal.children[1].arc == "γ_cd"
                     assert d_goal.children[1].word.letters == (("d", 1), ("e", -(k + 1)))
-                    c_goal = cert.goal("∂c")
+                    c_goal = dict(cert.goals)["∂c"]
                     assert c_goal.rule == "COMP"
                     assert c_goal.children[1].arc == "γ_cd"
                     assert c_goal.children[1].word.letters == (
                         ("c", 1), ("d", 1), ("e", -(k + 1)))
-                    b_goal = cert.goal("∂b")
+                    b_goal = dict(cert.goals)["∂b"]
                     assert b_goal.rule == "COMP"
                     assert b_goal.children[1].arc == "γ_ab"
-                    a_goal = cert.goal("∂a")
+                    a_goal = dict(cert.goals)["∂a"]
                     assert a_goal.rule == "ARC"
                     assert a_goal.arc == "γ_ab"
         for k in range(1, 11):

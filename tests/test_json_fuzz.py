@@ -3,16 +3,21 @@ its canonical re-serialization then parses back to the same bytes, or is
 rejected with a ValueError; nothing else may escape.
 
 Documents are well-formed ones, the same with one value replaced by any
-JSON tree or one key deleted, and arbitrary JSON trees."""
+JSON tree or one key deleted, and arbitrary JSON trees.  The rationals in
+them go through parse_fraction, whose grammar is pinned here too."""
 
 import json
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from openbooks.contact import ContactSurgeryDiagram, expand_to_unit_coefficients, presentation_for
 from openbooks.diagram import FramedLinkDiagram
 from openbooks.pages import family_word
-from openbooks.serialize import canonical_dumps
+from openbooks.serialize import canonical_dumps, parse_fraction
 from openbooks.veering import Certificate, prove_right_veering
+
 
 _TREES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
@@ -61,6 +66,11 @@ _CERTIFICATES = _documents(st.builds(
     lambda h, k: prove_right_veering(family_word(h, k)).to_jsonable(),
     st.integers(1, 3), st.integers(1, 3),
 ))
+_CONTACT_DIAGRAMS = _documents(st.builds(
+    lambda h, k, expand: (expand_to_unit_coefficients(presentation_for(h, k)) if expand
+                          else presentation_for(h, k)).to_jsonable(),
+    st.integers(1, 3), st.integers(1, 3), st.booleans(),
+))
 
 
 def _parses_to_canonical_or_raises_value_error(parse, doc):
@@ -83,3 +93,21 @@ def test_diagram_json_parses_to_canonical_or_raises_value_error(doc):
 @given(doc=_CERTIFICATES)
 def test_certificate_json_parses_to_canonical_or_raises_value_error(doc):
     _parses_to_canonical_or_raises_value_error(Certificate.from_jsonable, doc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=_CONTACT_DIAGRAMS)
+def test_contact_diagram_json_parses_to_canonical_or_raises_value_error(doc):
+    _parses_to_canonical_or_raises_value_error(ContactSurgeryDiagram.from_jsonable, doc)
+
+
+def test_parse_fraction_accepts_only_signed_digits_over_digits():
+    for text, value in [("3", 3), ("-3/2", Fraction(-3, 2)), ("+4/6", Fraction(2, 3)), ("007", 7)]:
+        assert parse_fraction(text) == value
+    assert parse_fraction(-5) == -5
+    # exponents (10^1000000 from a few bytes), decimals, whitespace,
+    # underscores, non-ASCII digits, zero denominators, floats and bools
+    for bad in ["1e1000000", "1e3", "1.6", ".5", " 3/4 ", "3\n", "1_000", "\u0663",
+                "3/0", "3/-4", "", "+", "inf", "nan", 1.0, True, None, [1]]:
+        with pytest.raises(ValueError):
+            parse_fraction(bad)

@@ -13,7 +13,7 @@ from openbooks.linalg import (
 )
 
 from diagram_gen import random_chain, random_cyclic, random_forest
-from oracles import dense_det, leibniz_det, presentation_matrix, signature_oracle
+from oracles import dense_det, dense_solve, leibniz_det, presentation_matrix, signature_oracle
 
 
 def _forest_input(m):
@@ -102,29 +102,64 @@ def test_signature_handles_zero_diagonal_blocks():
             assert signature(singular) == signature_oracle(singular)
 
 
+def test_inexact_entries_are_rejected():
+    # a float would be truncated to an integer, not used exactly
+    with pytest.raises(TypeError):
+        det([[0.5]])
+    with pytest.raises(TypeError):
+        signature([[-0.5]])
+    with pytest.raises(TypeError):
+        solve([[2]], [0.5], 2)
+
+
 def test_signature_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         signature([[1, 2], [3, 4]])
 
 
+# Zero-diagonal symmetric systems on which the elimination's congruence
+# step picks the border's column
+_BORDER_CONGRUENCE = [
+    ([[0, 2, 2, 2], [2, 0, 0, 0], [2, 0, 0, 1], [2, 0, 1, 0]], [0, 0, 1, 0]),
+    ([[0, -1, -1, 2], [-1, 0, 0, 0], [-1, 0, 0, 1], [2, 0, 1, 0]], [0, -1, 0, 0]),
+    ([[0, -1, 1, 0], [-1, 0, 0, 2], [1, 0, 0, -1], [0, 2, -1, 0]], [0, 0, 1, 0]),
+    ([[0, -1, 1, 0], [-1, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]], [0, 0, -1, 0]),
+]
+
+
+def _quadratic_form(m, b):
+    """b^T m^-1 b by the dense oracle."""
+    return sum(Fraction(bi) * xi for bi, xi in zip(b, dense_solve(m, b)))
+
+
 def test_solve_roundtrip_on_random_systems():
+    # general, skew and zero-diagonal symmetric systems, each also with
+    # rational entries, against the dense oracle
     rng = random.Random(20243)
-    solved = 0
-    while solved < 300:
+    systems = list(_BORDER_CONGRUENCE)
+    kinds = [0, 0, 0]
+    while min(kinds) < 100:
         n = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if det(m) == 0:
-            continue
         b = [rng.randint(-5, 5) for _ in range(n)]
-        x = solve(m, b)
-        for i in range(n):
-            assert sum(Fraction(m[i][j]) * x[j] for j in range(n)) == b[i]
-        solved += 1
+        for kind, v in enumerate(_variants(m)[:3]):
+            if dense_det(v) != 0:
+                kinds[kind] += 1
+                systems.append((v, b))
+                scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                systems.append(([[x * scale for x in row] for row in v],
+                                [Fraction(x, rng.randint(1, 3)) for x in b]))
+    for m, b in systems:
+        assert solve(m, b, det(m)) == _quadratic_form(m, b)
 
 
 def test_solve_raises_on_singular():
+    m = [[1, 2], [2, 4]]
+    assert dense_solve(m, [1, 1]) is None
     with pytest.raises(SingularMatrixError):
-        solve([[1, 2], [2, 4]], [1, 1])
+        solve(m, [1, 1], det(m))
+    with pytest.raises(ValueError):
+        solve([[1]], [1, 2], 1)
 
 
 def test_det_forest_matches_elimination_and_dense_oracle():

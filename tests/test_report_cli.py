@@ -297,6 +297,10 @@ _ONE_UNKNOT = {"vertices": [{"id": "x", "framing": "1"}]}
     pytest.param({}, ["d3", "family", "1", "200"], id="d3_family_above_limit"),
     pytest.param({}, ["sweep", "--hmax", "21", "--kmax", "1"], id="sweep_above_limit"),
     pytest.param({}, ["census", "1001", "1"], id="census_above_limit"),
+    pytest.param({"d.json": {"vertices": [{"id": "x", "framing": "1e1000000"}]}, "s.json": []},
+                 _REPLAY, id="diagram_exponent_framing"),
+    pytest.param({}, ["lens", "cf", "1.6"], id="lens_cf_decimal"),
+    pytest.param({}, ["lens", "cf", "10002/10001"], id="lens_cf_above_limit"),
 ])
 def test_cli_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     for name, doc in files.items():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import openbooks
@@ -33,3 +34,28 @@ def test_only_the_diagram_module_touches_diagram_internals():
                 found += [f"{path.name}:{node.lineno} import {a.name}"
                           for a in node.names if a.name in private]
     assert found == []
+
+
+def test_benchmark_trace_layers_resolve():
+    # perfbench/tracer.py swaps these (module, attribute) entry points for
+    # span wrappers; a renamed or deleted one breaks --trace 1.  The file is
+    # read, not imported, so the benchmark side stays untouched.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    [layers] = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    ]
+    missing = []
+    for _, modname, attr in layers:
+        module = importlib.import_module(modname)
+        if "." in attr:  # Class.method: a classmethod in the class body
+            cls_name, meth = attr.split(".")
+            ok = isinstance(vars(getattr(module, cls_name, object)).get(meth), classmethod)
+        else:
+            ok = callable(getattr(module, attr, None))
+        if not ok:
+            missing.append(f"{modname}.{attr}")
+    assert len(layers) > 20
+    assert missing == []

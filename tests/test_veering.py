@@ -30,7 +30,7 @@ def test_family_certificate_structure():
 
         # boundary parallel to d: positive prefix a^h b c composed with the
         # arc rule on d e^-(k+1) along the arc joining the c and d components
-        node = cert.goal("∂d")
+        node = dict(cert.goals)["∂d"]
         assert node.rule == "COMP"
         pos, arc = node.children
         assert pos.rule == "POS"
@@ -39,21 +39,21 @@ def test_family_certificate_structure():
         assert arc.arc == "γ_cd"
         assert arc.word.letters == (("d", 1), ("e", -(k + 1)))
 
-        node = cert.goal("∂c")
+        node = dict(cert.goals)["∂c"]
         assert node.rule == "COMP"
         pos, arc = node.children
         assert pos.word.letters == (("a", h), ("b", 1))
         assert arc.arc == "γ_cd"
         assert arc.word.letters == (("c", 1), ("d", 1), ("e", -(k + 1)))
 
-        node = cert.goal("∂b")
+        node = dict(cert.goals)["∂b"]
         assert node.rule == "COMP"
         pos, arc = node.children
         assert pos.word.letters == (("a", h),)
         assert arc.arc == "γ_ab"
         assert arc.word.letters == (("b", 1), ("c", 1), ("d", 1), ("e", -(k + 1)))
 
-        node = cert.goal("∂a")
+        node = dict(cert.goals)["∂a"]
         assert node.rule == "ARC"
         assert node.arc == "γ_ab"
         assert node.word == word
