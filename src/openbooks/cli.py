@@ -65,15 +65,33 @@ def _parse_pq(text):
         raise argparse.ArgumentTypeError(f"expected p,q from {text!r}")
 
 
-def _parse_chain(text):
+def _load_json(text):
+    """Parse JSON text; input nested past the decoder's recursion limit is
+    a ValueError, like any other malformed document."""
     try:
-        if text.strip().startswith("["):
-            values = json.loads(text)
-        else:
-            values = [v for v in text.split(",") if v.strip()]
-        return [int(v) for v in values]
-    except (ValueError, TypeError):
-        raise argparse.ArgumentTypeError(f"expected a framing list from {text!r}")
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return _load_json(fh.read())
+
+
+def _parse_chain(text):
+    """A framing list, JSON "[-2,-3]" or comma-separated "-2,-3", of
+    integers; a JSON float or bool is refused, not rounded."""
+    if text.strip().startswith("["):
+        values = _load_json(text)
+        if isinstance(values, list) and all(type(v) is int for v in values):
+            return values
+    else:
+        try:
+            return [int(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            pass
+    raise ValueError(f"expected a list of integer framings, got {text!r}")
 
 
 def _emit(payload, as_json, text_lines):
@@ -121,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--json", action="store_true")
     p_cf.set_defaults(run=_cmd_lens_cf)
     p_chain = lens_sub.add_parser("chain", help="identify a chain of framed unknots")
-    p_chain.add_argument("framings", type=_parse_chain,
-                         help='framing list, e.g. "[-2,-3,-2]"')
+    p_chain.add_argument("framings", help='integer framing list, e.g. "[-2,-3,-2]"')
     p_chain.add_argument("--json", action="store_true")
     p_chain.set_defaults(run=_cmd_lens_chain)
     p_eq = lens_sub.add_parser("eq", help="compare two lens spaces")
@@ -195,10 +212,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kirby_replay(args) -> int:
-    with open(args.diagram, "r", encoding="utf-8") as fh:
-        d = FramedLinkDiagram.from_jsonable(json.load(fh))
-    with open(args.script, "r", encoding="utf-8") as fh:
-        script = json.load(fh)
+    d = FramedLinkDiagram.from_jsonable(_read_json(args.diagram))
+    script = _read_json(args.script)
     result = replay(d, script)
     payload = result.to_jsonable()
     payload["h1_order"] = order_to_jsonable(result.h1)
@@ -226,11 +241,12 @@ def _cmd_lens_cf(args) -> int:
 
 
 def _cmd_lens_chain(args) -> int:
-    space = chain_to_lens(args.framings)
-    payload = {"p": space.p, "q": space.q, "chain": args.framings}
+    framings = _parse_chain(args.framings)
+    space = chain_to_lens(framings)
+    payload = {"p": space.p, "q": space.q, "chain": framings}
     if space.q:
         payload["cf"] = neg_cf_expand(space.surgery_fraction()) if space.p > 1 else []
-    _emit(payload, args.json, [f"chain {args.framings} = {space}"])
+    _emit(payload, args.json, [f"chain {framings} = {space}"])
     return EXIT_OK
 
 
@@ -299,8 +315,7 @@ def _cmd_rv_prove(args) -> int:
 
 
 def _cmd_rv_check(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        cert = Certificate.from_jsonable(json.load(fh))
+    cert = Certificate.from_jsonable(_read_json(args.certificate))
     try:
         certcheck.check_certificate(cert)
     except certcheck.CertificateError as e:

@@ -14,22 +14,36 @@ so no move check is ever partial.
 
 This module alone knows how a diagram stores its graph: the canonical
 edge rule (check_edges, shared with the contact surgery diagrams), the
-id index, and one adjacency map {id: {neighbour: weight}}, built on first
-use in edge order, that linking numbers, neighbour lists and the path
-walk behind the chain queries all read.
+id index, and one adjacency map {id: {neighbour: weight}} that linking
+numbers, neighbour lists and the path walk behind the chain queries all
+read.  A diagram built from data builds the index and the
+adjacency on first use; a moved diagram is handed them by its move.
 
 Diagrams are immutable values.  This module also owns the move
 bookkeeping: every Kirby move is a congruence of the linking form plus
 at most one +-1 or leaf block, and FramedLinkDiagram.apply_move takes a
-move as that data, builds the new diagram, checks |H_1| of the full
+move as that data, patches the diagram, checks |H_1| of the full
 post-move matrix against the order before the move, and appends the
 MoveRecord that stores both.  The kirby module holds each move's
 preconditions and congruence data.
+
+A diagram whose graph is one tree also carries the directed messages of
+its last determinant fold: for each edge, the determinant of the subtree
+on one side, and the same with its end vertex deleted.  A move changes
+the framings and edges of a few vertices only; when these lie in one
+closed star and the result is still a tree, every untouched subtree
+hangs off them by one unchanged edge, so compute_h1 refolds just the
+touched vertices from the carried messages (_refold) at a cost of their
+degrees, not of n.  The result is the same full-matrix determinant.  A
+move that closes a cycle, splits the tree or touches vertices farther
+apart, and every diagram built from data, takes the whole-matrix path.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .linalg import det_forest, det_sparse_rows
 from .serialize import fraction_str, parse_fraction
@@ -61,7 +75,8 @@ class Vertex:
     is_unknot: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "framing", Fraction(self.framing))
+        if type(self.framing) is not Fraction:
+            object.__setattr__(self, "framing", Fraction(self.framing))
 
 
 @dataclass(frozen=True)
@@ -118,25 +133,83 @@ class FramedLinkDiagram:
         diagram's vertices.  Zero weights are dropped, |H_1| of the full
         post-move matrix must equal this diagram's (InvariantViolationError
         otherwise), and the MoveRecord (move, args, both orders) is appended.
+
+        The new diagram is patched, not rebuilt: edges are bisected into the
+        sorted tuple, and the id index and adjacency are handed on with only
+        the rows the move changes replaced.  When this diagram is a tree
+        carrying the messages of its last determinant fold, the move's
+        vertices lie in one closed star and the result is still a tree,
+        compute_h1 refolds only those vertices (see _refold); otherwise it
+        folds or eliminates the whole matrix.  Either way the order
+        recorded is |det| of the full matrix.
         """
+        framings = framings or {}
+        before = self.h1
+        idx, adj = self._index, self._adjacency
         vertices = list(self.vertices)
-        idx = self._index
-        for vid, framing in (framings or {}).items():
+        edges = list(self.edges)
+        index = idx.copy()
+        adjacency = adj.copy()
+        rows = {}  # copies of the adjacency rows the move changes
+        for vid, framing in framings.items():
             i = idx[vid]
             vertices[i] = Vertex(vid, framing, vertices[i].is_unknot)
-        if drop is None:
-            edges = {(i, j): w for i, j, w in self.edges}
-        else:
-            del vertices[idx[drop]]
-            edges = {(i, j): w for i, j, w in self.edges if drop != i and drop != j}
+        if drop is not None:
+            i = idx[drop]
+            del vertices[i], index[drop]
+            for v in vertices[i:]:
+                index[v.id] -= 1
+            for u in adjacency.pop(drop):
+                del edges[bisect_left(edges, (drop, u) if drop < u else (u, drop))]
+                rows[u] = row = dict(adj[u])
+                del row[drop]
         if append is not None:
+            index[append.id] = len(vertices)
             vertices.append(append)
+            rows[append.id] = {}
         for (i, j), dw in (deltas or {}).items():
-            key = (i, j) if i < j else (j, i)
-            edges[key] = edges.get(key, 0) + dw
+            if j < i:
+                i, j = j, i
+            pos = bisect_left(edges, (i, j))
+            old = edges[pos] if pos < len(edges) else None
+            if old is not None and old[0] == i and old[1] == j:
+                w = old[2] + dw
+                if w:
+                    edges[pos] = (i, j, w)
+                else:
+                    del edges[pos]
+            else:
+                w = dw
+                if w:
+                    edges.insert(pos, (i, j, w))
+            row_i, row_j = rows.get(i), rows.get(j)
+            if row_i is None:
+                rows[i] = row_i = dict(adj[i])
+            if row_j is None:
+                rows[j] = row_j = dict(adj[j])
+            if w:
+                row_i[j] = row_j[i] = w
+            else:
+                row_i.pop(j, None)
+                row_j.pop(i, None)
+        adjacency.update(rows)
         vertices = tuple(vertices)
-        edges = tuple(sorted((i, j, w) for (i, j), w in edges.items() if w))
-        before, after = self.h1, compute_h1(vertices, edges)
+        edges = tuple(edges)
+        fold = _Fold()
+        if self._messages is not None:
+            parent = self._move_region(framings, rows, drop, append, adjacency)
+            if parent is not None:
+                messages = self._messages
+                if type(messages) is list:  # a whole-matrix fold's, by position
+                    ids = [v.id for v in self.vertices]
+                    messages = {ids[v]: (ids[m[0]], m[1], m[2])
+                                for v, m in enumerate(messages) if m is not None}
+                else:
+                    messages = messages.copy()
+                for v in chain(parent, (drop,)):
+                    messages.pop(v, None)
+                fold = _Fold(messages, parent, adjacency, index)
+        after = compute_h1(vertices, edges, fold)
         if after != before:
             raise InvariantViolationError(
                 f"move {move} with args {dict(args)} changed |H_1|: {before!r} -> {after!r}"
@@ -145,10 +218,64 @@ class FramedLinkDiagram:
         # order just checked
         moved = object.__new__(FramedLinkDiagram)
         moved.__dict__.update(
-            vertices=vertices, edges=edges, h1=after,
+            vertices=vertices, edges=edges, h1=after, _messages=fold.messages,
+            _index=index, _adjacency=adjacency,
             move_log=self.move_log + (MoveRecord(move, tuple(args), before, after),),
         )
         return moved
+
+    def _move_region(self, framings, rows, drop, append, adjacency):
+        """The vertices whose messages a move recomputes, as {vertex: its
+        parent} in breadth-first order from the new root, or None.
+
+        The existing vertices the move touches (new framings, changed
+        adjacency rows, the dropped vertex) must lie in the closed star of
+        one centre in this tree; then every untouched subtree hangs off the
+        region (touched, centre and appended vertex, less the dropped one)
+        by one unchanged edge, and its carried message stays exact.  The
+        region must span a subtree of the post-move `adjacency`: otherwise
+        the move closed a cycle or split the tree.
+        """
+        touched = dict.fromkeys(framings)
+        touched.update(rows)
+        if append is not None:
+            del touched[append.id]
+        if drop is not None:
+            touched[drop] = None
+        if not touched:
+            return None
+        adj = self._adjacency
+        for centre in chain(touched, adj[next(iter(touched))]):
+            row = adj[centre]
+            for v in touched:
+                if v != centre and v not in row:
+                    break
+            else:
+                break
+        else:
+            return None
+        region = touched
+        region[centre] = None
+        region.pop(drop, None)
+        if append is not None:
+            region[append.id] = None
+        if not region:
+            return None
+        # the root is the appended vertex, else the centre, so a run of
+        # blow-ups along a chain keeps it in the next move's region
+        root = centre if append is None else append.id
+        if root == drop:
+            root = next(iter(region))
+        parent = {root: None}
+        order = [root]
+        for v in order:
+            for u in adjacency[v]:
+                if u in region and u != parent[v]:
+                    if u in parent:
+                        return None
+                    parent[u] = v
+                    order.append(u)
+        return parent if len(parent) == len(region) else None
 
     # -- accessors ---------------------------------------------------------
 
@@ -177,8 +304,8 @@ class FramedLinkDiagram:
         return self._adjacency.get(i, {}).get(j, 0)
 
     def neighbors(self, vid: str):
-        """[(neighbour, weight), ...] in edge order."""
-        return list(self._adjacency.get(vid, {}).items())
+        """[(neighbour, weight), ...] in edge order, which is id order."""
+        return sorted(self._adjacency.get(vid, {}).items())
 
     def has_integer_framings(self) -> bool:
         return all(v.framing.denominator == 1 for v in self.vertices)
@@ -188,7 +315,10 @@ class FramedLinkDiagram:
     @cached_property
     def h1(self):
         """Order of H_1 of the surgered manifold; INFINITE when b_1 > 0."""
-        return compute_h1(self.vertices, self.edges)
+        fold = _Fold()
+        order = compute_h1(self.vertices, self.edges, fold)
+        self.__dict__["_messages"] = fold.messages
+        return order
 
     def linking_matrix(self):
         """Symmetric integer linking matrix (framings on the diagonal).
@@ -273,13 +403,42 @@ class FramedLinkDiagram:
         return self.vertices == other.vertices and self.edges == other.edges
 
 
-def compute_h1(vertices, edges):
+class _Fold:
+    """compute_h1's in-out argument: the messages of a tree's determinant
+    fold, and the move region to refold from them.
+
+    messages[v] = (u, D, E) for every vertex v but the root of the fold: u
+    is v's neighbour toward the root, D the determinant of the subtree on
+    v's side of the edge vu and E the same with v deleted; None off a tree.
+    A whole-matrix fold leaves det_forest's list, keyed and pointing by
+    vertex position, and the next move that refolds keys it by id.  A move
+    sets region, {vertex: parent} in breadth-first order from the new root
+    over the vertices whose messages it invalidated and removed, with the
+    post-move adjacency and id index; every other message is exact.
+    """
+
+    __slots__ = ("messages", "region", "adjacency", "index")
+
+    def __init__(self, messages=None, region=None, adjacency=None, index=None):
+        self.messages = messages
+        self.region = region
+        self.adjacency = adjacency
+        self.index = index
+
+
+def compute_h1(vertices, edges, fold=None):
     """H_1 order from raw vertex/edge data: |det| of the presentation matrix.
 
     Forests (the chains and trees the family reduction passes through) are
     expanded over their edges; any other graph is eliminated.  Both give the
-    determinant of the full matrix.
+    determinant of the full matrix.  A _Fold `fold` carries a tree's fold
+    messages in and out: with a move region set, the determinant is refolded
+    at the region from the carried messages; otherwise the whole matrix is
+    folded or eliminated, and a tree's fold messages are left in `fold`.
     """
+    if fold is not None and fold.region is not None:
+        d = _refold(vertices, fold)
+        return INFINITE if d == 0 else abs(d)
     n = len(vertices)
     if n == 0:
         return 1
@@ -296,7 +455,8 @@ def compute_h1(vertices, edges):
         products = [(idx[a], idx[b], w * w) for a, b, w in edges]
     else:
         products = [(idx[a], idx[b], qs[idx[a]] * qs[idx[b]] * w * w) for a, b, w in edges]
-    d = det_forest(ps, products)
+    folded = None if fold is None else [None] * n
+    d = det_forest(ps, products, folded)
     if d is None:
         rows = [{i: p} if p else {} for i, p in enumerate(ps)]
         for a, b, w in edges:
@@ -304,7 +464,52 @@ def compute_h1(vertices, edges):
             rows[ia][ib] = qs[ia] * w
             rows[ib][ia] = qs[ib] * w
         d = det_sparse_rows(rows, n)
+    elif fold is not None and folded.count(None) == 1:  # one tree
+        fold.messages = folded
     return INFINITE if d == 0 else abs(d)
+
+
+def _refold(vertices, fold):
+    """The determinant of a tree after a move, folded at the move's region
+    from the carried messages.
+
+    Each untouched subtree hangs off the region by one edge, so its message
+    into the region is carried.  The one exception is the path from the
+    region to the old root (the one vertex without a message), whose
+    messages point away from the region; those are refolded first.
+    """
+    parent, adj, index, messages = fold.region, fold.adjacency, fold.index, fold.messages
+
+    def fold_at(v, skip):
+        """(D, E) of v folded over the messages of its neighbours but skip."""
+        a, q = vertices[index[v]].framing.as_integer_ratio()
+        b = 1
+        for u, w in adj[v].items():
+            if u != skip:
+                m = messages.get(u)
+                if m is None or m[0] != v:
+                    m = reroot(u, v)
+                t = w * w * q * vertices[index[u]].framing.denominator
+                a, b = a * m[1] - t * b * m[2], b * m[1]
+        return a, b
+
+    def reroot(u, v):
+        """The message u -> v, folding back the path from u to the old root."""
+        path = [(u, v)]
+        m = messages.get(u)
+        while m is not None:
+            if len(path) > len(messages):
+                raise InvariantViolationError("carried fold messages do not form a tree")
+            path.append((m[0], path[-1][0]))
+            m = messages.get(m[0])
+        for x, y in reversed(path):
+            messages[x] = (y, *fold_at(x, y))
+        return messages[u]
+
+    for v in reversed(parent):  # children before their parents
+        if parent[v] is None:
+            return fold_at(v, None)[0]
+        messages[v] = (parent[v], *fold_at(v, parent[v]))
 
 
 def check_edges(ids, edges):

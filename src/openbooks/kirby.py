@@ -12,7 +12,10 @@ It recomputes the order of the first homology of the full post-move
 matrix and aborts with InvariantViolationError if it differs from the
 order before the move, since each move is supposed to be a
 diffeomorphism of the underlying manifold; replay re-verifies every
-move of a script.
+move of a script.  On a tree the recomputation refolds only the vertices
+the move touches, from the subtree determinants the diagram carries (see
+the diagram module), so each blow-up of the family reduction's chain
+loop costs the same whatever h; other graphs take the whole-matrix path.
 
 Geometric validity (e.g. that a component really is an unknot after a
 handle slide) is only guaranteed for diagrams built by this package's

@@ -102,9 +102,11 @@ class LensSpace:
 
         Handles q = 0 (infinite coefficient: S^3), negative p (orientation
         bookkeeping: (p, q) and (-p, -q) name the same oriented manifold),
-        and reduces q modulo p.
+        and reduces q modulo p.  0/0 is no coefficient: a ValueError.
         """
         p, q = int(p), int(q)
+        if p == q == 0:
+            raise ValueError("0/0 is not a surgery coefficient")
         if q == 0:
             return cls(1, 0)
         g = math.gcd(p, q)

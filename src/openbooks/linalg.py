@@ -7,7 +7,9 @@ solve.  Its pivots are leading principal minors, so the last one is the
 determinant and, by Jacobi's rule, their signs give the signature; solve
 reads r^T Q^-1 r off the determinant of Q bordered by r.  The move
 engine's determinants run tens of thousands of times on chain- and
-tree-shaped matrices; det_forest expands those in O(n) over the edges.
+tree-shaped matrices; det_forest expands those in O(n) over the edges,
+and hands back the subtree determinants it folded, from which the
+diagram module refolds a tree after a move at the moved vertices only.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ class SingularMatrixError(ValueError):
     """Raised when solve meets a singular matrix."""
 
 
-def det_forest(diag, edges):
+def det_forest(diag, edges, messages=None):
     """Determinant of an integer matrix whose off-diagonal pattern is a forest.
 
     The matrix has diagonal `diag` and, for each (i, j, t) in `edges`, a
@@ -37,6 +39,11 @@ def det_forest(diag, edges):
     which costs O(n) exact integer operations on subtree determinants.
     Leaves are folded into their neighbors one at a time, so each tree is
     rooted wherever its last vertex happens to be.
+
+    A list `messages` of n entries receives the fold's directed messages:
+    messages[v] = (u, D, E) when v is folded into its neighbour u, D being
+    the determinant of the subtree on v's side of the edge vu and E the same
+    with v deleted.  The last vertex of each tree keeps its entry.
     """
     n = len(diag)
     if edges and len(edges) >= n:  # more edges than any forest on n vertices
@@ -70,6 +77,8 @@ def det_forest(diag, edges):
         u = nbr[v]
         t = tsum[v]
         av = a[v]
+        if messages is not None:
+            messages[v] = (u, av, b[v])
         a[u] = a[u] * av - t * b[u] * b[v]
         b[u] *= av
         nbr[u] ^= v

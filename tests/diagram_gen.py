@@ -11,12 +11,16 @@ exact |H1| preservation against the independent dense oracle, round-trip
 identities, and determinant/signature behavior on integer diagrams.
 exercise_script runs a random move script and checks the |H1| recorded on
 both sides of every move against the oracle of that step's diagram.
+exercise_long_script does the same on large trees, with steps that mostly
+keep the graph a tree and undo each cycle they close, so that the local
+refold after a move, the whole-matrix path and the switches between them
+all run.
 """
 
 from fractions import Fraction
 
 from openbooks import kirby
-from openbooks.diagram import FramedLinkDiagram
+from openbooks.diagram import FramedLinkDiagram, compute_h1
 from openbooks.linalg import det, signature
 
 from oracles import h1_oracle
@@ -57,10 +61,10 @@ def is_forest(d):
     return True
 
 
-def random_forest(rng, max_vertices=12, max_trees=3, rational_prob=0.25, bound=2):
+def random_forest(rng, max_vertices=12, max_trees=3, rational_prob=0.25, bound=2, min_vertices=1):
     """A forest of up to max_trees trees.  Framings in [-bound, bound] keep
     zero determinants (|H1| INFINITE) common."""
-    n = rng.randint(1, max_vertices)
+    n = rng.randint(min_vertices, max_vertices)
     trees = rng.randint(1, min(max_trees, n))
     vertices = [(f"v{i}", _random_framing(rng, rational_prob, bound)) for i in range(n)]
     # v0 .. v(trees-1) are the roots; every later vertex hangs off an earlier one
@@ -235,3 +239,98 @@ def exercise_script(d, rng, steps):
     assert replayed.same_diagram(d)
     assert replayed.move_log == d.move_log
     return len(script), forests
+
+
+def _local_step(rng, d):
+    """A random step around one vertex: a -1/+1 unknot inserted on one of
+    its edges (cancelling the edge when the linking number is +-1, so the
+    graph stays a tree), a new leaf, a blow-down, an orientation reversal,
+    a (inverse) slam dunk, or one step of _random_step."""
+    ids = [v.id for v in d.vertices]
+    v = rng.choice(ids)
+    nbrs = d.neighbors(v)
+    kind = rng.random()
+    if kind < 0.35 and nbrs:
+        u, w = rng.choice(nbrs)
+        sign, su = rng.choice((-1, 1)), rng.choice((-1, 1))
+        sv = -w * sign * su if abs(w) == 1 else rng.choice((-1, 1))
+        return {"move": "blow_up", "args": {"sign": sign, "star": {v: sv, u: su}}}
+    if kind < 0.45:
+        return {"move": "blow_up", "args": {"sign": rng.choice((-1, 1)), "star": {v: rng.choice((-1, 1))}}}
+    if kind < 0.55:
+        units = [x.id for x in d.vertices if x.framing in (1, -1)]
+        return {"move": "blow_down", "args": {"vertex": rng.choice(units or ids)}}
+    if kind < 0.62:
+        return {"move": "reverse_orientation", "args": {"vertex": v}}
+    if kind < 0.7:
+        leaves = [u for u in ids if len(d.neighbors(u)) == 1]
+        return {"move": "slam_dunk", "args": {"leaf": rng.choice(leaves or ids)}}
+    if kind < 0.9:
+        args = {"vertex": v}
+        if d.framing(v).denominator == 1:
+            args["n"] = int(d.framing(v)) + rng.choice((-2, -1, 1, 2))
+        return {"move": "inverse_slam_dunk", "args": args}
+    return _random_step(rng, d)
+
+
+def _undo_step(before, rec):
+    """The step that takes the diagram after `rec` back to `before`."""
+    a = dict(rec.args)
+    if rec.move == "blow_up":
+        return {"move": "blow_down", "args": {"vertex": a["id"]}}
+    if rec.move == "blow_down":
+        star = dict(before.neighbors(a["vertex"]))
+        return {"move": "blow_up", "args": {"sign": a["sign"], "star": star, "id": a["vertex"]}}
+    if rec.move == "handle_slide":
+        return {"move": "handle_slide", "args": {**a, "sign": -a["sign"]}}
+    if rec.move == "inverse_slam_dunk":
+        return {"move": "slam_dunk", "args": {"leaf": a["leaf"]}}
+    if rec.move == "slam_dunk":
+        n = int(before.framing(a["into"]))
+        return {"move": "inverse_slam_dunk", "args": {"vertex": a["into"], "n": n, "leaf": a["leaf"]}}
+    return {"move": rec.move, "args": a}
+
+
+def exercise_long_script(d, rng, steps, whole_matrix):
+    """Run `steps` random steps from d, undoing each cycle a step closes
+    on a forest by the next step.  Both sides of every MoveRecord must equal compute_h1 of a
+    diagram rebuilt from the step's vertices and edges (so it carries no
+    fold messages), and h1_oracle up to 12 vertices; each moved diagram's
+    vertex lookup and neighbour lists must equal the rebuilt one's; the
+    script must replay to the same diagram and log.  `whole_matrix` counts
+    whole-matrix determinants so far.  Returns, for each move applied,
+    (is_forest before, is_forest after, whole-matrix determinants it took).
+    """
+    start = d
+    script = []
+    trail = []
+    before = None
+    expected = compute_h1(d.vertices, d.edges)
+    for _ in range(steps):
+        if before is not None and trail[-1][0] and not trail[-1][1]:
+            step = _undo_step(before, d.move_log[-1])
+        else:
+            step = _local_step(rng, d)
+        whole = whole_matrix()
+        try:
+            after = kirby.replay(d, [step])
+        except kirby.IllegalMoveError:
+            continue
+        whole = whole_matrix() - whole
+        rec = after.move_log[-1]
+        fresh = FramedLinkDiagram(after.vertices, after.edges)
+        assert rec.h1_before == expected
+        expected = compute_h1(fresh.vertices, fresh.edges)
+        assert rec.h1_after == expected
+        if len(after.vertices) <= 12:
+            assert rec.h1_after == h1_oracle(after)
+        for v in fresh.vertices:
+            assert after.vertex(v.id) == v
+            assert after.neighbors(v.id) == fresh.neighbors(v.id)
+        trail.append((is_forest(d), is_forest(after), whole))
+        script.append(step)
+        before, d = d, after
+    replayed = kirby.replay(start, script)
+    assert replayed.same_diagram(d)
+    assert replayed.move_log == d.move_log
+    return trail

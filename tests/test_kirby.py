@@ -25,6 +25,7 @@ from openbooks.serialize import canonical_dumps
 
 from diagram_gen import (
     exercise_moves,
+    exercise_long_script,
     exercise_script,
     is_forest,
     random_chain,
@@ -440,6 +441,74 @@ def test_random_move_scripts_record_oracle_h1():
         forests += on_forests
     assert moves >= 400
     assert 100 <= forests < moves  # both the expansion and elimination ran
+
+
+def _count_whole_matrix_determinants(monkeypatch):
+    """Count the whole-matrix determinants compute_h1 takes from now on."""
+    import openbooks.diagram as diagram_mod
+
+    calls = []
+    for name in ("det_forest", "det_sparse_rows"):
+        def counting(*args, _whole=getattr(diagram_mod, name)):
+            calls.append(1)
+            return _whole(*args)
+
+        monkeypatch.setattr(diagram_mod, name, counting)
+    return lambda: len(calls)
+
+
+def test_long_scripts_on_large_trees_record_full_matrix_h1(monkeypatch):
+    # every move's |H1| against a diagram rebuilt without fold messages, on
+    # trees and chains of 50-200 vertices and, for the oracle, up to 12
+    count = _count_whole_matrix_determinants(monkeypatch)
+    rng = random.Random(1707)
+    starts = [random_chain(rng, rng.randint(50, 200)) for _ in range(3)]
+    starts += [random_forest(rng, max_vertices=200, max_trees=1, min_vertices=50) for _ in range(3)]
+    starts += [random_forest(rng, max_vertices=12, max_trees=1) for _ in range(6)]
+    trail = [t for d in starts for t in exercise_long_script(d, rng, 100, count)]
+    refolded = sum(1 for tree, tree_after, whole in trail if tree and tree_after and not whole)
+    closed = sum(1 for tree, tree_after, _ in trail if tree and not tree_after)
+    opened = sum(1 for tree, tree_after, _ in trail if not tree and tree_after)
+    assert len(trail) >= 1000
+    assert refolded >= 300 and closed >= 50 and opened >= 50
+    # a graph with a cycle is never refolded
+    assert all(whole for _, tree_after, whole in trail if not tree_after)
+
+
+def test_moves_outside_one_closed_star_or_splitting_the_tree_are_not_refolded():
+    # a - b - c - o with o a 0-framed leaf: sliding a over o adds only the
+    # edge a-c (the a-o delta is 0), so the moved vertices a, c, o span a
+    # path while the untouched b closes the cycle a-b-c
+    d = FramedLinkDiagram.build([("a", 2), ("b", 3), ("c", -2), ("o", 0)],
+                                {("a", "b"): 1, ("b", "c"): 1, ("c", "o"): 1})
+    assert d.h1 == h1_oracle(d)
+    slid = handle_slide(d, "a", "o", 1)
+    assert not is_forest(slid)
+    assert slid.move_log[-1].h1_after == h1_oracle(slid) == h1_oracle(d)
+    # x - s = o with o a 2-framed leaf linking s twice: sliding s over o
+    # with sign -1 cancels the edge s-o and splits off o, of |det| 2
+    d = FramedLinkDiagram.build([("x", 3), ("s", -2), ("o", 2)],
+                                {("x", "s"): 1, ("s", "o"): 2})
+    assert d.h1 == h1_oracle(d)
+    split = handle_slide(d, "s", "o", -1)
+    assert ("s", "o") not in {(i, j) for i, j, _ in split.edges}
+    assert split.move_log[-1].h1_after == h1_oracle(split) == h1_oracle(d)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_family_reduction_takes_as_many_whole_matrix_determinants_for_any_h(monkeypatch, k):
+    # the chain loop's blow-ups and the last blow-down refold at the moved
+    # vertices; only the start diagram and the nine moves before the loop
+    # (six-vertex diagrams, some with a cycle) take a whole-matrix
+    # determinant, whatever h
+    count = _count_whole_matrix_determinants(monkeypatch)
+    counts = []
+    for h in (10, 100):
+        start = count()
+        d = reduce_family_diagram(h, k)
+        counts.append(count() - start)
+        assert len(d.move_log) == h + 9
+    assert counts[0] == counts[1] == 10
 
 
 def test_family_move_logs_golden():

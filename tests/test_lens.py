@@ -72,6 +72,12 @@ def test_lens_normalization():
     assert LensSpace.normalized(5, 0) == LensSpace(1, 0)
 
 
+def test_lens_normalization_rejects_zero_over_zero():
+    # 0/0 names no surgery coefficient; before, it fell into the q = 0 case
+    with pytest.raises(ValueError, match="0/0"):
+        LensSpace.normalized(0, 0)
+
+
 def test_lens_invariant_validation():
     with pytest.raises(ValueError):
         LensSpace(4, 2)

@@ -263,6 +263,7 @@ def test_internal_check_error_names_every_failed_check(monkeypatch):
 
 _REPLAY = ["kirby", "replay", "--diagram", "d.json", "--script", "s.json"]
 _ONE_UNKNOT = {"vertices": [{"id": "x", "framing": "1"}]}
+_DEEP = "[" * 100_000 + "]" * 100_000  # json.dumps cannot write this depth
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -301,10 +302,20 @@ _ONE_UNKNOT = {"vertices": [{"id": "x", "framing": "1"}]}
                  _REPLAY, id="diagram_exponent_framing"),
     pytest.param({}, ["lens", "cf", "1.6"], id="lens_cf_decimal"),
     pytest.param({}, ["lens", "cf", "10002/10001"], id="lens_cf_above_limit"),
+    pytest.param({}, ["lens", "chain", "[1.5]"], id="lens_chain_float"),
+    pytest.param({}, ["lens", "chain", "[-2,-2.0]"], id="lens_chain_integral_float"),
+    pytest.param({}, ["lens", "chain", "[true]"], id="lens_chain_bool"),
+    pytest.param({}, ["lens", "chain", "[1e400]"], id="lens_chain_infinite_float"),
+    pytest.param({}, ["lens", "eq", "0,0", "1,0"], id="lens_eq_zero_over_zero"),
+    # raw text, nested past the JSON decoder's recursion limit
+    pytest.param({"c.json": _DEEP}, ["rv", "check", "c.json"], id="certificate_nested_too_deep"),
+    pytest.param({"d.json": _DEEP, "s.json": []}, _REPLAY, id="diagram_nested_too_deep"),
+    pytest.param({"d.json": _ONE_UNKNOT, "s.json": _DEEP}, _REPLAY, id="script_nested_too_deep"),
+    pytest.param({}, ["lens", "chain", "[" * 5000 + "]" * 5000], id="lens_chain_nested_too_deep"),
 ])
 def test_cli_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     for name, doc in files.items():
-        (tmp_path / name).write_text(json.dumps(doc))
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     # a fresh interpreter, so an escaping exception would print a traceback
     env = dict(os.environ)
     src = str(Path(openbooks.__file__).resolve().parents[1])
