@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 failed cross-check or validation.
 
 import argparse
 import json
+import re
 import sys
 
 from . import certcheck
@@ -32,10 +33,11 @@ EXIT_CHECK_FAILED = 3
 
 # Larger inputs are usage errors, so that no argument starts an unbounded
 # computation.  family and d3 family eliminate a dense (h+k+1)-square
-# matrix, about 3 s at the limit on a 2-vCPU VM, and sweep runs one family
-# report per grid cell, about 4 s at its limit.  A census of L(p, q) has a
-# chain of fewer than p components and fewer than p entries, and the
-# continued fraction of p/q has at most q coefficients.
+# matrix once, about 1 s at the limit, and sweep runs one family report per
+# grid cell, about 2 s at its limit (times at the benchmark speed probe's
+# 1 ms reference).  A census of L(p, q) has a chain of fewer than p
+# components and fewer than p entries, and the continued fraction of p/q
+# has at most q coefficients.
 MAX_FAMILY_DIM = 201
 MAX_SWEEP_SIDE = 20
 MAX_CENSUS_P = 1000
@@ -139,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--json", action="store_true")
     p_cf.set_defaults(run=_cmd_lens_cf)
     p_chain = lens_sub.add_parser("chain", help="identify a chain of framed unknots")
-    p_chain.add_argument("framings", help='integer framing list, e.g. "[-2,-3,-2]"')
+    p_chain.add_argument("framings", help='integer framing list, e.g. "[-2,-3,-2]" or -2,-3,-2')
+    # argparse reads "-2,-3" as an option, since only a lone number looks
+    # negative to it; this verb has no option that starts with a digit
+    p_chain._negative_number_matcher = re.compile(r"^-\d")
     p_chain.add_argument("--json", action="store_true")
     p_chain.set_defaults(run=_cmd_lens_chain)
     p_eq = lens_sub.add_parser("eq", help="compare two lens spaces")

@@ -11,13 +11,13 @@ where chi = 1 + size(Q), sigma is the signature of Q, and c^2 = r^T Q^-1 r.
 The normalization makes the empty presentation give d3(S^3, standard) =
 -1/2, and adding a cancelling (+1, -1) pushoff pair never changes the
 value; both facts are pinned by calibration tests rather than trusted.
-Only c^2 depends on the rotation vector, so det Q and sigma are computed
-once per Q, each by linalg's integer Bareiss elimination (the last pivot,
-and Jacobi's rule on the pivots' signs), and c^2 once per rotation vector
-by the same elimination of Q bordered by r (Schur's formula:
-det [[Q, r], [r^T, 0]] = -det Q * c^2): the verdict reads all three terms
-from one pass, and the census eliminates its bordered chain once for each
-rotation choice.
+Only c^2 depends on the rotation vector, so each Q is eliminated once, by
+linalg.solve, with all of its rotation vectors as right-hand sides: the
+last pivot is det Q, Jacobi's rule on the pivots' signs gives sigma, and
+each rotation vector's bordered corner det [[Q, r], [r^T, 0]] =
+-det Q * c^2 (Schur) rides along.  So a verdict is two elimination
+passes: the family Q with its one rotation vector, and the census chain
+with every rotation choice.
 
 Every tight contact structure on a lens space L(p, q) (p >= 2) arises
 from Legendrian surgery on a chain of stabilized unknots realizing the
@@ -94,17 +94,17 @@ def family_presentation(h: int, k: int) -> PM1Presentation:
 
 
 def _d3_terms(matrix, rotations, q_plus):
-    """det Q, sigma(Q), and (d3, c^2) for each rotation vector; see d3."""
-    det = linalg.det(matrix)
-    if det == 0:
+    """det Q, sigma(Q), and (d3, c^2) for each rotation vector, from one
+    linalg.solve pass over Q; see d3."""
+    try:
+        det, sigma, c_squares = linalg.solve(matrix, rotations)
+    except linalg.SingularMatrixError:
         raise linalg.SingularMatrixError(
             "d3 needs a rational homology sphere (det Q != 0)"
-        )
-    sigma = linalg.signature(matrix)
+        ) from None
     constant = -2 * (1 + len(matrix)) - 3 * sigma  # -2 chi - 3 sigma
     values = []
-    for rot in rotations:
-        c_squared = linalg.solve(matrix, rot, det)
+    for c_squared in c_squares:
         value = Fraction(c_squared + constant, 4) + q_plus
         if (value * 4 * det).denominator != 1:
             raise ArithmeticError("d3 denominator exceeded 4|det Q|")
@@ -210,9 +210,13 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
     """
     if h < 1 or k < 1:
         raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
-    pres = family_presentation(h, k)
+    return _family_verdict(h, k, family_presentation(h, k), family_lens(h, k))
+
+
+def _family_verdict(h, k, pres, space) -> Verdict:
+    """overtwisted_verdict from the (h, k) presentation and family_lens(h, k),
+    which report.run_family builds from its own expanded diagram and lens."""
     det, sigma, [(value, c_squared)] = _d3_terms(pres.q, [pres.rho], pres.q_plus)
-    space = family_lens(h, k)
     census = tight_census(space)
     census_values = tuple(t.d3 for t in census)
     status = OVERTWISTED_CERTIFIED if value not in census_values else INCONCLUSIVE

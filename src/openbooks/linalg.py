@@ -2,13 +2,16 @@
 
 Everything in here is integer or fractions.Fraction arithmetic; no floats.
 One sparse integer elimination (Bareiss 1968: fraction-free, every division
-by the previous pivot exact) is behind det_sparse_rows, det, signature and
-solve.  Its pivots are leading principal minors, so the last one is the
-determinant and, by Jacobi's rule, their signs give the signature; solve
-reads r^T Q^-1 r off the determinant of Q bordered by r.  The move
-engine's determinants run tens of thousands of times on chain- and
-tree-shaped matrices; det_forest expands those in O(n) over the edges,
-and hands back the subtree determinants it folded, from which the
+by the previous pivot exact), _pivots, is behind det_sparse_rows, det,
+signature and solve.  Its pivots are leading principal minors, so the last
+one is the determinant and, by Jacobi's rule, their signs give the
+signature.  On a symmetric Q it also carries right-hand sides r: each
+pivot row's entry u_t in r's column updates the corner of Q bordered by r,
+acc <- (d_t acc - u_t^2) / d_(t-1), to det [[Q, r], [r^T, 0]] =
+-det Q * r^T Q^-1 r, so solve reads det Q, sigma(Q) and every c^2 off one
+pass.  The move engine's determinants run tens of thousands of times on
+chain- and tree-shaped matrices; det_forest expands those in O(n) over the
+edges, and hands back the subtree determinants it folded, from which the
 diagram module refolds a tree after a move at the moved vertices only.
 """
 
@@ -97,17 +100,27 @@ def _exact_div(x, d):
     return q
 
 
-def _pivots(rows, n):
+def _pivots(rows, n, bordered=()):
     """Yield the pivots d_1, d_2, ... of a sparse integer Bareiss elimination.
 
     The n x n matrix is given as dict rows {column: nonzero int}, which are
     consumed.  Pivots are diagonal, first remaining index first.  If every
-    remaining diagonal entry is 0, row and column j are added to row and
+    remaining diagonal entry is 0, row and column j < n are added to row and
     column i for an a_ij != 0, so a_ii = a_ij + a_ji (2 a_ij on symmetric
     input), or the row alone if that is 0, so a_ii = a_ji.  Both keep det,
     and the congruence keeps the signature: d_t is the t-th leading
-    principal minor of such a transform of the input.  An empty row is
-    dropped with a yielded 0; on symmetric input its column is empty too.
+    principal minor of such a transform of the input.  A row with no entry
+    left below column n is dropped with a yielded 0; on symmetric input its
+    column is empty too.
+
+    Columns n, n+1, ... are right-hand sides r_0, r_1, ...: they ride along
+    in every row update but are never pivoted on.  `bordered` is a list of
+    one int per right-hand side, 0 on entry and updated in place.  On
+    symmetric input the pivot row's entry u_t in column n+i, at step t - 1,
+    is both border entries of the step-t Bareiss update of
+    [[Q, r_i], [r_i^T, 0]], so its corner follows
+    bordered[i] <- (d_t bordered[i] - u_t^2) / d_(t-1) and ends as
+    det [[Q, r_i], [r_i^T, 0]].
 
     Each division by the previous pivot is checked to be exact.  A row the
     pivot column misses stays at level[r], the step it was last updated
@@ -116,7 +129,7 @@ def _pivots(rows, n):
     """
     d = [1]  # d[t]: the t-th pivot
     level = [0] * n
-    col_rows = [set() for _ in range(n)]
+    col_rows = [set() for _ in range(n + len(bordered))]
     for r, row in enumerate(rows):
         for c in row:
             col_rows[c].add(r)
@@ -145,11 +158,11 @@ def _pivots(rows, n):
 
     while remaining:
         for p in remaining:
-            if p in rows[p] or not rows[p]:
+            if p in rows[p] or all(c >= n for c in rows[p]):
                 break
         else:  # a nonzero remainder with a zero diagonal
             p = remaining[0]
-            j = next(iter(rows[p]))
+            j = next(c for c in rows[p] if c < n)
             row_j = lift(j)
             congruence = lift(p)[j] + row_j.get(p, 0)
             for c, x in row_j.items():
@@ -158,7 +171,7 @@ def _pivots(rows, n):
                 for r in list(col_rows[j]):
                     add(r, p, rows[r][j])
         remaining.remove(p)
-        if not rows[p]:
+        if p not in rows[p]:  # after the congruence step a_pp != 0
             yield 0
             continue
         prow = lift(p)
@@ -180,26 +193,49 @@ def _pivots(rows, n):
                     col_rows[c].add(r)
             rows[r] = new
             level[r] = len(d)
+        for i, corner in enumerate(bordered):
+            u = prow.get(n + i, 0)
+            bordered[i] = _exact_div(piv * corner - u * u, d[-1])
         col_rows[p] = ()
         d.append(piv)
         yield piv
 
 
-def _integer_rows(matrix):
-    """Dict rows of a square int or Fraction matrix times a positive common
+def _integer_rows(matrix, rhs=()):
+    """Dict rows of a square int or Fraction matrix, with the vectors `rhs`
+    appended as columns n, n+1, ..., all times one positive common
     denominator, and that denominator; any other entry is a TypeError, since
     int(x * scale) would truncate a float."""
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    if any(len(r) != n for r in rhs):
+        raise ValueError("right-hand side has wrong length")
+    dense = [[*row, *(r[i] for r in rhs)] for i, row in enumerate(matrix)]
     scale = 1
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
+    for row in dense:
         for x in row:
             if isinstance(x, Fraction):
                 scale = lcm(scale, x.denominator)
             elif not isinstance(x, int):
                 raise TypeError(f"matrix entries must be int or Fraction, got {x!r}")
-    return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in matrix], scale
+    return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in dense], scale
+
+
+def _symmetric_rows(matrix, rhs=()):
+    """_integer_rows of a matrix that must be symmetric; ValueError if not."""
+    rows, scale = _integer_rows(matrix, rhs)
+    n = len(rows)
+    if any(c < n and rows[c].get(i) != x for i, row in enumerate(rows) for c, x in row.items()):
+        raise ValueError("matrix is not symmetric")
+    return rows, scale
+
+
+def _jacobi(pivots):
+    """Jacobi's rule: each nonzero pivot d_t contributes sign(d_(t-1) d_t),
+    with d_0 = 1; null directions contribute nothing."""
+    signs = [1] + [1 if piv > 0 else -1 for piv in pivots if piv]
+    return sum(a * b for a, b in zip(signs, signs[1:]))
 
 
 def det_sparse_rows(rows, n):
@@ -222,36 +258,32 @@ def det(matrix):
 
 
 def signature(matrix):
-    """Signature of a symmetric matrix with int or Fraction entries.
+    """Signature of a symmetric matrix with int or Fraction entries."""
+    rows, _ = _symmetric_rows(matrix)
+    return _jacobi(_pivots(rows, len(rows)))
 
-    By Jacobi's rule each nonzero pivot d_t contributes sign(d_(t-1) d_t),
-    with d_0 = 1; null directions contribute nothing.
+
+def solve(matrix, rotations):
+    """det Q, sigma(Q) and [r^T Q^-1 r for r in rotations], exact, from one
+    elimination of the symmetric int or Fraction matrix Q.
+
+    Q and every r are scaled by one common denominator and the r ride along
+    as right-hand sides of _pivots: its last pivot is det Q, Jacobi's rule on
+    its pivots gives sigma, and by Schur's formula
+    det [[Q, r], [r^T, 0]] = -det Q * r^T Q^-1 r, whose corner the pass
+    carries for each r.  SingularMatrixError if det Q = 0; ValueError if Q
+    is not symmetric, since the corner recurrence reads u_t for both border
+    entries.  The name is kept from the Fraction solver this replaced, for
+    the benchmark's linalg.solve layer.
     """
-    rows, _ = _integer_rows(matrix)
-    if any(rows[j].get(i) != x for i, row in enumerate(rows) for j, x in row.items()):
-        raise ValueError("matrix is not symmetric")
-    signs = [1] + [1 if piv > 0 else -1 for piv in _pivots(rows, len(rows)) if piv]
-    return sum(a * b for a, b in zip(signs, signs[1:]))
-
-
-def solve(matrix, rhs, det):
-    """rhs^T matrix^-1 rhs, exact, for a square int or Fraction matrix of
-    determinant det, which the caller already has; SingularMatrixError if 0.
-
-    By Schur's formula det [[Q, r], [r^T, 0]] = -det Q * r^T Q^-1 r: one
-    elimination of the bordered matrix, in any pivot order, so the
-    congruence step may reach the border.  The name is kept from the
-    Fraction solver this replaced, for the benchmark's linalg.solve layer.
-    """
-    if not det:
-        raise SingularMatrixError("matrix is singular")
-    if len(rhs) != len(matrix):
-        raise ValueError("right-hand side has wrong length")
-    rows, scale = _integer_rows(
-        [list(row) + [b] for row, b in zip(matrix, rhs)] + [list(rhs) + [0]]
-    )
-    bordered = 0
-    for bordered in _pivots(rows, len(rows)):
-        if not bordered:
-            break
-    return Fraction(-bordered, scale ** len(rows) * det)
+    rows, scale = _symmetric_rows(matrix, rotations)
+    n = len(rows)
+    bordered = [0] * len(rotations)
+    pivots = []
+    for piv in _pivots(rows, n, bordered):
+        if not piv:
+            raise SingularMatrixError("matrix is singular")
+        pivots.append(piv)
+    det_q = pivots[-1] if pivots else 1
+    c_squares = [Fraction(-corner, scale * det_q) for corner in bordered]
+    return Fraction(det_q, scale ** n), _jacobi(pivots), c_squares

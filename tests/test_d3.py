@@ -58,7 +58,7 @@ def test_family_1_1_exact_data():
     assert pres.q_plus == 2
     q = [list(r) for r in pres.q]
     assert dense_solve(q, pres.rho) == [0, 0, Fraction(1, 2)]
-    assert solve(q, pres.rho, linalg.det(q)) == -1  # c^2 = rho . x
+    assert solve(q, [pres.rho]) == (4, -1, [-1])  # det, sigma, c^2 = rho . x
     assert signature([list(r) for r in pres.q]) == -1
     assert d3(pres) == Fraction(1, 2)
 
@@ -177,8 +177,8 @@ def test_family_det_at_k_1_for_large_h():
         assert abs(linalg.det([list(r) for r in family_presentation(h, 1).q])) == h + 3
 
 
-def test_verdict_1_1(monkeypatch):
-    calls = {"det": 0, "signature": 0}
+def _count_linalg_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(linalg, name)
@@ -191,9 +191,14 @@ def test_verdict_1_1(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(linalg, name, counted(name))
+    return calls
+
+
+def test_verdict_1_1(monkeypatch):
+    calls = _count_linalg_calls(monkeypatch, ("det", "signature", "solve"))
     v = overtwisted_verdict(1, 1)
-    # det and signature once for the family Q, once for the census chain
-    assert calls == {"det": 2, "signature": 2}
+    # one solve for the family Q, one for the census chain
+    assert calls == {"det": 0, "signature": 0, "solve": 2}
     assert v.status == OVERTWISTED_CERTIFIED
     assert v.d3_value == Fraction(1, 2)
     assert v.census_d3 == (Fraction(1, 4),)
@@ -202,6 +207,27 @@ def test_verdict_1_1(monkeypatch):
     assert v.sigma == -1
     assert v.c_squared == -1
     assert v.q_plus == 2
+
+
+def test_verdict_eliminates_twice_whatever_the_census_size(monkeypatch):
+    # the family Q with its rotation vector, and the census chain with all
+    # k of its rotation vectors as right-hand sides of one pass
+    calls = _count_linalg_calls(monkeypatch, ("_pivots",))
+    for h, k in ((1, 1), (2, 7), (1, 40)):
+        calls["_pivots"] = 0
+        v = overtwisted_verdict(h, k)
+        assert len(v.census_d3) == k
+        assert calls == {"_pivots": 2}
+
+
+def test_census_from_one_pass_matches_per_rotation_d3():
+    # L(60, 1): one component, 59 rotations; L(997, 1): 995
+    for p in (60, 997):
+        census = tight_census(LensSpace(p, 1))
+        assert len(census) == p - 1
+        for t in census:
+            assert t.chain == (-p,)
+            assert t.d3 == d3(chain_pm1(t.chain, t.rot))
 
 
 def test_verdict_consistency_and_lens_match():

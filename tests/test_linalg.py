@@ -13,7 +13,15 @@ from openbooks.linalg import (
 )
 
 from diagram_gen import random_chain, random_cyclic, random_forest
-from oracles import dense_det, dense_solve, leibniz_det, presentation_matrix, signature_oracle
+from oracles import (
+    dense_det,
+    dense_solve,
+    jacobi_signature,
+    leading_minors,
+    leibniz_det,
+    presentation_matrix,
+    signature_oracle,
+)
 
 
 def _forest_input(m):
@@ -109,7 +117,7 @@ def test_inexact_entries_are_rejected():
     with pytest.raises(TypeError):
         signature([[-0.5]])
     with pytest.raises(TypeError):
-        solve([[2]], [0.5], 2)
+        solve([[2]], [[0.5]])
 
 
 def test_signature_rejects_asymmetric_input():
@@ -117,8 +125,8 @@ def test_signature_rejects_asymmetric_input():
         signature([[1, 2], [3, 4]])
 
 
-# Zero-diagonal symmetric systems on which the elimination's congruence
-# step picks the border's column
+# Zero-diagonal symmetric systems on which the congruence step would pick
+# the right-hand side's column if it could; it may pick only columns of Q
 _BORDER_CONGRUENCE = [
     ([[0, 2, 2, 2], [2, 0, 0, 0], [2, 0, 0, 1], [2, 0, 1, 0]], [0, 0, 1, 0]),
     ([[0, -1, -1, 2], [-1, 0, 0, 0], [-1, 0, 0, 1], [2, 0, 1, 0]], [0, -1, 0, 0]),
@@ -134,7 +142,8 @@ def _quadratic_form(m, b):
 
 def test_solve_roundtrip_on_random_systems():
     # general, skew and zero-diagonal symmetric systems, each also with
-    # rational entries, against the dense oracle
+    # rational entries: the symmetric ones against the dense oracle, and
+    # the others refused, since solve's corner recurrence needs symmetry
     rng = random.Random(20243)
     systems = list(_BORDER_CONGRUENCE)
     kinds = [0, 0, 0]
@@ -150,16 +159,76 @@ def test_solve_roundtrip_on_random_systems():
                 systems.append(([[x * scale for x in row] for row in v],
                                 [Fraction(x, rng.randint(1, 3)) for x in b]))
     for m, b in systems:
-        assert solve(m, b, det(m)) == _quadratic_form(m, b)
+        if any(m[i][j] != m[j][i] for i in range(len(m)) for j in range(i)):
+            with pytest.raises(ValueError, match="not symmetric"):
+                solve(m, [b])
+        else:
+            assert solve(m, [b])[2] == [_quadratic_form(m, b)]
 
 
 def test_solve_raises_on_singular():
     m = [[1, 2], [2, 4]]
     assert dense_solve(m, [1, 1]) is None
     with pytest.raises(SingularMatrixError):
-        solve(m, [1, 1], det(m))
+        solve(m, [[1, 1]])
     with pytest.raises(ValueError):
-        solve([[1]], [1, 2], 1)
+        solve([[1]], [[1, 2]])
+
+
+def _random_symmetric(rng, n, zero_diagonal, rational):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            x = rng.choice((0, rng.randint(-5, 5)))
+            if rational:
+                x = Fraction(x, rng.randint(1, 4))
+            m[i][j] = m[j][i] = x
+    return m
+
+
+def _oracle_signature(m, rng):
+    """Jacobi's rule on the leading minors of P m P^T for a random invertible
+    P, which keeps the signature (Sylvester), until none of them is 0."""
+    n = len(m)
+    congruent = m
+    while not all(minors := leading_minors(congruent)):
+        p = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if dense_det(p):
+            pm = [[sum(p[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            congruent = [[sum(pm[i][k] * p[j][k] for k in range(n)) for j in range(n)]
+                         for i in range(n)]
+    return jacobi_signature(minors)
+
+
+def test_one_pass_matches_oracles_with_several_right_hand_sides():
+    # det, sigma and every c^2 of 1-6 right-hand sides from one elimination,
+    # on symmetric systems with a nonzero diagonal and with a zero one (the
+    # congruence step), each kind also with rational entries
+    rng = random.Random(20248)
+    kinds = {(zero_diagonal, rational): 0 for zero_diagonal in (0, 1) for rational in (0, 1)}
+    while min(kinds.values()) < 100:
+        kind = min(kinds, key=kinds.get)
+        n = rng.randint(1, 6)
+        m = _random_symmetric(rng, n, *kind)
+        if not kind[0]:
+            for i in range(n):
+                m[i][i] = m[i][i] or rng.choice((-3, 2))
+        d = dense_det(m)
+        if d == 0:
+            with pytest.raises(SingularMatrixError):
+                solve(m, [[1] * n])
+            continue
+        kinds[kind] += 1
+        rhs = [[rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
+               for _ in range(rng.randint(1, 6))]
+        if kind[1]:
+            rhs = [[Fraction(x, rng.randint(1, 3)) for x in r] for r in rhs]
+        assert solve(m, rhs) == (d, _oracle_signature(m, rng), [_quadratic_form(m, r) for r in rhs])
+    e0 = [1, 0, 0, 0]
+    for m, b in _BORDER_CONGRUENCE:
+        assert solve(m, [b, e0]) == (
+            dense_det(m), _oracle_signature(m, rng), [_quadratic_form(m, b), _quadratic_form(m, e0)]
+        )
 
 
 def test_det_forest_matches_elimination_and_dense_oracle():

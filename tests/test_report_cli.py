@@ -149,6 +149,22 @@ def test_cli_lens_verbs(capsys):
     assert json.loads(capsys.readouterr().out)["equal"] is True
 
 
+def test_cli_lens_chain_comma_form_with_a_negative_first_framing(capsys):
+    # argparse would read "-2,-3" as an unknown option; every form prints
+    # the same, with --json before or after the framings
+    for flags in ([], ["--json"]):
+        outputs = []
+        for argv in (["-2,-3", *flags], [*flags, "-2,-3"], [*flags, "--", "-2,-3"],
+                     [*flags, "[-2,-3]"]):
+            assert main(["lens", "chain", *argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == [outputs[0]] * 4
+    assert json.loads(outputs[0]) == {"cf": [2, 3], "chain": [-2, -3], "p": 5, "q": 3}
+    # the form is still checked: integers only
+    assert main(["lens", "chain", "-2,x"]) == 2
+    assert "expected a list of integer framings" in capsys.readouterr().err
+
+
 def test_cli_census(capsys):
     assert main(["census", "4", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

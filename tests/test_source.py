@@ -37,6 +37,20 @@ def test_only_the_diagram_module_touches_diagram_internals():
     assert found == []
 
 
+def test_exact_division_is_called_only_by_the_elimination_kernel():
+    # every fraction-free division of linalg.py goes through its one
+    # elimination, _pivots, so a second elimination routine cannot creep
+    # back in beside it
+    linalg = Path(openbooks.__file__).resolve().parent / "linalg.py"
+    callers = [
+        f"{getattr(top, 'name', type(top).__name__)}:{node.lineno}"
+        for top in ast.parse(linalg.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_exact_div"
+    ]
+    assert callers and all(c.startswith("_pivots:") for c in callers), callers
+
+
 def test_benchmark_trace_layers_resolve():
     # perfbench/tracer.py swaps these (module, attribute) entry points for
     # span wrappers; a renamed or deleted one breaks --trace 1.  The file is
