@@ -32,12 +32,12 @@ EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
 # Larger inputs are usage errors, so that no argument starts an unbounded
-# computation.  family and d3 family eliminate a dense (h+k+1)-square
-# matrix once, about 1 s at the limit, and sweep runs one family report per
-# grid cell, about 2 s at its limit (times at the benchmark speed probe's
-# 1 ms reference).  A census of L(p, q) has a chain of fewer than p
-# components and fewer than p entries, and the continued fraction of p/q
-# has at most q coefficients.
+# computation.  family and d3 family eliminate one (h+k+1)-square matrix,
+# whose pushoff stacks are slid into chains first, about 0.06 s at the
+# limit, and sweep runs one family report per grid cell, about 1 s at its
+# limit (times at the benchmark speed probe's 1 ms reference).  A census
+# of L(p, q) has a chain of fewer than p components and fewer than p
+# entries, and the continued fraction of p/q has at most q coefficients.
 MAX_FAMILY_DIM = 201
 MAX_SWEEP_SIDE = 20
 MAX_CENSUS_P = 1000

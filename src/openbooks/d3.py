@@ -17,7 +17,12 @@ last pivot is det Q, Jacobi's rule on the pivots' signs gives sigma, and
 each rotation vector's bordered corner det [[Q, r], [r^T, 0]] =
 -det Q * c^2 (Schur) rides along.  So a verdict is two elimination
 passes: the family Q with its one rotation vector, and the census chain
-with every rotation choice.
+with every rotation choice.  The family Q is dense (each of its two
+knots becomes a stack of parallel pushoffs, all linked with each other),
+but a pushoff's row and rotation number agree with its neighbour's off
+their own two columns, so linalg slides each over the next first; the
+stacks become two chains joined at their first members, and the pass
+costs O(h + k) pivot steps, not O((h + k)^3).
 
 Every tight contact structure on a lens space L(p, q) (p >= 2) arises
 from Legendrian surgery on a chain of stabilized unknots realizing the
@@ -65,10 +70,8 @@ class PM1Presentation:
             raise ValueError("Q must be square")
         if len(self.rho) != n:
             raise ValueError("rho length must match Q")
-        for i in range(n):
-            for j in range(i):
-                if self.q[i][j] != self.q[j][i]:
-                    raise ValueError("Q must be symmetric")
+        if tuple(map(tuple, self.q)) != tuple(zip(*self.q)):
+            raise ValueError("Q must be symmetric")
         if self.q_plus < 0:
             raise ValueError("q_plus is a count")
 

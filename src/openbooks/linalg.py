@@ -9,14 +9,20 @@ signature.  On a symmetric Q it also carries right-hand sides r: each
 pivot row's entry u_t in r's column updates the corner of Q bordered by r,
 acc <- (d_t acc - u_t^2) / d_(t-1), to det [[Q, r], [r^T, 0]] =
 -det Q * r^T Q^-1 r, so solve reads det Q, sigma(Q) and every c^2 off one
-pass.  The move engine's determinants run tens of thousands of times on
-chain- and tree-shaped matrices; det_forest expands those in O(n) over the
+pass.  Before that pass, solve and signature slide each row over its twin
+(a handle slide, e_i -> e_i - e_(i-1), where rows i-1 and i agree off
+columns i-1 and i): det, sigma and every c^2 stay, and the dense stacks of
+parallel contact pushoffs become chains, which the pass eliminates in
+O(n) instead of O(n^3).  The move engine's determinants run tens of
+thousands of times on chain- and tree-shaped matrices; det_forest expands those in O(n) over the
 edges, and hands back the subtree determinants it folded, from which the
 diagram module refolds a tree after a move at the moved vertices only.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import itemgetter
 
 
 class SingularMatrixError(ValueError):
@@ -205,13 +211,16 @@ def _integer_rows(matrix, rhs=()):
     """Dict rows of a square int or Fraction matrix, with the vectors `rhs`
     appended as columns n, n+1, ..., all times one positive common
     denominator, and that denominator; any other entry is a TypeError, since
-    int(x * scale) would truncate a float."""
+    int(x * scale) would truncate a float.  An all-int matrix, the usual
+    case, takes one type scan and scale 1."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if any(len(r) != n for r in rhs):
         raise ValueError("right-hand side has wrong length")
-    dense = [[*row, *(r[i] for r in rhs)] for i, row in enumerate(matrix)]
+    dense = [[*row, *extra] for row, extra in zip(matrix, zip(*rhs))] if rhs else matrix
+    if set(map(type, chain.from_iterable(dense))) <= {int}:
+        return [dict(filter(itemgetter(1), enumerate(row))) for row in dense], 1
     scale = 1
     for row in dense:
         for x in row:
@@ -222,12 +231,49 @@ def _integer_rows(matrix, rhs=()):
     return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in dense], scale
 
 
+def _slide_twins(rows, n):
+    """Slide each row over its twin in place: a unimodular congruence that
+    leaves det, sigma and every r^T Q^-1 r alone and makes pushoff stacks
+    sparse.
+
+    Rows i-1 and i of the symmetric Q are twins when they agree in every
+    column but i-1 and i, right-hand sides included, as parallel pushoffs of
+    one knot do.  For each such i the basis vector e_i becomes
+    e_i - e_(i-1) (a handle slide): Q' = P^T Q P and r' = P^T r with
+    det P = 1.  Since row i - row i-1 of Q is zero off columns i-1 and i,
+    a slid row i of Q' has entries only at i-1, i and, if i+1 is slid too,
+    i+1, and r'_i = r_i - r_(i-1) = 0; an unslid row keeps its entries in
+    unslid columns and gains Q'_(i-1,i) when i is slid.  So a stack of
+    pushoffs becomes a chain hanging off its first member.
+    """
+    slid = [i for i in range(1, n)
+            if {**rows[i - 1], i - 1: 0, i: 0} == {**rows[i], i - 1: 0, i: 0}]
+    if not slid:
+        return
+    # Q'_(i,i-1) = Q_(i,i-1) - Q_(i-1,i-1), and Q'_ii
+    below = {i: rows[i].get(i - 1, 0) - rows[i - 1].get(i - 1, 0) for i in slid}
+    diag = {i: rows[i].get(i, 0) - rows[i - 1].get(i, 0) - below[i] for i in slid}
+    is_slid = set(slid)
+    for c in slid:  # Q symmetric: the rows holding column c are row c's columns
+        for r in rows[c]:
+            if r < n and r not in is_slid:
+                del rows[r][c]
+    for i in slid:
+        row = {i - 1: below[i], i: diag[i]}
+        if i + 1 in is_slid:
+            row[i + 1] = below[i + 1]
+        rows[i] = {c: x for c, x in row.items() if x}
+        if i - 1 not in is_slid and below[i]:
+            rows[i - 1][i] = below[i]
+
+
 def _symmetric_rows(matrix, rhs=()):
-    """_integer_rows of a matrix that must be symmetric; ValueError if not."""
+    """_integer_rows of a matrix that must be symmetric (ValueError if not),
+    with each twin row slid over its neighbour (_slide_twins)."""
     rows, scale = _integer_rows(matrix, rhs)
-    n = len(rows)
-    if any(c < n and rows[c].get(i) != x for i, row in enumerate(rows) for c, x in row.items()):
+    if list(map(tuple, matrix)) != list(zip(*matrix)):
         raise ValueError("matrix is not symmetric")
+    _slide_twins(rows, len(rows))
     return rows, scale
 
 
@@ -271,10 +317,11 @@ def solve(matrix, rotations):
     as right-hand sides of _pivots: its last pivot is det Q, Jacobi's rule on
     its pivots gives sigma, and by Schur's formula
     det [[Q, r], [r^T, 0]] = -det Q * r^T Q^-1 r, whose corner the pass
-    carries for each r.  SingularMatrixError if det Q = 0; ValueError if Q
-    is not symmetric, since the corner recurrence reads u_t for both border
-    entries.  The name is kept from the Fraction solver this replaced, for
-    the benchmark's linalg.solve layer.
+    carries for each r.  Twin rows are slid first (_slide_twins), which
+    changes none of these values.  SingularMatrixError if det Q = 0;
+    ValueError if Q is not symmetric, since the corner recurrence reads u_t
+    for both border entries.  The name is kept from the Fraction solver
+    this replaced, for the benchmark's linalg.solve layer.
     """
     rows, scale = _symmetric_rows(matrix, rotations)
     n = len(rows)

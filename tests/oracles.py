@@ -2,7 +2,7 @@
 
 These deliberately share no code with the library: the determinant is a
 Leibniz permutation sum, the signature comes from the characteristic
-polynomial via Descartes' rule (exact for the real-rooted polynomials of
+polynomial (Faddeev-LeVerrier) via Descartes' rule (exact for the real-rooted polynomials of
 symmetric matrices) or, when no leading principal minor vanishes, from
 the signs of those minors by Jacobi's rule; continued fractions are
 evaluated by plain Fraction division, and homology orders, leading
@@ -48,19 +48,21 @@ def _variations(seq):
 def signature_oracle(m):
     """Signature from the characteristic polynomial.
 
-    coeff of x^(n-k) is (-1)^k * (sum of k x k principal minors); since a
-    symmetric matrix has only real eigenvalues, Descartes' rule counts the
-    positive and negative roots exactly.
+    Its coefficients come from the Faddeev-LeVerrier recurrence
+    M_k = m M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(m M_k) / k, exact; since
+    a symmetric matrix has only real eigenvalues, Descartes' rule counts
+    the positive and negative roots exactly.
     """
     n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    power = [[0] * n for _ in range(n)]  # M_0
     for k in range(1, n + 1):
-        e = Fraction(0)
-        for subset in itertools.combinations(range(n), k):
-            sub = [[Fraction(m[i][j]) for j in subset] for i in subset]
-            e += leibniz_det(sub)
-        coeffs[n - k] = (-1) ** k * e
+        power = [[sum(m[i][t] * power[t][j] for t in range(n))
+                  + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
+                 for i in range(n)]
+        c = Fraction(-sum(m[i][t] * power[t][i] for i in range(n) for t in range(n)), k)
+        coeffs[n - k] = c.numerator if c.denominator == 1 else c
     z = 0
     while coeffs[z] == 0:
         z += 1

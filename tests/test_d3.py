@@ -220,6 +220,41 @@ def test_verdict_eliminates_twice_whatever_the_census_size(monkeypatch):
         assert calls == {"_pivots": 2}
 
 
+def test_family_solve_takes_linear_work(monkeypatch):
+    # the twin slide turns the dense family Q into two joined chains, so the
+    # elimination's exact divisions grow linearly in h + k, not cubically
+    # (dense Bareiss: about 8x from (40, 40) to (80, 80))
+    counts = []
+    for h, k in ((40, 40), (80, 80)):
+        pres = family_presentation(h, k)
+        calls = _count_linalg_calls(monkeypatch, ("_exact_div",))
+        linalg.solve(pres.q, [pres.rho])
+        counts.append(calls["_exact_div"])
+        monkeypatch.undo()
+    assert 0 < counts[1] <= 3 * counts[0]
+
+
+def test_family_solve_matches_dense_oracle_at_20_20():
+    pres = family_presentation(20, 20)
+    m = [list(r) for r in pres.q]
+    x = dense_solve(m, pres.rho)
+    c_squared = sum(xi * ri for xi, ri in zip(x, pres.rho))
+    # sigma = k - h - 1, and c^2 = -(3hk - h + k + 1) / p with p = 821
+    assert linalg.solve(m, [pres.rho]) == (dense_det(m), -1, [c_squared])
+    assert c_squared == Fraction(-1201, 821)
+
+
+@pytest.mark.parametrize("h, k", [(100, 100), (199, 1), (1, 199)])
+def test_verdict_at_the_size_limit_matches_closed_forms(h, k):
+    # h + k + 1 = MAX_FAMILY_DIM; closed forms of ROADMAP item 1
+    p = (h + 1) * (2 * k - 1) + 2
+    v = overtwisted_verdict(h, k)
+    assert v.det == (-1) ** (h + 1) * p
+    assert v.sigma == k - h - 1
+    assert v.c_squared == Fraction(-(3 * h * k - h + k + 1), p)
+    assert v.status == OVERTWISTED_CERTIFIED
+
+
 def test_census_from_one_pass_matches_per_rotation_d3():
     # L(60, 1): one component, 59 rotations; L(997, 1): 995
     for p in (60, 997):

@@ -268,3 +268,64 @@ def test_det_forest_declines_graphs_with_a_cycle():
     assert det_forest([1, 1, 1], [(0, 1, 1), (0, 1, 1)]) is None
     assert det_forest([1, 1], [(0, 0, 1)]) is None
     assert det_forest([], []) == 1
+
+
+def _has_twin_rows(m, rhs):
+    """Whether some rows i-1 and i of m agree off columns i-1 and i, the
+    entries of every right-hand side included."""
+    n = len(m)
+    return any(all(m[i - 1][j] == m[i][j] for j in range(n) if j not in (i - 1, i))
+               and all(r[i - 1] == r[i] for r in rhs) for i in range(1, n))
+
+
+def _planted_twins(rng):
+    """D + U C U^T: 1-3 groups of 1-5 indices, U their indicator columns,
+    C a random symmetric matrix and D a diagonal of offsets in -2..2, so
+    that neighbours in one group are twin rows; with two right-hand sides,
+    constant on groups or not.  A group's indices are consecutive, or the
+    groups are dealt out in turn (interleaved), and then only a longest
+    group's tail can hold twins."""
+    sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+    interleaved = len(sizes) > 1 and rng.random() < 0.25
+    if interleaved:
+        group = [g for t in range(max(sizes)) for g, size in enumerate(sizes) if t < size]
+    else:
+        group = [g for g, size in enumerate(sizes) for _ in range(size)]
+    c = _random_symmetric(rng, len(sizes), 0, 0)
+    offset = [rng.randint(-2, 2) for _ in group]
+    m = [[c[g][h] + (offset[i] if i == j else 0) for j, h in enumerate(group)]
+         for i, g in enumerate(group)]
+    values = [rng.randint(-3, 3) for _ in sizes]
+    rhs = [[values[g] for g in group], [rng.randint(-3, 3) for _ in group]]
+    if rng.random() < 0.25:
+        rhs.pop()  # only the one constant on groups, so twins stay twins
+    if rng.random() < 0.2:
+        scale = Fraction(rng.randint(1, 3), rng.randint(2, 4))
+        m = [[x * scale for x in row] for row in m]
+        rhs = [[Fraction(x, 3) for x in r] for r in rhs]
+    return m, rhs, interleaved
+
+
+def test_twin_slide_matches_oracles_on_planted_twins():
+    # solve and signature slide every twin row over its neighbour first;
+    # det, sigma and each c^2 must come out as the dense oracles say, on
+    # singular and zero-diagonal systems too, and where no row is a twin
+    rng = random.Random(20249)
+    seen = dict.fromkeys(("twins", "no twins", "singular", "zero diagonal", "interleaved"), 0)
+    systems = [([[a, 1], [1, b]], [[x, x]], False)  # the length-2 chain, equal rotations
+               for a in range(-3, 4) for b in range(-3, 4) for x in (-1, 2)]
+    systems += [_planted_twins(rng) for _ in range(300)]
+    for m, rhs, interleaved in systems:
+        seen["twins" if _has_twin_rows(m, rhs) else "no twins"] += 1
+        seen["zero diagonal"] += any(m[i][i] == 0 for i in range(len(m)))
+        seen["interleaved"] += interleaved
+        sigma = signature_oracle(m)
+        assert signature(m) == sigma
+        d = dense_det(m)
+        if d == 0:
+            seen["singular"] += 1
+            with pytest.raises(SingularMatrixError):
+                solve(m, rhs)
+        else:
+            assert solve(m, rhs) == (d, sigma, [_quadratic_form(m, r) for r in rhs])
+    assert min(seen.values()) >= 20, seen

@@ -184,6 +184,16 @@ def test_cli_d3_family(capsys):
     assert payload["status"] == OVERTWISTED_CERTIFIED
 
 
+def test_cli_d3_family_at_the_size_limit(capsys):
+    # h + k + 1 = 201 = MAX_FAMILY_DIM: the twin slide makes this cheap
+    assert main(["d3", "family", "100", "100", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["det"] == -20101
+    assert payload["sigma"] == -1
+    assert payload["c_squared"] == "-30001/20101"
+    assert payload["status"] == OVERTWISTED_CERTIFIED
+
+
 def test_cli_d3_family_builds_the_presentation_once(monkeypatch, capsys):
     d3_module = sys.modules["openbooks.d3"]
     calls = []
