@@ -415,6 +415,12 @@ class _Fold:
     sets region, {vertex: parent} in breadth-first order from the new root
     over the vertices whose messages it invalidated and removed, with the
     post-move adjacency and id index; every other message is exact.
+
+    The two refold steps, fold_at and reroot, call each other.  They are
+    methods that take their state from the fold, not closures over it: a
+    pair of nested functions calling each other is a reference cycle, and
+    every move would leave one behind, holding its copied messages and the
+    replaced vertices until the cycle collector ran.
     """
 
     __slots__ = ("messages", "region", "adjacency", "index")
@@ -424,6 +430,34 @@ class _Fold:
         self.region = region
         self.adjacency = adjacency
         self.index = index
+
+    def fold_at(self, vertices, v, skip):
+        """(D, E) of v folded over the messages of its neighbours but skip."""
+        index, messages = self.index, self.messages
+        a, q = vertices[index[v]].framing.as_integer_ratio()
+        b = 1
+        for u, w in self.adjacency[v].items():
+            if u != skip:
+                m = messages.get(u)
+                if m is None or m[0] != v:
+                    m = self.reroot(vertices, u, v)
+                t = w * w * q * vertices[index[u]].framing.denominator
+                a, b = a * m[1] - t * b * m[2], b * m[1]
+        return a, b
+
+    def reroot(self, vertices, u, v):
+        """The message u -> v, folding back the path from u to the old root."""
+        messages = self.messages
+        path = [(u, v)]
+        m = messages.get(u)
+        while m is not None:
+            if len(path) > len(messages):
+                raise InvariantViolationError("carried fold messages do not form a tree")
+            path.append((m[0], path[-1][0]))
+            m = messages.get(m[0])
+        for x, y in reversed(path):
+            messages[x] = (y, *self.fold_at(vertices, x, y))
+        return messages[u]
 
 
 def compute_h1(vertices, edges, fold=None):
@@ -471,45 +505,19 @@ def compute_h1(vertices, edges, fold=None):
 
 def _refold(vertices, fold):
     """The determinant of a tree after a move, folded at the move's region
-    from the carried messages.
+    from the carried messages (_Fold.fold_at, no closure cycle).
 
     Each untouched subtree hangs off the region by one edge, so its message
     into the region is carried.  The one exception is the path from the
     region to the old root (the one vertex without a message), whose
-    messages point away from the region; those are refolded first.
+    messages point away from the region; those are refolded first
+    (_Fold.reroot).
     """
-    parent, adj, index, messages = fold.region, fold.adjacency, fold.index, fold.messages
-
-    def fold_at(v, skip):
-        """(D, E) of v folded over the messages of its neighbours but skip."""
-        a, q = vertices[index[v]].framing.as_integer_ratio()
-        b = 1
-        for u, w in adj[v].items():
-            if u != skip:
-                m = messages.get(u)
-                if m is None or m[0] != v:
-                    m = reroot(u, v)
-                t = w * w * q * vertices[index[u]].framing.denominator
-                a, b = a * m[1] - t * b * m[2], b * m[1]
-        return a, b
-
-    def reroot(u, v):
-        """The message u -> v, folding back the path from u to the old root."""
-        path = [(u, v)]
-        m = messages.get(u)
-        while m is not None:
-            if len(path) > len(messages):
-                raise InvariantViolationError("carried fold messages do not form a tree")
-            path.append((m[0], path[-1][0]))
-            m = messages.get(m[0])
-        for x, y in reversed(path):
-            messages[x] = (y, *fold_at(x, y))
-        return messages[u]
-
+    parent, messages = fold.region, fold.messages
     for v in reversed(parent):  # children before their parents
         if parent[v] is None:
-            return fold_at(v, None)[0]
-        messages[v] = (parent[v], *fold_at(v, parent[v]))
+            return fold.fold_at(vertices, v, None)[0]
+        messages[v] = (parent[v], *fold.fold_at(vertices, v, parent[v]))
 
 
 def check_edges(ids, edges):

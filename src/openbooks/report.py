@@ -29,15 +29,19 @@ class InternalCheckError(RuntimeError):
     """A cross-check between independently computed pipeline stages failed."""
 
 
-def _certificate_summary(cert: Certificate):
-    def describe(node):
-        if node.rule == "COMP":
-            return "COMP(" + ", ".join(describe(c) for c in node.children) + ")"
-        if node.rule == "ARC":
-            return f"ARC[{node.arc}]"
-        return node.rule
+def _describe(node) -> str:
+    """One derivation tree as a term, e.g. COMP(POS, ARC[g]).  A module-level
+    function: a nested one that recursed through its own closure would leave
+    a reference cycle behind on every report."""
+    if node.rule == "COMP":
+        return "COMP(" + ", ".join([_describe(c) for c in node.children]) + ")"
+    if node.rule == "ARC":
+        return f"ARC[{node.arc}]"
+    return node.rule
 
-    return {b: describe(node) for b, node in cert.goals}
+
+def _certificate_summary(cert: Certificate):
+    return {b: _describe(node) for b, node in cert.goals}
 
 
 @dataclass(frozen=True)

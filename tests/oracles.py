@@ -6,10 +6,12 @@ polynomial (Faddeev-LeVerrier) via Descartes' rule (exact for the real-rooted po
 symmetric matrices) or, when no leading principal minor vanishes, from
 the signs of those minors by Jacobi's rule; continued fractions are
 evaluated by plain Fraction division, and homology orders, leading
-minors and linear solves by dense fraction elimination.
+minors and linear solves by dense fraction elimination.  The canonical
+pretty JSON document is json's own indent=2 encoder.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 from openbooks.diagram import INFINITE
@@ -163,3 +165,8 @@ def h1_oracle(d):
         return 1
     det = dense_det(presentation_matrix(d))
     return INFINITE if det == 0 else abs(int(det))
+
+
+def json_pretty(obj):
+    """The canonical pretty document as json.dumps writes it with indent=2."""
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from openbooks.contact import presentation_for, smooth_diagram
 from openbooks.diagram import INFINITE, FramedLinkDiagram
 from openbooks.kirby import (
     MOVES,
@@ -21,7 +23,8 @@ from openbooks.kirby import (
 )
 from openbooks.lens import chain_to_lens, family_lens, lens_equal
 from openbooks.linalg import det, signature
-from openbooks.serialize import canonical_dumps
+from openbooks.report import run_family
+from openbooks.serialize import canonical_dumps, canonical_line
 
 from diagram_gen import (
     exercise_moves,
@@ -523,6 +526,30 @@ def test_family_move_logs_golden():
     assert hashlib.sha256(data).hexdigest() == (
         "d271fa9110c59264c8ddd02954957b4ea5e68c805001a037224c83790041a615"
     )
+
+
+def test_reduce_serialize_replay_and_report_leave_no_cyclic_garbage():
+    # a reference cycle left by a refolded move (closures calling each
+    # other), a pretty JSON document or a report's certificate summary keeps
+    # the move's messages and replaced vertices alive until the cycle
+    # collector runs
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        reduced = reduce_family_diagram(40, 3)
+        moves = json.loads(canonical_dumps(reduced.to_jsonable()))["moves"]
+        start = smooth_diagram(presentation_for(40, 3)).to_jsonable()
+        parsed = FramedLinkDiagram.from_jsonable(json.loads(canonical_dumps(start)))
+        replayed = replay(parsed, moves)
+        report = run_family(3, 4).to_jsonable()
+        canonical_line(report)
+        canonical_dumps(report)
+        assert replayed.same_diagram(reduced) and len(moves) == 49
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # move-script fuzzing: each step is drawn against the current diagram, so

@@ -37,6 +37,40 @@ def test_only_the_diagram_module_touches_diagram_internals():
     assert found == []
 
 
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _nested_functions(outer):
+    """The functions defined in the scope of `outer`, not in deeper ones."""
+    todo = list(ast.iter_child_nodes(outer))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _FUNCTIONS):
+            yield node
+        elif not isinstance(node, (ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_no_nested_function_refers_to_itself_or_a_sibling():
+    # a nested function that names itself or another function nested in the
+    # same scope closes over the cell that holds that function: a reference
+    # cycle, left behind on every call for the cycle collector.  This also
+    # covers the paths the runtime garbage test does not run, such as the CLI.
+    package = Path(openbooks.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, _FUNCTIONS):
+                continue
+            nested = list(_nested_functions(outer))
+            names = {fn.name for fn in nested}
+            for fn in nested:
+                refs = names & {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+                if refs:
+                    found.append(f"{path.name}:{fn.lineno} {outer.name}.{fn.name} -> {sorted(refs)}")
+    assert found == []
+
 def test_exact_division_is_called_only_by_the_elimination_kernel():
     # every fraction-free division of linalg.py goes through its one
     # elimination, _pivots, so a second elimination routine cannot creep
