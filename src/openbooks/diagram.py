@@ -5,41 +5,36 @@ rational framings, together with symmetric integer edge weights recording
 pairwise linking numbers.  The presentation matrix of the first homology
 of the surgered manifold has M_ii = p_i and M_ij = q_i * lk_ij, where the
 framing of component i is p_i/q_i in lowest terms; the order of H_1 is
-|det M|, with 0 reported as INFINITE.  When the linking graph is a forest
-(every chain and tree the family reduction passes through) the
-determinant is expanded over the edges in O(n) (linalg.det_forest); any
-other graph goes through linalg's sparse fraction-free Bareiss elimination
-(linalg.det_sparse_rows).  Both give the determinant of the full matrix,
-so no move check is ever partial.
+|det M|, with 0 reported as INFINITE.  A forest's determinant (every chain
+and tree the family reduction passes through) is expanded over its edges
+in O(n) (linalg.det_forest); any other graph goes through linalg's sparse
+fraction-free Bareiss elimination (linalg.det_sparse_rows).  Both give the
+determinant of the full matrix, so no move check is ever partial.
 
 This module alone knows how a diagram stores its graph: the canonical
 edge rule (check_edges, shared with the contact surgery diagrams), the
-id index, and one adjacency map {id: {neighbour: weight}} that linking
-numbers, neighbour lists and the path walk behind the chain queries all
-read.  A diagram built from data builds the index and the
-adjacency on first use; a moved diagram is handed them by its move.
+vertices by id, and one adjacency map {id: {neighbour: weight}}.
 
-Diagrams are immutable values.  This module also owns the move
-bookkeeping: every Kirby move is a congruence of the linking form plus
-at most one +-1 or leaf block, and FramedLinkDiagram.apply_move takes a
-move as that data, patches the diagram, checks |H_1| of the full
-post-move matrix against the order before the move, and appends the
-MoveRecord that stores both.  The kirby module holds each move's
-preconditions and congruence data.
+Diagrams are immutable values.  A Kirby move is a congruence of the
+linking form plus at most one +-1 or leaf block; the kirby module holds
+each move's preconditions and data, and this module applies it to a
+ScriptState, the working copy of one script private to one call: it
+edits the copy in place, checks |H_1| of the full post-move matrix
+against the order before the move, and appends the MoveRecord that
+stores both.  freeze() ends the script with one new diagram; the diagram
+it started from never changes.  FramedLinkDiagram.apply_move is a script
+of one move.
 
 A diagram whose graph is one tree also carries the directed messages of
 its last determinant fold: for each edge, the determinant of the subtree
-on one side, and the same with its end vertex deleted.  A move changes
-the framings and edges of a few vertices only; when these lie in one
-closed star and the result is still a tree, every untouched subtree
-hangs off them by one unchanged edge, so compute_h1 refolds just the
-touched vertices from the carried messages (_refold) at a cost of their
-degrees, not of n.  The result is the same full-matrix determinant.  A
-move that closes a cycle, splits the tree or touches vertices farther
-apart, and every diagram built from data, takes the whole-matrix path.
+on one side, and the same with its end vertex deleted.  When the
+vertices a move touches lie in one closed star and the result is still a
+tree, every untouched subtree hangs off them by one unchanged edge, so
+compute_h1 refolds just those vertices from the carried messages at a
+cost of their degrees, not of n.  Any other move, and
+every diagram built from data, takes the whole-matrix path.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -101,8 +96,31 @@ class InvariantViolationError(RuntimeError):
     """A move changed the order of the first homology; the diagram is corrupt."""
 
 
+class _Reads:
+    """The read API the Kirby moves use, over {id: Vertex} in vertex order
+    (_by_id) and the adjacency {id: {neighbour: weight}} (_adjacency)."""
+
+    __slots__ = ()
+
+    def __contains__(self, vid) -> bool:
+        return vid in self._by_id
+
+    def vertex(self, vid: str) -> Vertex:
+        return self._by_id[vid]
+
+    def framing(self, vid: str) -> Fraction:
+        return self._by_id[vid].framing
+
+    def linking(self, i: str, j: str) -> int:
+        return self._adjacency.get(i, {}).get(j, 0)
+
+    def neighbors(self, vid: str):
+        """[(neighbour, weight), ...] in edge order, which is id order."""
+        return sorted(self._adjacency.get(vid, {}).items())
+
+
 @dataclass(frozen=True)
-class FramedLinkDiagram:
+class FramedLinkDiagram(_Reads):
     """Framed unknots with integer pairwise linking, plus a move log."""
 
     vertices: tuple = ()
@@ -124,167 +142,15 @@ class FramedLinkDiagram:
 
     def apply_move(self, move, args, framings=None, deltas=None, drop=None,
                    append=None) -> "FramedLinkDiagram":
-        """Apply one Kirby move given as its congruence data, checked and logged.
-
-        framings {id: framing} replaces framings; deltas {(i, j): dw}, keyed
-        by id pair in either order, adds to linking numbers; `drop` names a
-        vertex to remove with its edges and `append` is a new Vertex.  The
-        move's preconditions (the kirby module) make the data refer to this
-        diagram's vertices.  Zero weights are dropped, |H_1| of the full
-        post-move matrix must equal this diagram's (InvariantViolationError
-        otherwise), and the MoveRecord (move, args, both orders) is appended.
-
-        The new diagram is patched, not rebuilt: edges are bisected into the
-        sorted tuple, and the id index and adjacency are handed on with only
-        the rows the move changes replaced.  When this diagram is a tree
-        carrying the messages of its last determinant fold, the move's
-        vertices lie in one closed star and the result is still a tree,
-        compute_h1 refolds only those vertices (see _refold); otherwise it
-        folds or eliminates the whole matrix.  Either way the order
-        recorded is |det| of the full matrix.
-        """
-        framings = framings or {}
-        before = self.h1
-        idx, adj = self._index, self._adjacency
-        vertices = list(self.vertices)
-        edges = list(self.edges)
-        index = idx.copy()
-        adjacency = adj.copy()
-        rows = {}  # copies of the adjacency rows the move changes
-        for vid, framing in framings.items():
-            i = idx[vid]
-            vertices[i] = Vertex(vid, framing, vertices[i].is_unknot)
-        if drop is not None:
-            i = idx[drop]
-            del vertices[i], index[drop]
-            for v in vertices[i:]:
-                index[v.id] -= 1
-            for u in adjacency.pop(drop):
-                del edges[bisect_left(edges, (drop, u) if drop < u else (u, drop))]
-                rows[u] = row = dict(adj[u])
-                del row[drop]
-        if append is not None:
-            index[append.id] = len(vertices)
-            vertices.append(append)
-            rows[append.id] = {}
-        for (i, j), dw in (deltas or {}).items():
-            if j < i:
-                i, j = j, i
-            pos = bisect_left(edges, (i, j))
-            old = edges[pos] if pos < len(edges) else None
-            if old is not None and old[0] == i and old[1] == j:
-                w = old[2] + dw
-                if w:
-                    edges[pos] = (i, j, w)
-                else:
-                    del edges[pos]
-            else:
-                w = dw
-                if w:
-                    edges.insert(pos, (i, j, w))
-            row_i, row_j = rows.get(i), rows.get(j)
-            if row_i is None:
-                rows[i] = row_i = dict(adj[i])
-            if row_j is None:
-                rows[j] = row_j = dict(adj[j])
-            if w:
-                row_i[j] = row_j[i] = w
-            else:
-                row_i.pop(j, None)
-                row_j.pop(i, None)
-        adjacency.update(rows)
-        vertices = tuple(vertices)
-        edges = tuple(edges)
-        fold = _Fold()
-        if self._messages is not None:
-            parent = self._move_region(framings, rows, drop, append, adjacency)
-            if parent is not None:
-                messages = self._messages
-                if type(messages) is list:  # a whole-matrix fold's, by position
-                    ids = [v.id for v in self.vertices]
-                    messages = {ids[v]: (ids[m[0]], m[1], m[2])
-                                for v, m in enumerate(messages) if m is not None}
-                else:
-                    messages = messages.copy()
-                for v in chain(parent, (drop,)):
-                    messages.pop(v, None)
-                fold = _Fold(messages, parent, adjacency, index)
-        after = compute_h1(vertices, edges, fold)
-        if after != before:
-            raise InvariantViolationError(
-                f"move {move} with args {dict(args)} changed |H_1|: {before!r} -> {after!r}"
-            )
-        # canonical by construction, so __post_init__ is skipped; h1 is the
-        # order just checked
-        moved = object.__new__(FramedLinkDiagram)
-        moved.__dict__.update(
-            vertices=vertices, edges=edges, h1=after, _messages=fold.messages,
-            _index=index, _adjacency=adjacency,
-            move_log=self.move_log + (MoveRecord(move, tuple(args), before, after),),
-        )
-        return moved
-
-    def _move_region(self, framings, rows, drop, append, adjacency):
-        """The vertices whose messages a move recomputes, as {vertex: its
-        parent} in breadth-first order from the new root, or None.
-
-        The existing vertices the move touches (new framings, changed
-        adjacency rows, the dropped vertex) must lie in the closed star of
-        one centre in this tree; then every untouched subtree hangs off the
-        region (touched, centre and appended vertex, less the dropped one)
-        by one unchanged edge, and its carried message stays exact.  The
-        region must span a subtree of the post-move `adjacency`: otherwise
-        the move closed a cycle or split the tree.
-        """
-        touched = dict.fromkeys(framings)
-        touched.update(rows)
-        if append is not None:
-            del touched[append.id]
-        if drop is not None:
-            touched[drop] = None
-        if not touched:
-            return None
-        adj = self._adjacency
-        for centre in chain(touched, adj[next(iter(touched))]):
-            row = adj[centre]
-            for v in touched:
-                if v != centre and v not in row:
-                    break
-            else:
-                break
-        else:
-            return None
-        region = touched
-        region[centre] = None
-        region.pop(drop, None)
-        if append is not None:
-            region[append.id] = None
-        if not region:
-            return None
-        # the root is the appended vertex, else the centre, so a run of
-        # blow-ups along a chain keeps it in the next move's region
-        root = centre if append is None else append.id
-        if root == drop:
-            root = next(iter(region))
-        parent = {root: None}
-        order = [root]
-        for v in order:
-            for u in adjacency[v]:
-                if u in region and u != parent[v]:
-                    if u in parent:
-                        return None
-                    parent[u] = v
-                    order.append(u)
-        return parent if len(parent) == len(region) else None
+        """This diagram after one Kirby move, checked and logged: a script of
+        one move (ScriptState.apply_move has the arguments)."""
+        return ScriptState(self).apply_move(move, args, framings, deltas, drop, append).freeze()
 
     # -- accessors ---------------------------------------------------------
 
     @cached_property
-    def _index(self):
-        return {v.id: i for i, v in enumerate(self.vertices)}
-
-    def __contains__(self, vid) -> bool:
-        return vid in self._index
+    def _by_id(self):
+        return {v.id: v for v in self.vertices}
 
     @cached_property
     def _adjacency(self):
@@ -293,19 +159,6 @@ class FramedLinkDiagram:
             adj[i][j] = w
             adj[j][i] = w
         return adj
-
-    def vertex(self, vid: str) -> Vertex:
-        return self.vertices[self._index[vid]]
-
-    def framing(self, vid: str) -> Fraction:
-        return self.vertex(vid).framing
-
-    def linking(self, i: str, j: str) -> int:
-        return self._adjacency.get(i, {}).get(j, 0)
-
-    def neighbors(self, vid: str):
-        """[(neighbour, weight), ...] in edge order, which is id order."""
-        return sorted(self._adjacency.get(vid, {}).items())
 
     def has_integer_framings(self) -> bool:
         return all(v.framing.denominator == 1 for v in self.vertices)
@@ -328,7 +181,7 @@ class FramedLinkDiagram:
         if not self.has_integer_framings():
             raise ValueError("linking matrix needs integer framings")
         n = len(self.vertices)
-        idx = self._index
+        idx = {v.id: i for i, v in enumerate(self.vertices)}
         m = [[0] * n for _ in range(n)]
         for i, v in enumerate(self.vertices):
             m[i][i] = v.framing.numerator
@@ -403,6 +256,163 @@ class FramedLinkDiagram:
         return self.vertices == other.vertices and self.edges == other.edges
 
 
+class ScriptState(_Reads):
+    """The working copy of a diagram under one Kirby script, private to the
+    call that runs it: the diagram's read API, apply_move, which edits the
+    state in place, and freeze(), which ends the script with one new
+    FramedLinkDiagram that takes over the state's maps.  The maps are
+    copied when the state opens, each adjacency row and the fold messages
+    on their first write, so the starting diagram never changes."""
+
+    __slots__ = ("_source", "_by_id", "_adjacency", "_messages", "_h1", "_records")
+
+    def __init__(self, d: FramedLinkDiagram):
+        self._source = d
+        self._by_id = dict(d._by_id)
+        self._adjacency = dict(d._adjacency)
+        self._messages = self._h1 = None  # read from d at the first move
+        self._records = []
+
+    def _row(self, vid):
+        """vid's adjacency row, copied on its first write."""
+        row = self._adjacency[vid]
+        if row is self._source._adjacency.get(vid):
+            row = self._adjacency[vid] = dict(row)
+        return row
+
+    def apply_move(self, move, args, framings=None, deltas=None, drop=None,
+                   append=None) -> "ScriptState":
+        """Apply one Kirby move given as its congruence data, checked and
+        logged; returns the state.
+
+        framings {id: framing} replaces framings; deltas {(i, j): dw}, keyed
+        by id pair in either order, adds to linking numbers; `drop` names a
+        vertex to remove with its edges and `append` is a new Vertex (the
+        kirby module's preconditions make the data refer to current
+        vertices).  Zero weights are dropped, |H_1| of the full post-move
+        matrix (refolded at the move's region when it can be, see
+        _move_region) must equal the order before the move, else
+        InvariantViolationError, and the MoveRecord is appended.
+        """
+        framings = framings or {}
+        deltas = deltas or {}
+        before = self._h1
+        if before is None:
+            before = self._h1 = self._source.h1
+            if self._source._messages is not None:
+                self._messages = self._source._messages.copy()
+        by_id, adj, messages = self._by_id, self._adjacency, self._messages
+        centre = None
+        if messages is not None:
+            # the existing vertices the move touches, and a centre whose
+            # closed star holds them all in the pre-move tree
+            touched = dict.fromkeys(framings)
+            if drop is not None:
+                touched.update(dict.fromkeys(adj[drop]))
+            for i, j in deltas:
+                touched[min(i, j)] = touched[max(i, j)] = None
+            if append is not None:
+                touched.pop(append.id, None)
+            if drop is not None:
+                touched[drop] = None
+            if touched:
+                for centre in chain(touched, adj[next(iter(touched))]):
+                    row = adj[centre]
+                    for v in touched:
+                        if v != centre and v not in row:
+                            break
+                    else:
+                        break
+                else:
+                    centre = None
+        for vid, framing in framings.items():
+            by_id[vid] = Vertex(vid, framing, by_id[vid].is_unknot)
+        if drop is not None:
+            del by_id[drop]
+            for u in adj.pop(drop):
+                del self._row(u)[drop]
+        if append is not None:
+            by_id[append.id] = append
+            adj[append.id] = {}
+        for (i, j), dw in deltas.items():
+            row_i, row_j = self._row(i), self._row(j)
+            w = row_i.get(j, 0) + dw
+            if w:
+                row_i[j] = row_j[i] = w
+            else:
+                row_i.pop(j, None)
+                row_j.pop(i, None)
+        parent = None
+        if centre is not None:
+            parent = _move_region(touched, centre, drop, append, adj)
+        if parent is not None:
+            for v in chain(parent, (drop,)):
+                messages.pop(v, None)
+            after = compute_h1(by_id, None, _Fold(messages, parent, adj))
+        else:
+            fold = _Fold()
+            edges = [(i, j, w) for i, row in adj.items() for j, w in row.items() if i < j]
+            after = compute_h1(by_id.values(), edges, fold)
+            self._messages = fold.messages
+        if after != before:
+            raise InvariantViolationError(
+                f"move {move} with args {dict(args)} changed |H_1|: {before!r} -> {after!r}"
+            )
+        self._h1 = after
+        self._records.append(MoveRecord(move, tuple(args), before, after))
+        return self
+
+    def freeze(self) -> FramedLinkDiagram:
+        """The diagram at the end of the script, with its moves logged: the
+        starting diagram itself when no move was applied.  It takes over the
+        state's maps, so the state ends here and a later read or move on it
+        fails at once."""
+        source, by_id, adj, messages = self._source, self._by_id, self._adjacency, self._messages
+        self._by_id = self._adjacency = self._messages = None
+        if not self._records:
+            return source
+        edges = sorted((i, j, w) for i, row in adj.items() for j, w in row.items() if i < j)
+        # canonical by construction, so __post_init__ is skipped; h1 is the
+        # order the last move checked
+        d = object.__new__(FramedLinkDiagram)
+        d.__dict__.update(
+            vertices=tuple(by_id.values()), edges=tuple(edges),
+            move_log=source.move_log + tuple(self._records), h1=self._h1,
+            _messages=messages, _by_id=by_id, _adjacency=adj,
+        )
+        return d
+
+
+def _move_region(touched, centre, drop, append, adjacency):
+    """{vertex: its parent} in breadth-first order over the region whose
+    fold messages a move recomputes: touched, centre and appended vertex,
+    less the dropped one.  Every untouched subtree hangs off it by one
+    unchanged edge, so its message stays exact, unless the region spans no
+    subtree of the post-move `adjacency` (then None: the whole matrix)."""
+    region = touched
+    region[centre] = None
+    region.pop(drop, None)
+    if append is not None:
+        region[append.id] = None
+    if not region:
+        return None
+    # the root is the appended vertex, else the centre, so a run of
+    # blow-ups along a chain keeps it in the next move's region
+    root = centre if append is None else append.id
+    if root == drop:
+        root = next(iter(region))
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for u in adjacency[v]:
+            if u in region and u != parent[v]:
+                if u in parent:
+                    return None
+                parent[u] = v
+                order.append(u)
+    return parent if len(parent) == len(region) else None
+
+
 class _Fold:
     """compute_h1's in-out argument: the messages of a tree's determinant
     fold, and the move region to refold from them.
@@ -410,38 +420,31 @@ class _Fold:
     messages[v] = (u, D, E) for every vertex v but the root of the fold: u
     is v's neighbour toward the root, D the determinant of the subtree on
     v's side of the edge vu and E the same with v deleted; None off a tree.
-    A whole-matrix fold leaves det_forest's list, keyed and pointing by
-    vertex position, and the next move that refolds keys it by id.  A move
-    sets region, {vertex: parent} in breadth-first order from the new root
-    over the vertices whose messages it invalidated and removed, with the
-    post-move adjacency and id index; every other message is exact.
-
-    The two refold steps, fold_at and reroot, call each other.  They are
-    methods that take their state from the fold, not closures over it: a
-    pair of nested functions calling each other is a reference cycle, and
-    every move would leave one behind, holding its copied messages and the
-    replaced vertices until the cycle collector ran.
+    A ScriptState move sets region, {vertex: parent} in breadth-first order
+    from the new root over the vertices whose messages it removed, with
+    the post-move adjacency.  fold_at and reroot, which call each other,
+    are methods, not nested closures: those would form a reference cycle
+    per move, holding the replaced vertices until the cycle collector ran.
     """
 
-    __slots__ = ("messages", "region", "adjacency", "index")
+    __slots__ = ("messages", "region", "adjacency")
 
-    def __init__(self, messages=None, region=None, adjacency=None, index=None):
+    def __init__(self, messages=None, region=None, adjacency=None):
         self.messages = messages
         self.region = region
         self.adjacency = adjacency
-        self.index = index
 
     def fold_at(self, vertices, v, skip):
         """(D, E) of v folded over the messages of its neighbours but skip."""
-        index, messages = self.index, self.messages
-        a, q = vertices[index[v]].framing.as_integer_ratio()
+        messages = self.messages
+        a, q = vertices[v].framing.as_integer_ratio()
         b = 1
         for u, w in self.adjacency[v].items():
             if u != skip:
                 m = messages.get(u)
                 if m is None or m[0] != v:
                     m = self.reroot(vertices, u, v)
-                t = w * w * q * vertices[index[u]].framing.denominator
+                t = w * w * q * vertices[u].framing.denominator
                 a, b = a * m[1] - t * b * m[2], b * m[1]
         return a, b
 
@@ -463,16 +466,20 @@ class _Fold:
 def compute_h1(vertices, edges, fold=None):
     """H_1 order from raw vertex/edge data: |det| of the presentation matrix.
 
-    Forests (the chains and trees the family reduction passes through) are
-    expanded over their edges; any other graph is eliminated.  Both give the
-    determinant of the full matrix.  A _Fold `fold` carries a tree's fold
-    messages in and out: with a move region set, the determinant is refolded
-    at the region from the carried messages; otherwise the whole matrix is
-    folded or eliminated, and a tree's fold messages are left in `fold`.
+    A _Fold `fold` carries a tree's fold messages in and out: with a move
+    region set, `vertices` is {id: Vertex} and the determinant is refolded
+    at the region from the carried messages; otherwise the whole matrix is folded (a
+    forest) or eliminated, and a tree's messages are left in `fold`.
     """
     if fold is not None and fold.region is not None:
-        d = _refold(vertices, fold)
-        return INFINITE if d == 0 else abs(d)
+        # children before their parents; _Fold.reroot refolds the messages
+        # on the path from the region to the old root, which point away
+        parent, messages = fold.region, fold.messages
+        for v in reversed(parent):
+            if parent[v] is None:
+                d = fold.fold_at(vertices, v, None)[0]
+                return INFINITE if d == 0 else abs(d)
+            messages[v] = (parent[v], *fold.fold_at(vertices, v, parent[v]))
     n = len(vertices)
     if n == 0:
         return 1
@@ -499,25 +506,10 @@ def compute_h1(vertices, edges, fold=None):
             rows[ib][ia] = qs[ib] * w
         d = det_sparse_rows(rows, n)
     elif fold is not None and folded.count(None) == 1:  # one tree
-        fold.messages = folded
+        ids = list(idx)  # det_forest's messages key and point by position
+        fold.messages = {ids[v]: (ids[m[0]], m[1], m[2])
+                         for v, m in enumerate(folded) if m is not None}
     return INFINITE if d == 0 else abs(d)
-
-
-def _refold(vertices, fold):
-    """The determinant of a tree after a move, folded at the move's region
-    from the carried messages (_Fold.fold_at, no closure cycle).
-
-    Each untouched subtree hangs off the region by one edge, so its message
-    into the region is carried.  The one exception is the path from the
-    region to the old root (the one vertex without a message), whose
-    messages point away from the region; those are refolded first
-    (_Fold.reroot).
-    """
-    parent, messages = fold.region, fold.messages
-    for v in reversed(parent):  # children before their parents
-        if parent[v] is None:
-            return fold.fold_at(vertices, v, None)[0]
-        messages[v] = (parent[v], *fold.fold_at(vertices, v, parent[v]))
 
 
 def check_edges(ids, edges):

@@ -5,37 +5,30 @@ linking numbers on edges), not on pictures.  Every move is a congruence of
 the linking form plus at most one +-1 or leaf block (Gompf-Stipsicz,
 4-Manifolds and Kirby Calculus, ch. 5), so this module holds only each
 move's preconditions and its congruence data: the framings it replaces,
-the linking-number deltas, and the vertex it drops or appends.
-FramedLinkDiagram.apply_move, in the diagram module that owns the edge
-format, the per-move |H_1| check and the MoveRecord, applies the data.
-It recomputes the order of the first homology of the full post-move
-matrix and aborts with InvariantViolationError if it differs from the
-order before the move, since each move is supposed to be a
-diffeomorphism of the underlying manifold; replay re-verifies every
-move of a script.  On a tree the recomputation refolds only the vertices
-the move touches, from the subtree determinants the diagram carries (see
-the diagram module), so each blow-up of the family reduction's chain
-loop costs the same whatever h; other graphs take the whole-matrix path.
+the linking-number deltas, and the vertex it drops or appends.  The
+diagram module applies the data and checks that the order of the first
+homology of the full post-move matrix equals the order before the move
+(InvariantViolationError otherwise), since each move is supposed to be a
+diffeomorphism of the underlying manifold; on a tree it refolds only the
+vertices the move touches, so each blow-up of the family reduction's
+chain loop costs the same whatever h.
+
+A move function given a FramedLinkDiagram returns the moved diagram, a
+script of one move; given a ScriptState it edits it and returns it.
+replay and reduce_family_diagram run every step on one state private to
+the call and freeze one diagram at the end; replay re-verifies every move.
 
 Geometric validity (e.g. that a component really is an unknot after a
 handle slide) is only guaranteed for diagrams built by this package's
 constructors and for the scripted family reduction, which replays a fixed
-sequence of moves whose pictures are known.
-
-The family reduction takes the two-component rational diagram of the
-(h, k) surgery presentation down to a linear chain of unknots:
-
-    two +1 blowups, two inverse slam dunks, one handle slide, two +1
-    blowdowns, an orientation normalization, then h-1 blowups framed -1
-    and a final +1 blowdown converting the h-framed component into a
-    string of -2-framed unknots.
-
-The result is the chain [-2, -(k+1), -2 x h] with all edges +1.
+sequence of moves whose pictures are known.  That reduction takes the
+(h, k) surgery diagram to the chain [-2, -(k+1), -2 x h].
 """
 
 from fractions import Fraction
 
-from .diagram import INFINITE, FramedLinkDiagram, InvariantViolationError, MoveRecord, Vertex
+from .diagram import (INFINITE, FramedLinkDiagram, InvariantViolationError, MoveRecord,
+                      ScriptState, Vertex)
 
 __all__ = [
     "INFINITE",
@@ -214,7 +207,7 @@ def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
 
 # move name -> (required {argument: type}, optional {argument: type}, the
 # move applied to (diagram, args)); a star is an object {id: weight} or the
-# [id, weight] pairs that a move log records
+# [id, weight] pairs that a move log records, each id at most once
 MOVES = {
     "blow_down": ({"vertex": str}, {}, lambda d, a: blow_down(d, a["vertex"])),
     "blow_up": (
@@ -244,19 +237,22 @@ def _well_typed(kind, value) -> bool:
             isinstance(p, (list, tuple)) and len(p) == 2
             and _well_typed(str, p[0]) and _well_typed(int, p[1])
             for p in pairs
-        )
+        ) and len({p[0] for p in pairs}) == len(pairs)
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
-    """Apply a JSON move script, a list of {"move": name, "args": {...}}.
+    """Apply a JSON move script, a list of {"move": name, "args": {...}},
+    to one ScriptState, and freeze it; `d` is never changed.
 
-    A script that is not a list, a malformed step (not an object, missing a required argument, or an
-    argument of the wrong type) is a ValueError; an unknown move or a
-    failed precondition is an IllegalMoveError.
+    A script that is not a list, a malformed step (not an object, missing a
+    required argument, or an argument of the wrong type, such as a star
+    naming an id twice) is a ValueError; an unknown move or a failed
+    precondition is an IllegalMoveError.
     """
     if not isinstance(script, list):
         raise ValueError(f"move script must be a list of steps: {script!r}")
+    state = ScriptState(d)
     for step in script:
         if not isinstance(step, dict) or not isinstance(step.get("args", {}), dict):
             raise ValueError(f"move script step must be an object with object args: {step!r}")
@@ -272,42 +268,43 @@ def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
             value = args.get(a)
             if (a in required or value is not None) and not _well_typed(kind, value):
                 raise ValueError(f"move {name!r}: argument {a!r} has the wrong type: {value!r}")
-        d = apply(d, args)
-    return d
+        apply(state, args)
+    return state.freeze()
 
 
 def reduce_family_diagram(h: int, k: int) -> FramedLinkDiagram:
     """Replay the scripted reduction of the (h, k) surgery diagram to a chain.
 
-    Starts from the two-component rational diagram (framings -2 + 1/(k+1)
-    and -3 - 1/h, linking -2) and returns the linear chain
-
-        [-2, -(k+1), -2 repeated h times]
-
-    with all edges +1 and the full move log attached.  Every move checks
-    that |H_1| = (h+1)(2k-1)+2 is preserved.
+    From the two-component rational diagram (framings -2 + 1/(k+1) and
+    -3 - 1/h, linking -2): two +1 blowups, two inverse slam dunks, one
+    handle slide, two +1 blowdowns, an orientation normalization, then h-1
+    blowups framed -1 and a final +1 blowdown that turn the h-framed
+    component into a string of -2-framed unknots.  Returns the chain
+    [-2, -(k+1), -2 x h] with all edges +1 and the full move log, run on
+    one ScriptState; every move checks that |H_1| = (h+1)(2k-1)+2 holds.
     """
     from .contact import presentation_for, smooth_diagram
 
     if h < 1 or k < 1:
         raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
-    d = smooth_diagram(presentation_for(h, k))
-    d = blow_up(d, +1, {"K_e": 1, "K_a": 1}, new_id="p1")
-    d = blow_up(d, +1, {"K_e": 1, "K_a": 1}, new_id="p2")
-    d = inverse_slam_dunk(d, "K_e", n=0, leaf_id="L_e")   # leaf framed -(k+1)
-    d = inverse_slam_dunk(d, "K_a", n=-1, leaf_id="L_a")  # leaf framed h
-    d = handle_slide(d, "K_a", "K_e", -1)
-    d = blow_down(d, "p1")
-    d = blow_down(d, "p2")
+    s = ScriptState(smooth_diagram(presentation_for(h, k)))
+    blow_up(s, +1, {"K_e": 1, "K_a": 1}, new_id="p1")
+    blow_up(s, +1, {"K_e": 1, "K_a": 1}, new_id="p2")
+    inverse_slam_dunk(s, "K_e", n=0, leaf_id="L_e")   # leaf framed -(k+1)
+    inverse_slam_dunk(s, "K_a", n=-1, leaf_id="L_a")  # leaf framed h
+    handle_slide(s, "K_a", "K_e", -1)
+    blow_down(s, "p1")
+    blow_down(s, "p2")
     # normalize the edge signs left by the slide before the chain conversion
-    d = reverse_orientation(d, "K_a")
-    d = reverse_orientation(d, "L_a")
+    reverse_orientation(s, "K_a")
+    reverse_orientation(s, "L_a")
     prev = "K_a"
     for j in range(1, h):
         nid = f"t{j}"
-        d = blow_up(d, -1, {"L_a": 1, prev: 1}, new_id=nid)
+        blow_up(s, -1, {"L_a": 1, prev: 1}, new_id=nid)
         prev = nid
-    d = blow_down(d, "L_a")
+    blow_down(s, "L_a")
+    d = s.freeze()
 
     expected_order = (h + 1) * (2 * k - 1) + 2
     if d.h1 != expected_order:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from openbooks.contact import presentation_for, smooth_diagram
-from openbooks.diagram import INFINITE, FramedLinkDiagram
+from openbooks.diagram import INFINITE, FramedLinkDiagram, ScriptState
 from openbooks.kirby import (
     MOVES,
     IllegalMoveError,
@@ -384,10 +384,69 @@ def test_replay_accepts_its_own_json_move_log():
     {"move": "blow_up", "args": {"sign": 1, "star": [["c0"]]}},
     {"move": "blow_up", "args": {"sign": 1, "star": 5}},
     {"move": "handle_slide", "args": {"slide": "c0", "over": {"c1": 1}, "sign": 1}},
+    # a star names each id at most once: the log would keep only one weight
+    {"move": "blow_up", "args": {"sign": 1, "star": [["c0", 1], ["c0", 2]]}},
 ])
 def test_replay_rejects_mistyped_arguments(step):
     with pytest.raises(ValueError, match="wrong type"):
         replay(chain(-2, -3), [step])
+
+
+def test_a_script_never_touches_its_input():
+    # replay runs its script on a private working copy; the parsed input,
+    # its cached |H1| and the fold messages it carries stay as they were,
+    # whether the script fails at a later step or succeeds
+    jsonable = reduce_family_diagram(6, 2).to_jsonable()
+    del jsonable["moves"]
+    d = FramedLinkDiagram.from_jsonable(jsonable)
+    ids = [v.id for v in d.vertices]
+
+    def snapshot():
+        return (d.vertices, d.edges, d.h1, [d.neighbors(i) for i in ids],
+                [d.linking(i, j) for i in ids for j in ids])
+
+    def one_move_at_each_vertex():
+        # each refolds |H1| from the input's fold messages
+        return [reverse_orientation(d, i) for i in ids] + [blow_up(d, 1, {i: 1}) for i in ids]
+
+    before = snapshot()
+    moved = one_move_at_each_vertex()
+    steps = [
+        {"move": "blow_up", "args": {"sign": -1, "star": {ids[1]: 1, ids[2]: 1}, "id": "y"}},
+        {"move": "reverse_orientation", "args": {"vertex": ids[2]}},
+        {"move": "handle_slide", "args": {"slide": ids[0], "over": ids[1], "sign": 1}},
+        {"move": "blow_down", "args": {"vertex": "y"}},
+    ]
+    with pytest.raises(IllegalMoveError):
+        replay(d, steps + [{"move": "blow_down", "args": {"vertex": "nope"}}])
+    assert snapshot() == before
+    result = replay(d, steps)
+    assert [r.move for r in result.move_log] == [s["move"] for s in steps]
+    assert snapshot() == before
+    again = one_move_at_each_vertex()
+    assert all(a.same_diagram(m) and a.move_log == m.move_log for a, m in zip(again, moved))
+    assert reduce_family_diagram(40, 3).move_log == reduce_family_diagram(40, 3).move_log
+
+
+def test_a_frozen_script_state_ends():
+    # the frozen diagram takes over the state's maps, so a read or a move on
+    # the state after freeze() fails instead of editing a diagram in place
+    d = reduce_family_diagram(4, 2)
+    v = d.vertices[1].id
+    s = ScriptState(d)
+    reverse_orientation(s, v)
+    frozen = s.freeze()
+    ids = [u.id for u in frozen.vertices]
+    view = (frozen.vertices, frozen.edges, [frozen.neighbors(i) for i in ids],
+            [frozen.linking(i, j) for i in ids for j in ids], frozen.move_log)
+    for late in (lambda: v in s, lambda: s.linking(v, ids[0]), lambda: reverse_orientation(s, v),
+                 lambda: blow_up(s, 1, {v: 1}), lambda: s.apply_move("x", (), {v: 1})):
+        with pytest.raises((TypeError, AttributeError)):
+            late()
+    assert (frozen.vertices, frozen.edges, [frozen.neighbors(i) for i in ids],
+            [frozen.linking(i, j) for i in ids for j in ids], frozen.move_log) == view
+    assert frozen.same_diagram(reverse_orientation(d, v))
+    assert ScriptState(d).freeze() is d
 
 
 def test_move_property_suite_small():
@@ -512,6 +571,30 @@ def test_family_reduction_takes_as_many_whole_matrix_determinants_for_any_h(monk
         counts.append(count() - start)
         assert len(d.move_log) == h + 9
     assert counts[0] == counts[1] == 10
+
+
+def test_family_reduction_and_its_replay_check_h1_once_per_move_and_at_the_start(monkeypatch):
+    # one diagram.compute_h1 call for the start diagram and one per move,
+    # in the reduction and again in the replay of its log
+    import openbooks.diagram as diagram_mod
+
+    calls = []
+    compute_h1 = diagram_mod.compute_h1
+
+    def counting(*args):
+        calls.append(1)
+        return compute_h1(*args)
+
+    monkeypatch.setattr(diagram_mod, "compute_h1", counting)
+    for h in (10, 100):
+        del calls[:]
+        d = reduce_family_diagram(h, 3)
+        assert len(calls) == h + 10
+        moves = json.loads(canonical_dumps(d.to_jsonable()))["moves"]
+        del calls[:]
+        replayed = replay(smooth_diagram(presentation_for(h, 3)), moves)
+        assert len(calls) == h + 10
+        assert replayed.same_diagram(d) and replayed.move_log == d.move_log
 
 
 def test_family_move_logs_golden():

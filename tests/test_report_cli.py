@@ -310,6 +310,9 @@ _DEEP = "[" * 100_000 + "]" * 100_000  # json.dumps cannot write this depth
                   "s.json": [{"move": "inverse_slam_dunk", "args": {"vertex": "x", "n": [1]}}]},
                  _REPLAY, id="replay_n_not_an_integer"),
     pytest.param({"d.json": _ONE_UNKNOT, "s.json": 5}, _REPLAY, id="replay_script_not_a_list"),
+    pytest.param({"d.json": _ONE_UNKNOT,
+                  "s.json": [{"move": "blow_up", "args": {"sign": 1, "star": [["x", 1], ["x", 2]]}}]},
+                 _REPLAY, id="replay_star_names_an_id_twice"),
     pytest.param({"d.json": {"vertices": [{"id": ["a"], "framing": "1"}]}, "s.json": []},
                  _REPLAY, id="diagram_vertex_id_not_a_string"),
     pytest.param({"d.json": {"vertices": [{"id": "a", "framing": "1"}, {"id": 5, "framing": "1"}],

@@ -18,12 +18,14 @@ def test_package_has_no_assert_statements():
 
 
 def test_only_the_diagram_module_touches_diagram_internals():
-    # diagram.py owns the edge format, the id index, the adjacency, the
-    # chain walk, the move bookkeeping and the fold messages a tree carries
-    # from move to move; every other module uses its public API
+    # diagram.py owns the edge format, the vertices by id, the adjacency,
+    # the chain walk, the move bookkeeping with a script's working state and
+    # the fold messages a tree carries from move to move; every other module
+    # uses its public API
     package = Path(openbooks.__file__).resolve().parent
-    private = {"_index", "_adjacency", "_chain", "_trusted", "__dict__", "_canonical_edges",
-               "_messages", "_Fold", "_refold", "_move_region"}
+    private = {"_index", "_by_id", "_adjacency", "_chain", "_trusted", "__dict__",
+               "_canonical_edges", "_messages", "_Fold", "_refold", "_move_region", "_row",
+               "_records"}
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "diagram.py":
