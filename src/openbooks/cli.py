@@ -32,12 +32,13 @@ EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
 # Larger inputs are usage errors, so that no argument starts an unbounded
-# computation.  family and d3 family eliminate one (h+k+1)-square matrix,
-# whose pushoff stacks are slid into chains first, about 0.06 s at the
-# limit, and sweep runs one family report per grid cell, about 1 s at its
-# limit (times at the benchmark speed probe's 1 ms reference).  A census
-# of L(p, q) has a chain of fewer than p components and fewer than p
-# entries, and the continued fraction of p/q has at most q coefficients.
+# computation.  family and d3 family eliminate the sparse rows of one
+# (h+k+1)-square matrix, whose pushoff stacks are slid into chains first,
+# about 0.04 s and 0.025 s at the limit, and sweep runs one family report
+# per grid cell, about 0.6 s at its limit (times at the benchmark speed
+# probe's 1 ms reference).  A census of L(p, q) has a chain of fewer than
+# p components and fewer than p entries, and the continued fraction of p/q
+# has at most q coefficients.
 MAX_FAMILY_DIM = 201
 MAX_SWEEP_SIDE = 20
 MAX_CENSUS_P = 1000
@@ -290,8 +291,9 @@ def _cmd_d3_family(args) -> int:
     _check_limit("h + k + 1", args.h + args.k + 1, MAX_FAMILY_DIM)
     verdict = overtwisted_verdict(args.h, args.k)
     payload = verdict.to_jsonable()
-    payload["Q"] = [list(row) for row in verdict.presentation.q]
-    payload["rho"] = list(verdict.presentation.rho)
+    pres = verdict.presentation
+    payload["Q"] = [list(row) for row in pres.q]
+    payload["rho"] = list(pres.rho)
     lines = [
         f"(h, k) = ({args.h}, {args.k}) on {verdict.lens}",
         f"d3 = {fraction_str(verdict.d3_value)}  (sigma = {verdict.sigma}, "

@@ -12,17 +12,16 @@ The normalization makes the empty presentation give d3(S^3, standard) =
 -1/2, and adding a cancelling (+1, -1) pushoff pair never changes the
 value; both facts are pinned by calibration tests rather than trusted.
 Only c^2 depends on the rotation vector, so each Q is eliminated once, by
-linalg.solve, with all of its rotation vectors as right-hand sides: the
-last pivot is det Q, Jacobi's rule on the pivots' signs gives sigma, and
-each rotation vector's bordered corner det [[Q, r], [r^T, 0]] =
--det Q * c^2 (Schur) rides along.  So a verdict is two elimination
-passes: the family Q with its one rotation vector, and the census chain
-with every rotation choice.  The family Q is dense (each of its two
-knots becomes a stack of parallel pushoffs, all linked with each other),
-but a pushoff's row and rotation number agree with its neighbour's off
-their own two columns, so linalg slides each over the next first; the
-stacks become two chains joined at their first members, and the pass
-costs O(h + k) pivot steps, not O((h + k)^3).
+linalg.solve on sparse integer rows with right-hand sides r riding along:
+the last pivot is det Q, Jacobi's rule gives sigma, and each r gets its
+bordered corner det [[Q, r], [r^T, 0]] = -r^T adj(Q) r, so each d3 is one
+exact Fraction(base - corner, 4 det Q).  A verdict is two such passes.
+The family's rows come straight from the expanded diagram's framings and
+linking edges, with rho as the right-hand side; its pushoff stacks are
+dense, but linalg slides each pushoff over its twin first, so the pass
+costs O(h + k) pivot steps.  The census chain carries one right-hand side
+per pair of components that can rotate (framing <= -3), which gives adj(Q)
+on them and so every entry's corner, however many entries there are.
 
 Every tight contact structure on a lens space L(p, q) (p >= 2) arises
 from Legendrian surgery on a chain of stabilized unknots realizing the
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .contact import expand_to_unit_coefficients, presentation_for, smooth_diagram
+from .contact import expand_to_unit_coefficients, presentation_for
 from .lens import LensSpace, family_lens, neg_cf_expand
 from .serialize import fraction_str
 
@@ -76,18 +75,35 @@ class PM1Presentation:
             raise ValueError("q_plus is a count")
 
 
-def from_expanded_diagram(d) -> PM1Presentation:
-    """Build the presentation data from an expanded contact surgery diagram."""
-    for c in d.components:
+def _expanded_rows(d):
+    """The linking matrix of an expanded contact surgery diagram as sparse
+    integer rows, with rho in column n, and q_+.  Framings are tb + the
+    contact coefficient; each linking edge gives both of its entries, so the
+    rows are symmetric as written."""
+    index = {}
+    rows = []
+    q_plus = 0
+    n = len(d.components)
+    for i, c in enumerate(d.components):
         if c.contact_coeff not in (1, -1):
             raise ValueError(
                 f"component {c.id!r} has coefficient {c.contact_coeff}; expand first"
             )
-    smooth = smooth_diagram(d)
-    q = tuple(tuple(row) for row in smooth.linking_matrix())
-    rho = tuple(c.rot for c in d.components)
-    q_plus = sum(1 for c in d.components if c.contact_coeff == 1)
-    return PM1Presentation(q, rho, q_plus)
+        index[c.id] = i
+        q_plus += c.contact_coeff == 1
+        rows.append({j: x for j, x in ((i, c.tb + c.contact_coeff.numerator), (n, c.rot)) if x})
+    for a, b, w in d.linking:
+        i, j = index[a], index[b]
+        rows[i][j] = rows[j][i] = w
+    return rows, q_plus
+
+
+def from_expanded_diagram(d) -> PM1Presentation:
+    """The presentation data of an expanded contact surgery diagram, dense."""
+    rows, q_plus = _expanded_rows(d)
+    n = len(rows)
+    q = tuple(tuple(row.get(j, 0) for j in range(n)) for row in rows)
+    return PM1Presentation(q, tuple(c.rot for c in d.components), q_plus)
 
 
 def family_presentation(h: int, k: int) -> PM1Presentation:
@@ -96,23 +112,32 @@ def family_presentation(h: int, k: int) -> PM1Presentation:
     return from_expanded_diagram(expand_to_unit_coefficients(presentation_for(h, k)))
 
 
-def _d3_terms(matrix, rotations, q_plus):
-    """det Q, sigma(Q), and (d3, c^2) for each rotation vector, from one
-    linalg.solve pass over Q; see d3."""
+def _solve(rows, n, count):
+    """linalg.solve, with the error d3 gives for a singular Q."""
     try:
-        det, sigma, c_squares = linalg.solve(matrix, rotations)
+        return linalg.solve(rows, n, count)
     except linalg.SingularMatrixError:
         raise linalg.SingularMatrixError(
             "d3 needs a rational homology sphere (det Q != 0)"
         ) from None
-    constant = -2 * (1 + len(matrix)) - 3 * sigma  # -2 chi - 3 sigma
+
+
+def _d3_values(det, sigma, n, q_plus, corners, scale=1):
+    """d3 = (c^2 - 2 chi - 3 sigma) / 4 + q_+ for each corner, one Fraction
+    apiece.  The elimination ran on scale * Q and scale * r, so det is
+    det(scale Q), c^2 = -corner / (scale det), and d3 = (base - corner) /
+    (4 scale det); 4 |det Q| d3 = (base - corner) / scale^(n+1) is checked
+    to be an integer."""
+    denominator = 4 * scale * det
+    base = (4 * q_plus - 2 * (1 + n) - 3 * sigma) * scale * det
+    bound = scale ** (n + 1)
     values = []
-    for c_squared in c_squares:
-        value = Fraction(c_squared + constant, 4) + q_plus
-        if (value * 4 * det).denominator != 1:
+    for corner in corners:
+        numerator = base - corner
+        if numerator % bound:
             raise ArithmeticError("d3 denominator exceeded 4|det Q|")
-        values.append((value, c_squared))
-    return det, sigma, values
+        values.append(Fraction(numerator, denominator))
+    return values
 
 
 def d3(pres: PM1Presentation) -> Fraction:
@@ -121,7 +146,10 @@ def d3(pres: PM1Presentation) -> Fraction:
     Requires det Q != 0 (a rational homology sphere).  The reduced
     denominator always divides 4 |det Q|, which is checked.
     """
-    _, _, [(value, _)] = _d3_terms(pres.q, [pres.rho], pres.q_plus)
+    rows, scale = linalg.symmetric_rows(pres.q, [pres.rho])
+    n = len(rows)
+    det, sigma, corners = _solve(rows, n, 1)
+    [value] = _d3_values(det, sigma, n, pres.q_plus, corners, scale)
     return value
 
 
@@ -141,26 +169,44 @@ class TightDescriptor:
         }
 
 
-def _chain_matrix(chain):
-    n = len(chain)
-    return [[chain[i] if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
-
-
 def tight_census(space: LensSpace):
     """All tight contact structures on L(p, q), p >= 2, with their d3 values.
 
     The chain is the negated negative continued fraction expansion of p/q;
     each component admits rotation numbers a_i + 2, a_i + 4, ..., -a_i - 2,
     so the census has prod(|a_i| - 1) entries.  Sorted by rotation vector.
+
+    A rotation vector r is 0 off the support S = {i : a_i <= -3}, so the
+    one elimination carries e_i and, for i < j in S, e_i + e_j: their
+    corners give A = adj(Q) on S by polarization (2 A_ij, checked even),
+    and each entry's corner -r^T A r is an integer sum over S.
     """
     if space.p < 2:
         raise ValueError(f"census needs p >= 2, got {space}")
     chain = tuple(-a for a in neg_cf_expand(Fraction(space.p, space.q)))
-    rotations = sorted(itertools.product(*(range(a + 2, -a - 1, 2) for a in chain)))
-    _, _, values = _d3_terms(_chain_matrix(chain), rotations, 0)
-    return tuple(
-        TightDescriptor(chain, rot, value) for rot, (value, _) in zip(rotations, values)
-    )
+    n = len(chain)
+    support = [i for i, a in enumerate(chain) if a <= -3]
+    pairs = [(i, j) for t, i in enumerate(support) for j in support[t:]]
+    rows = [{i: a} for i, a in enumerate(chain)]
+    for i in range(1, n):
+        rows[i - 1][i] = rows[i][i - 1] = 1
+    for t, (i, j) in enumerate(pairs):
+        rows[i][n + t] = rows[j][n + t] = 1  # e_i when i == j
+    det, sigma, corners = _solve(rows, n, len(pairs))
+    block = {pair: -corner for pair, corner in zip(pairs, corners)}
+    terms = []  # (i, j, the coefficient of r_i r_j in r^T adj(Q) r)
+    for i, j in pairs:
+        coefficient = block[i, j]
+        if i != j:
+            coefficient -= block[i, i] + block[j, j]
+            if coefficient % 2:
+                raise ArithmeticError("adj(Q) polarization is not exact")
+        terms.append((i, j, coefficient))
+    # a product of ascending ranges comes out in sorted order
+    rotations = list(itertools.product(*(range(a + 2, -a - 1, 2) for a in chain)))
+    corners = [-sum([x * r[i] * r[j] for i, j, x in terms]) for r in rotations]
+    values = _d3_values(det, sigma, n, 0, corners)
+    return tuple(TightDescriptor(chain, rot, value) for rot, value in zip(rotations, values))
 
 
 def census_size_formula(space: LensSpace) -> int:
@@ -183,8 +229,14 @@ class Verdict:
     c_squared: Fraction
     q_plus: int
     det: int
-    # the family presentation the values came from; not serialized or compared
-    presentation: PM1Presentation = field(default=None, compare=False, repr=False)
+    # the expanded diagram the values came from; not serialized or compared
+    expanded: object = field(default=None, compare=False, repr=False)
+
+    @property
+    def presentation(self) -> PM1Presentation:
+        """The dense presentation of the expanded diagram, built on each
+        access: the verdict itself never needs Q densely."""
+        return from_expanded_diagram(self.expanded)
 
     @property
     def certified(self) -> bool:
@@ -213,15 +265,18 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
     """
     if h < 1 or k < 1:
         raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
-    return _family_verdict(h, k, family_presentation(h, k), family_lens(h, k))
+    expanded = expand_to_unit_coefficients(presentation_for(h, k))
+    return _family_verdict(h, k, expanded, family_lens(h, k))
 
 
-def _family_verdict(h, k, pres, space) -> Verdict:
-    """overtwisted_verdict from the (h, k) presentation and family_lens(h, k),
-    which report.run_family builds from its own expanded diagram and lens."""
-    det, sigma, [(value, c_squared)] = _d3_terms(pres.q, [pres.rho], pres.q_plus)
-    census = tight_census(space)
-    census_values = tuple(t.d3 for t in census)
+def _family_verdict(h, k, expanded, space) -> Verdict:
+    """overtwisted_verdict from the (h, k) expanded diagram and
+    family_lens(h, k), which report.run_family builds for its own checks."""
+    rows, q_plus = _expanded_rows(expanded)
+    n = len(rows)
+    det, sigma, [corner] = _solve(rows, n, 1)
+    [value] = _d3_values(det, sigma, n, q_plus, [corner])
+    census_values = tuple(t.d3 for t in tight_census(space))
     status = OVERTWISTED_CERTIFIED if value not in census_values else INCONCLUSIVE
     return Verdict(
         status=status,
@@ -231,8 +286,8 @@ def _family_verdict(h, k, pres, space) -> Verdict:
         d3_value=value,
         census_d3=census_values,
         sigma=sigma,
-        c_squared=c_squared,
-        q_plus=pres.q_plus,
-        det=int(det),
-        presentation=pres,
+        c_squared=Fraction(-corner, det),
+        q_plus=q_plus,
+        det=det,
+        expanded=expanded,
     )

@@ -231,14 +231,29 @@ MOVES = {
 
 
 def _well_typed(kind, value) -> bool:
-    if kind is dict:
-        pairs = value.items() if isinstance(value, dict) else value
-        return isinstance(value, (dict, list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 2
-            and _well_typed(str, p[0]) and _well_typed(int, p[1])
-            for p in pairs
-        ) and len({p[0] for p in pairs}) == len(pairs)
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """An int (not a bool) or a str; for dict, a star, checked in one loop."""
+    if kind is not dict:
+        return isinstance(value, kind) and not isinstance(value, bool)
+    if not isinstance(value, (dict, list, tuple)):
+        return False
+    ids = set()
+    for pair in value.items() if isinstance(value, dict) else value:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+                and pair[0] not in ids and isinstance(pair[1], int)
+                and not isinstance(pair[1], bool)):
+            return False
+        ids.add(pair[0])
+    return True
+
+
+# move name -> (required arguments, ((argument, required?, type), ...) over
+# all of its arguments, the move): MOVES merged once for replay's checks
+_SIGNATURES = {
+    name: (tuple(required),
+           tuple((a, a in required, kind) for a, kind in {**required, **optional}.items()),
+           apply)
+    for name, (required, optional, apply) in MOVES.items()
+}
 
 
 def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
@@ -257,16 +272,16 @@ def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
         if not isinstance(step, dict) or not isinstance(step.get("args", {}), dict):
             raise ValueError(f"move script step must be an object with object args: {step!r}")
         name = step.get("move")
-        if not isinstance(name, str) or name not in MOVES:
+        if not isinstance(name, str) or name not in _SIGNATURES:
             raise IllegalMoveError(f"unknown move {name!r}")
-        required, optional, apply = MOVES[name]
+        required, arguments, apply = _SIGNATURES[name]
         args = step.get("args", {})
         missing = [a for a in required if a not in args]
         if missing:
             raise ValueError(f"move {name!r} is missing argument {', '.join(missing)}")
-        for a, kind in {**required, **optional}.items():
+        for a, needed, kind in arguments:
             value = args.get(a)
-            if (a in required or value is not None) and not _well_typed(kind, value):
+            if (needed or value is not None) and not _well_typed(kind, value):
                 raise ValueError(f"move {name!r}: argument {a!r} has the wrong type: {value!r}")
         apply(state, args)
     return state.freeze()

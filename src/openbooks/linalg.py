@@ -8,15 +8,19 @@ one is the determinant and, by Jacobi's rule, their signs give the
 signature.  On a symmetric Q it also carries right-hand sides r: each
 pivot row's entry u_t in r's column updates the corner of Q bordered by r,
 acc <- (d_t acc - u_t^2) / d_(t-1), to det [[Q, r], [r^T, 0]] =
--det Q * r^T Q^-1 r, so solve reads det Q, sigma(Q) and every c^2 off one
-pass.  Before that pass, solve and signature slide each row over its twin
-(a handle slide, e_i -> e_i - e_(i-1), where rows i-1 and i agree off
-columns i-1 and i): det, sigma and every c^2 stay, and the dense stacks of
-parallel contact pushoffs become chains, which the pass eliminates in
-O(n) instead of O(n^3).  The move engine's determinants run tens of
-thousands of times on chain- and tree-shaped matrices; det_forest expands those in O(n) over the
-edges, and hands back the subtree determinants it folded, from which the
-diagram module refolds a tree after a move at the moved vertices only.
+-r^T adj(Q) r.  solve takes Q and its right-hand sides as sparse integer
+rows, as the d3 module writes them from a diagram's edges or a chain, and
+returns det Q, sigma(Q) and those corners, all integers, from one pass;
+a caller holding a dense int or Fraction matrix converts it with
+symmetric_rows first.  Before the pass, solve and signature slide each row
+over its twin (a handle slide, e_i -> e_i - e_(i-1), where rows i-1 and i
+agree off columns i-1 and i): det, sigma and every corner stay, and the
+dense stacks of parallel contact pushoffs become chains, which the pass
+eliminates in O(n) instead of O(n^3).  The move engine's determinants run
+tens of thousands of times on chain- and tree-shaped matrices; det_forest
+expands those in O(n) over the edges, and hands back the subtree
+determinants it folded, from which the diagram module refolds a tree
+after a move at the moved vertices only.
 """
 
 from fractions import Fraction
@@ -267,13 +271,13 @@ def _slide_twins(rows, n):
             rows[i - 1][i] = below[i]
 
 
-def _symmetric_rows(matrix, rhs=()):
-    """_integer_rows of a matrix that must be symmetric (ValueError if not),
-    with each twin row slid over its neighbour (_slide_twins)."""
+def symmetric_rows(matrix, rhs=()):
+    """_integer_rows of a matrix that must be symmetric (ValueError if not):
+    the rows solve takes, for a caller that holds Q and its right-hand sides
+    densely, and the common denominator they were scaled by."""
     rows, scale = _integer_rows(matrix, rhs)
     if list(map(tuple, matrix)) != list(zip(*matrix)):
         raise ValueError("matrix is not symmetric")
-    _slide_twins(rows, len(rows))
     return rows, scale
 
 
@@ -305,32 +309,31 @@ def det(matrix):
 
 def signature(matrix):
     """Signature of a symmetric matrix with int or Fraction entries."""
-    rows, _ = _symmetric_rows(matrix)
+    rows, _ = symmetric_rows(matrix)
+    _slide_twins(rows, len(rows))
     return _jacobi(_pivots(rows, len(rows)))
 
 
-def solve(matrix, rotations):
-    """det Q, sigma(Q) and [r^T Q^-1 r for r in rotations], exact, from one
-    elimination of the symmetric int or Fraction matrix Q.
+def solve(rows, n, count):
+    """det Q, sigma(Q) and the bordered corner det [[Q, r], [r^T, 0]] =
+    -r^T adj(Q) r of each right-hand side r, exact, from one elimination.
 
-    Q and every r are scaled by one common denominator and the r ride along
-    as right-hand sides of _pivots: its last pivot is det Q, Jacobi's rule on
-    its pivots gives sigma, and by Schur's formula
-    det [[Q, r], [r^T, 0]] = -det Q * r^T Q^-1 r, whose corner the pass
-    carries for each r.  Twin rows are slid first (_slide_twins), which
-    changes none of these values.  SingularMatrixError if det Q = 0;
-    ValueError if Q is not symmetric, since the corner recurrence reads u_t
-    for both border entries.  The name is kept from the Fraction solver
-    this replaced, for the benchmark's linalg.solve layer.
+    `rows` are the n dict rows {column: nonzero int} of a symmetric integer
+    Q, with the `count` right-hand sides in columns n, ..., n + count - 1;
+    they are consumed.  Symmetry is the caller's to keep (symmetric_rows
+    checks a dense Q), since the corner recurrence of _pivots reads u_t for
+    both border entries.  Twin rows are slid first (_slide_twins), which
+    changes none of the values; then the last pivot of _pivots is det Q,
+    Jacobi's rule on its pivots gives sigma, and by Schur's formula
+    r^T Q^-1 r = -corner / det Q.  SingularMatrixError if det Q = 0.  The
+    name is kept from the Fraction solver this replaced, for the
+    benchmark's linalg.solve layer.
     """
-    rows, scale = _symmetric_rows(matrix, rotations)
-    n = len(rows)
-    bordered = [0] * len(rotations)
+    _slide_twins(rows, n)
+    bordered = [0] * count
     pivots = []
     for piv in _pivots(rows, n, bordered):
         if not piv:
             raise SingularMatrixError("matrix is singular")
         pivots.append(piv)
-    det_q = pivots[-1] if pivots else 1
-    c_squares = [Fraction(-corner, scale * det_q) for corner in bordered]
-    return Fraction(det_q, scale ** n), _jacobi(pivots), c_squares
+    return (pivots[-1] if pivots else 1), _jacobi(pivots), bordered

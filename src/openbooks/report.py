@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import certcheck
 from .contact import expand_to_unit_coefficients, presentation_for
-from .d3 import _family_verdict, from_expanded_diagram
+from .d3 import _family_verdict
 from .kirby import reduce_family_diagram
 from .lens import chain_to_lens, family_lens, lens_equal
 from .pages import family_word
@@ -107,7 +107,7 @@ def run_family(h: int, k: int) -> FamilyReport:
     chain = tuple(reduced.chain_framings())
     lens_from_chain = chain_to_lens(chain)
     lens_formula = family_lens(h, k)
-    verdict = _family_verdict(h, k, from_expanded_diagram(expanded), lens_formula)
+    verdict = _family_verdict(h, k, expanded, lens_formula)
     cert = prove_right_veering(word)
 
     checks = []

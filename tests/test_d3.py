@@ -15,10 +15,12 @@ from openbooks.d3 import (
     overtwisted_verdict,
     tight_census,
 )
-from openbooks.lens import LensSpace, family_lens, neg_cf_expand
-from openbooks.linalg import SingularMatrixError, signature, solve
+from openbooks.lens import LensSpace, cf_evaluate, family_lens, neg_cf_expand
+from openbooks.linalg import SingularMatrixError, signature
+from openbooks.report import run_family
 
 from oracles import dense_det, dense_solve, jacobi_signature, leading_minors, signature_oracle
+from test_linalg import solve_dense
 
 CANCELLING_PAIR = (((0, -1), (-1, -2)), (0, 0), 1)
 
@@ -58,7 +60,7 @@ def test_family_1_1_exact_data():
     assert pres.q_plus == 2
     q = [list(r) for r in pres.q]
     assert dense_solve(q, pres.rho) == [0, 0, Fraction(1, 2)]
-    assert solve(q, [pres.rho]) == (4, -1, [-1])  # det, sigma, c^2 = rho . x
+    assert solve_dense(q, [pres.rho]) == (4, -1, [-1])  # det, sigma, c^2 = rho . x
     assert signature([list(r) for r in pres.q]) == -1
     assert d3(pres) == Fraction(1, 2)
 
@@ -111,19 +113,54 @@ def test_census_rejects_small_p():
         tight_census(LensSpace(0, 1))
 
 
-def test_census_counts_small():
-    import math
+def _oracle_census_d3(chain):
+    """d3 of every census rotation vector r on the chain, by the dense oracle:
+    c^2 = r . x with Q x = r, where x is the sum of r_j times dense_solve's
+    column for e_j, so one solve per component with a nonzero rotation;
+    sigma = -n, as a chain with every a_i <= -2 is irreducibly diagonally
+    dominant with a negative diagonal, so negative definite; chi = 1 + n."""
+    n = len(chain)
+    q = [list(row) for row in chain_pm1(chain, [0] * n).q]
+    columns = {j: dense_solve(q, [int(i == j) for i in range(n)])
+               for j, a in enumerate(chain) if a <= -3}
 
-    for p in range(2, 41):
-        for q in range(1, p):
-            if math.gcd(p, q) != 1:
-                continue
-            space = LensSpace(p, q)
-            census = tight_census(space)
-            assert len(census) == census_size_formula(space)
-            # one factorization per chain gives what d3 gives per entry
-            for t in census:
-                assert t.d3 == d3(chain_pm1(t.chain, t.rot))
+    def value(rot):
+        x = [sum(r * columns[j][i] for j, r in enumerate(rot) if r) for i in range(n)]
+        c_squared = sum(r * xi for r, xi in zip(rot, x))
+        return Fraction(c_squared - 2 * (1 + n) + 3 * n, 4)
+
+    return value
+
+
+def _random_census_chain(rng):
+    """2-4 components framed -3..-5, so the support holds 2-4 of them and
+    the census polarizes, with -2 components dealt in between and around."""
+    chain = []
+    for _ in range(rng.randint(2, 4)):
+        chain += [-2] * rng.choice((0, 0, 1, 2)) + [-rng.randint(3, 5)]
+    return chain + [-2] * rng.choice((0, 0, 1))
+
+
+def test_census_counts_small():
+    # every L(p, q) with p <= 60, and random chains whose support holds 2-4
+    # components, so the census polarizes e_i + e_j: each entry's d3, from
+    # the adj(Q) block on the support, must equal a whole elimination of its
+    # own rotation vector and the dense oracle
+    rng = random.Random(60061)
+    spaces = []
+    for _ in range(12):
+        chain = _random_census_chain(rng)
+        x = cf_evaluate([-a for a in chain])
+        spaces.append((LensSpace(x.numerator, x.denominator), tuple(chain)))
+    spaces += [(LensSpace(p, q), None) for p in range(2, 61) for q in range(1, p)
+               if math.gcd(p, q) == 1]
+    for space, chain in spaces:
+        census = tight_census(space)
+        assert len(census) == census_size_formula(space)
+        assert chain is None or census[0].chain == chain
+        oracle = _oracle_census_d3(census[0].chain)
+        for t in census:
+            assert t.d3 == d3(chain_pm1(t.chain, t.rot)) == oracle(t.rot)
 
 
 def test_census_rot_ranges_and_parity():
@@ -228,7 +265,7 @@ def test_family_solve_takes_linear_work(monkeypatch):
     for h, k in ((40, 40), (80, 80)):
         pres = family_presentation(h, k)
         calls = _count_linalg_calls(monkeypatch, ("_exact_div",))
-        linalg.solve(pres.q, [pres.rho])
+        solve_dense(pres.q, [pres.rho])
         counts.append(calls["_exact_div"])
         monkeypatch.undo()
     assert 0 < counts[1] <= 3 * counts[0]
@@ -240,7 +277,7 @@ def test_family_solve_matches_dense_oracle_at_20_20():
     x = dense_solve(m, pres.rho)
     c_squared = sum(xi * ri for xi, ri in zip(x, pres.rho))
     # sigma = k - h - 1, and c^2 = -(3hk - h + k + 1) / p with p = 821
-    assert linalg.solve(m, [pres.rho]) == (dense_det(m), -1, [c_squared])
+    assert solve_dense(m, [pres.rho]) == (dense_det(m), -1, [c_squared])
     assert c_squared == Fraction(-1201, 821)
 
 
@@ -265,12 +302,38 @@ def test_census_from_one_pass_matches_per_rotation_d3():
             assert t.d3 == d3(chain_pm1(t.chain, t.rot))
 
 
+def test_census_work_does_not_grow_with_the_census_size(monkeypatch):
+    # the elimination carries one right-hand side per support pair, not one
+    # per rotation vector, so its exact divisions do not see the entry count
+    def divisions(space):
+        calls = _count_linalg_calls(monkeypatch, ("_exact_div",))
+        census = tight_census(space)
+        monkeypatch.undo()
+        return calls["_exact_div"], len(census)
+
+    assert divisions(LensSpace(997, 1)) == (divisions(LensSpace(60, 1))[0], 996)
+    big, small = divisions(family_lens(2, 200)), divisions(family_lens(2, 100))
+    assert big == (small[0], 200) and small[1] == 100
+
+
+def test_d3_denominator_check_holds_for_rational_input():
+    # Q = [[1/2]], r = (1): c^2 = 2 and d3 = -5/4, but 4|det Q| = 2
+    with pytest.raises(ArithmeticError, match="denominator"):
+        d3(PM1Presentation(((Fraction(1, 2),),), (1,), 0))
+    # Q = [[1/2]], r = (1/2): d3 = (1/2 - 4 - 3)/4 = -13/8 and 2 * d3 is not whole
+    with pytest.raises(ArithmeticError, match="denominator"):
+        d3(PM1Presentation(((Fraction(1, 2),),), (Fraction(1, 2),), 0))
+
+
 def test_verdict_consistency_and_lens_match():
-    for h in range(1, 7):
-        for k in range(1, 7):
-            v = overtwisted_verdict(h, k)
+    # run_family and overtwisted_verdict eliminate rows written from the
+    # expanded diagram's edges; the dense Q of family_presentation, through
+    # linalg's dense entry points and the oracles, must give the same terms
+    for h in range(1, 13):
+        for k in range(1, 13):
+            v = run_family(h, k).verdict
+            assert v == overtwisted_verdict(h, k)
             assert v.lens == family_lens(h, k)
-            # the terms the verdict reads, computed directly
             pres = family_presentation(h, k)
             m = [list(r) for r in pres.q]
             x = dense_solve(m, pres.rho)

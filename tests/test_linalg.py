@@ -10,6 +10,7 @@ from openbooks.linalg import (
     det_sparse_rows,
     signature,
     solve,
+    symmetric_rows,
 )
 
 from diagram_gen import random_chain, random_cyclic, random_forest
@@ -29,6 +30,15 @@ def _forest_input(m):
     n = len(m)
     edges = [(i, j, m[i][j] * m[j][i]) for i in range(n) for j in range(i + 1, n) if m[i][j]]
     return [m[i][i] for i in range(n)], edges
+
+
+def solve_dense(m, rhs):
+    """solve on a dense int or Fraction system, as a caller holding Q densely
+    runs it: det Q, sigma(Q) and r^T Q^-1 r for each r in rhs, exact."""
+    rows, scale = symmetric_rows(m, rhs)
+    n = len(rows)
+    det_q, sigma, corners = solve(rows, n, len(rhs))
+    return Fraction(det_q, scale ** n), sigma, [Fraction(-c, scale * det_q) for c in corners]
 
 
 def _sparse_rows(m):
@@ -117,7 +127,7 @@ def test_inexact_entries_are_rejected():
     with pytest.raises(TypeError):
         signature([[-0.5]])
     with pytest.raises(TypeError):
-        solve([[2]], [[0.5]])
+        solve_dense([[2]], [[0.5]])
 
 
 def test_signature_rejects_asymmetric_input():
@@ -161,18 +171,18 @@ def test_solve_roundtrip_on_random_systems():
     for m, b in systems:
         if any(m[i][j] != m[j][i] for i in range(len(m)) for j in range(i)):
             with pytest.raises(ValueError, match="not symmetric"):
-                solve(m, [b])
+                solve_dense(m, [b])
         else:
-            assert solve(m, [b])[2] == [_quadratic_form(m, b)]
+            assert solve_dense(m, [b])[2] == [_quadratic_form(m, b)]
 
 
 def test_solve_raises_on_singular():
     m = [[1, 2], [2, 4]]
     assert dense_solve(m, [1, 1]) is None
     with pytest.raises(SingularMatrixError):
-        solve(m, [[1, 1]])
+        solve_dense(m, [[1, 1]])
     with pytest.raises(ValueError):
-        solve([[1]], [[1, 2]])
+        solve_dense([[1]], [[1, 2]])
 
 
 def _random_symmetric(rng, n, zero_diagonal, rational):
@@ -216,17 +226,17 @@ def test_one_pass_matches_oracles_with_several_right_hand_sides():
         d = dense_det(m)
         if d == 0:
             with pytest.raises(SingularMatrixError):
-                solve(m, [[1] * n])
+                solve_dense(m, [[1] * n])
             continue
         kinds[kind] += 1
         rhs = [[rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
                for _ in range(rng.randint(1, 6))]
         if kind[1]:
             rhs = [[Fraction(x, rng.randint(1, 3)) for x in r] for r in rhs]
-        assert solve(m, rhs) == (d, _oracle_signature(m, rng), [_quadratic_form(m, r) for r in rhs])
+        assert solve_dense(m, rhs) == (d, _oracle_signature(m, rng), [_quadratic_form(m, r) for r in rhs])
     e0 = [1, 0, 0, 0]
     for m, b in _BORDER_CONGRUENCE:
-        assert solve(m, [b, e0]) == (
+        assert solve_dense(m, [b, e0]) == (
             dense_det(m), _oracle_signature(m, rng), [_quadratic_form(m, b), _quadratic_form(m, e0)]
         )
 
@@ -325,7 +335,7 @@ def test_twin_slide_matches_oracles_on_planted_twins():
         if d == 0:
             seen["singular"] += 1
             with pytest.raises(SingularMatrixError):
-                solve(m, rhs)
+                solve_dense(m, rhs)
         else:
-            assert solve(m, rhs) == (d, sigma, [_quadratic_form(m, r) for r in rhs])
+            assert solve_dense(m, rhs) == (d, sigma, [_quadratic_form(m, r) for r in rhs])
     assert min(seen.values()) >= 20, seen
