@@ -266,12 +266,7 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
     if h < 1 or k < 1:
         raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
     expanded = expand_to_unit_coefficients(presentation_for(h, k))
-    return _family_verdict(h, k, expanded, family_lens(h, k))
-
-
-def _family_verdict(h, k, expanded, space) -> Verdict:
-    """overtwisted_verdict from the (h, k) expanded diagram and
-    family_lens(h, k), which report.run_family builds for its own checks."""
+    space = family_lens(h, k)
     rows, q_plus = _expanded_rows(expanded)
     n = len(rows)
     det, sigma, [corner] = _solve(rows, n, 1)

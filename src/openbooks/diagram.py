@@ -5,15 +5,17 @@ rational framings, together with symmetric integer edge weights recording
 pairwise linking numbers.  The presentation matrix of the first homology
 of the surgered manifold has M_ii = p_i and M_ij = q_i * lk_ij, where the
 framing of component i is p_i/q_i in lowest terms; the order of H_1 is
-|det M|, with 0 reported as INFINITE.  A forest's determinant (every chain
-and tree the family reduction passes through) is expanded over its edges
-in O(n) (linalg.det_forest); any other graph goes through linalg's sparse
-fraction-free Bareiss elimination (linalg.det_sparse_rows).  Both give the
-determinant of the full matrix, so no move check is ever partial.
+|det M|, with 0 reported as INFINITE.  compute_h1 folds a forest's
+determinant (every chain and tree the family reduction passes through)
+over its edges in O(n), children before parents (_Fold); any other graph
+goes through linalg's sparse fraction-free Bareiss elimination
+(linalg.det_sparse_rows).  Both give the determinant of the full matrix,
+so no move check is ever partial.
 
 This module alone knows how a diagram stores its graph: the canonical
 edge rule (check_edges, shared with the contact surgery diagrams), the
-vertices by id, and one adjacency map {id: {neighbour: weight}}.
+vertices by id, and one adjacency map {id: {neighbour: weight}}, which
+compute_h1 reads as they are.
 
 Diagrams are immutable values.  A Kirby move is a congruence of the
 linking form plus at most one +-1 or leaf block; the kirby module holds
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .linalg import det_forest, det_sparse_rows
+from .linalg import det_sparse_rows
 from .serialize import fraction_str, parse_fraction
 
 
@@ -169,7 +171,7 @@ class FramedLinkDiagram(_Reads):
     def h1(self):
         """Order of H_1 of the surgered manifold; INFINITE when b_1 > 0."""
         fold = _Fold()
-        order = compute_h1(self.vertices, self.edges, fold)
+        order = compute_h1(self._by_id, self._adjacency, fold)
         self.__dict__["_messages"] = fold.messages
         return order
 
@@ -348,12 +350,9 @@ class ScriptState(_Reads):
         if parent is not None:
             for v in chain(parent, (drop,)):
                 messages.pop(v, None)
-            after = compute_h1(by_id, None, _Fold(messages, parent, adj))
-        else:
-            fold = _Fold()
-            edges = [(i, j, w) for i, row in adj.items() for j, w in row.items() if i < j]
-            after = compute_h1(by_id.values(), edges, fold)
-            self._messages = fold.messages
+        fold = _Fold(messages, parent)
+        after = compute_h1(by_id, adj, fold)
+        self._messages = fold.messages
         if after != before:
             raise InvariantViolationError(
                 f"move {move} with args {dict(args)} changed |H_1|: {before!r} -> {after!r}"
@@ -401,54 +400,76 @@ def _move_region(touched, centre, drop, append, adjacency):
     root = centre if append is None else append.id
     if root == drop:
         root = next(iter(region))
-    parent = {root: None}
-    order = [root]
-    for v in order:
-        for u in adjacency[v]:
-            if u in region and u != parent[v]:
-                if u in parent:
-                    return None
-                parent[u] = v
-                order.append(u)
-    return parent if len(parent) == len(region) else None
+    parent = _bfs_parents((root,), region, adjacency)
+    return parent if parent is not None and len(parent) == len(region) else None
+
+
+def _bfs_parents(roots, within, adjacency):
+    """{vertex: its parent, None at a root} in breadth-first order over the
+    vertices of `within` that `adjacency` reaches from `roots`, a root
+    already reached starting no tree of its own; None when they span a
+    cycle."""
+    parent = {}
+    for root in roots:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for v in order:
+            for u in adjacency[v]:
+                if u in within and u != parent[v]:
+                    if u in parent:
+                        return None
+                    parent[u] = v
+                    order.append(u)
+    return parent
 
 
 class _Fold:
-    """compute_h1's in-out argument: the messages of a tree's determinant
+    """compute_h1's in-out argument: the messages of a forest's determinant
     fold, and the move region to refold from them.
 
+    Rooting each tree and working children before parents, with D_c the
+    determinant of the subtree at c and E_c the same with c deleted (the
+    product of D over c's children), the determinant of the subtree at v is
+
+        D_v = a_vv * prod D_c - sum_c t_vc * E_c * prod_{c' != c} D_c'
+
+    where t_vc = M_vc * M_cv: on a forest every permutation with a nonzero
+    Leibniz term is a product of transpositions along edges.  fold_at
+    applies it at one vertex over {id: Vertex} and the adjacency.
+
     messages[v] = (u, D, E) for every vertex v but the root of the fold: u
-    is v's neighbour toward the root, D the determinant of the subtree on
-    v's side of the edge vu and E the same with v deleted; None off a tree.
-    A ScriptState move sets region, {vertex: parent} in breadth-first order
-    from the new root over the vertices whose messages it removed, with
-    the post-move adjacency.  fold_at and reroot, which call each other,
-    are methods, not nested closures: those would form a reference cycle
-    per move, holding the replaced vertices until the cycle collector ran.
+    is v's neighbour toward the root, D = D_v and E = E_v on v's side of
+    the edge vu; None off a tree.  A ScriptState move sets region,
+    {vertex: parent} in breadth-first order from the new root over the
+    vertices whose messages it removed, with the post-move adjacency.
+    fold_at and reroot, which call each other, are methods, not nested
+    closures: those would form a reference cycle per move, holding the
+    replaced vertices until the cycle collector ran.
     """
 
-    __slots__ = ("messages", "region", "adjacency")
+    __slots__ = ("messages", "region")
 
-    def __init__(self, messages=None, region=None, adjacency=None):
+    def __init__(self, messages=None, region=None):
         self.messages = messages
         self.region = region
-        self.adjacency = adjacency
 
-    def fold_at(self, vertices, v, skip):
+    def fold_at(self, vertices, adjacency, v, skip):
         """(D, E) of v folded over the messages of its neighbours but skip."""
         messages = self.messages
         a, q = vertices[v].framing.as_integer_ratio()
         b = 1
-        for u, w in self.adjacency[v].items():
+        for u, w in adjacency[v].items():
             if u != skip:
                 m = messages.get(u)
                 if m is None or m[0] != v:
-                    m = self.reroot(vertices, u, v)
+                    m = self.reroot(vertices, adjacency, u, v)
                 t = w * w * q * vertices[u].framing.denominator
                 a, b = a * m[1] - t * b * m[2], b * m[1]
         return a, b
 
-    def reroot(self, vertices, u, v):
+    def reroot(self, vertices, adjacency, u, v):
         """The message u -> v, folding back the path from u to the old root."""
         messages = self.messages
         path = [(u, v)]
@@ -459,56 +480,50 @@ class _Fold:
             path.append((m[0], path[-1][0]))
             m = messages.get(m[0])
         for x, y in reversed(path):
-            messages[x] = (y, *self.fold_at(vertices, x, y))
+            messages[x] = (y, *self.fold_at(vertices, adjacency, x, y))
         return messages[u]
 
 
-def compute_h1(vertices, edges, fold=None):
-    """H_1 order from raw vertex/edge data: |det| of the presentation matrix.
+def compute_h1(vertices, adjacency, fold):
+    """|H_1| of the diagram with vertices {id: Vertex} and `adjacency`
+    {id: {neighbour: weight}}: |det| of the presentation matrix.
 
-    A _Fold `fold` carries a tree's fold messages in and out: with a move
-    region set, `vertices` is {id: Vertex} and the determinant is refolded
-    at the region from the carried messages; otherwise the whole matrix is folded (a
-    forest) or eliminated, and a tree's messages are left in `fold`.
+    With a move region set on the _Fold `fold`, the determinant is refolded
+    at the region from the messages it carries.  Otherwise those are
+    dropped and a forest is folded whole, children before parents from the
+    first vertex of each tree, with its determinant the product of the
+    roots' D, and a single tree leaves its messages in `fold`; a graph with
+    a cycle is eliminated.
     """
-    if fold is not None and fold.region is not None:
-        # children before their parents; _Fold.reroot refolds the messages
-        # on the path from the region to the old root, which point away
-        parent, messages = fold.region, fold.messages
-        for v in reversed(parent):
-            if parent[v] is None:
-                d = fold.fold_at(vertices, v, None)[0]
-                return INFINITE if d == 0 else abs(d)
-            messages[v] = (parent[v], *fold.fold_at(vertices, v, parent[v]))
-    n = len(vertices)
-    if n == 0:
-        return 1
-    idx = {}
-    ps = []
-    qs = []
-    for i, v in enumerate(vertices):
-        idx[v.id] = i
-        p, q = v.framing.as_integer_ratio()
-        ps.append(p)
-        qs.append(q)
-    # an edge contributes the product of its two entries, q_a w * q_b w
-    if qs.count(1) == n:  # integer framings
-        products = [(idx[a], idx[b], w * w) for a, b, w in edges]
-    else:
-        products = [(idx[a], idx[b], qs[idx[a]] * qs[idx[b]] * w * w) for a, b, w in edges]
-    folded = None if fold is None else [None] * n
-    d = det_forest(ps, products, folded)
-    if d is None:
-        rows = [{i: p} if p else {} for i, p in enumerate(ps)]
-        for a, b, w in edges:
-            ia, ib = idx[a], idx[b]
-            rows[ia][ib] = qs[ia] * w
-            rows[ib][ia] = qs[ib] * w
-        d = det_sparse_rows(rows, n)
-    elif fold is not None and folded.count(None) == 1:  # one tree
-        ids = list(idx)  # det_forest's messages key and point by position
-        fold.messages = {ids[v]: (ids[m[0]], m[1], m[2])
-                         for v, m in enumerate(folded) if m is not None}
+    parent = fold.region
+    if parent is None:
+        parent = _bfs_parents(vertices, vertices, adjacency)
+        if parent is None:
+            fold.messages = None
+            idx = {vid: i for i, vid in enumerate(vertices)}
+            rows = []
+            for vid, v in vertices.items():
+                p, q = v.framing.as_integer_ratio()
+                row = {idx[u]: q * w for u, w in adjacency[vid].items()}
+                if p:
+                    row[idx[vid]] = p
+                rows.append(row)
+            d = det_sparse_rows(rows, len(rows))
+            return INFINITE if d == 0 else abs(d)
+        fold.messages = {}
+    # children before their parents; _Fold.reroot refolds the messages
+    # on the path from a move region to the old root, which point away
+    messages = fold.messages
+    d = 1
+    roots = 0
+    for v in reversed(parent):
+        if parent[v] is None:
+            d *= fold.fold_at(vertices, adjacency, v, None)[0]
+            roots += 1
+        else:
+            messages[v] = (parent[v], *fold.fold_at(vertices, adjacency, v, parent[v]))
+    if roots != 1:  # the messages of a forest or the empty diagram are not kept
+        fold.messages = None
     return INFINITE if d == 0 else abs(d)
 
 

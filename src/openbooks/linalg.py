@@ -16,11 +16,9 @@ symmetric_rows first.  Before the pass, solve and signature slide each row
 over its twin (a handle slide, e_i -> e_i - e_(i-1), where rows i-1 and i
 agree off columns i-1 and i): det, sigma and every corner stay, and the
 dense stacks of parallel contact pushoffs become chains, which the pass
-eliminates in O(n) instead of O(n^3).  The move engine's determinants run
-tens of thousands of times on chain- and tree-shaped matrices; det_forest
-expands those in O(n) over the edges, and hands back the subtree
-determinants it folded, from which the diagram module refolds a tree
-after a move at the moved vertices only.
+eliminates in O(n) instead of O(n^3).  The move engine's determinants on
+chain- and tree-shaped matrices are folded over the tree in the diagram
+module; only a graph with a cycle comes here, through det_sparse_rows.
 """
 
 from fractions import Fraction
@@ -31,76 +29,6 @@ from operator import itemgetter
 
 class SingularMatrixError(ValueError):
     """Raised when solve meets a singular matrix."""
-
-
-def det_forest(diag, edges, messages=None):
-    """Determinant of an integer matrix whose off-diagonal pattern is a forest.
-
-    The matrix has diagonal `diag` and, for each (i, j, t) in `edges`, a
-    pair of nonzero entries a_ij, a_ji with t = a_ij * a_ji; every other
-    entry is 0.  Returns None when the edges do not form a forest on the
-    n = len(diag) vertices (a cycle, a repeated pair or a self-loop), so
-    the caller can eliminate instead.
-
-    On a forest every permutation with a nonzero Leibniz term is a product
-    of transpositions along edges, so the determinant is a sum over
-    matchings.  Rooting each tree and working bottom-up, with D_c the
-    determinant of the subtree at c and E_c = prod of D over c's children,
-
-        D_v = a_vv * prod D_c - sum_c t_vc * E_c * prod_{c' != c} D_c'
-
-    which costs O(n) exact integer operations on subtree determinants.
-    Leaves are folded into their neighbors one at a time, so each tree is
-    rooted wherever its last vertex happens to be.
-
-    A list `messages` of n entries receives the fold's directed messages:
-    messages[v] = (u, D, E) when v is folded into its neighbour u, D being
-    the determinant of the subtree on v's side of the edge vu and E the same
-    with v deleted.  The last vertex of each tree keeps its entry.
-    """
-    n = len(diag)
-    if edges and len(edges) >= n:  # more edges than any forest on n vertices
-        return None
-    # Peel leaves.  A vertex keeps the XOR of its remaining neighbors and
-    # the sum of their t, so once it is a leaf these name its one neighbor
-    # and that edge's t.
-    deg = [0] * n
-    nbr = [0] * n
-    tsum = [0] * n
-    for i, j, t in edges:
-        deg[i] += 1
-        deg[j] += 1
-        nbr[i] ^= j
-        nbr[j] ^= i
-        tsum[i] += t
-        tsum[j] += t
-    # a[v]: det of the part of the tree folded into v so far;
-    # b[v]: the same with v deleted, i.e. the product of the folded D
-    a = list(diag)
-    b = [1] * n
-    leaves = [v for v in range(n) if deg[v] < 2]
-    peeled = 0
-    result = 1
-    while leaves:
-        v = leaves.pop()
-        peeled += 1
-        if not deg[v]:  # the last vertex of its tree
-            result *= a[v]
-            continue
-        u = nbr[v]
-        t = tsum[v]
-        av = a[v]
-        if messages is not None:
-            messages[v] = (u, av, b[v])
-        a[u] = a[u] * av - t * b[u] * b[v]
-        b[u] *= av
-        nbr[u] ^= v
-        tsum[u] -= t
-        deg[u] -= 1
-        if deg[u] == 1:
-            leaves.append(u)
-    # vertices on a cycle never become leaves
-    return result if peeled == n else None
 
 
 def _exact_div(x, d):

@@ -11,10 +11,10 @@ a failed check raises InternalCheckError naming every failed check.
 from dataclasses import dataclass
 
 from . import certcheck
-from .contact import expand_to_unit_coefficients, presentation_for
-from .d3 import _family_verdict
+from .contact import presentation_for
+from .d3 import overtwisted_verdict
 from .kirby import reduce_family_diagram
-from .lens import chain_to_lens, family_lens, lens_equal
+from .lens import chain_to_lens, lens_equal
 from .pages import family_word
 from .serialize import fraction_str
 from .veering import (
@@ -102,12 +102,11 @@ def run_family(h: int, k: int) -> FamilyReport:
     order = (h + 1) * (2 * k - 1) + 2
     word = family_word(h, k)
     contact = presentation_for(h, k)
-    expanded = expand_to_unit_coefficients(contact)
     reduced = reduce_family_diagram(h, k)
     chain = tuple(reduced.chain_framings())
     lens_from_chain = chain_to_lens(chain)
-    lens_formula = family_lens(h, k)
-    verdict = _family_verdict(h, k, expanded, lens_formula)
+    verdict = overtwisted_verdict(h, k)
+    expanded, lens_formula = verdict.expanded, verdict.lens
     cert = prove_right_veering(word)
 
     checks = []

@@ -20,7 +20,7 @@ all run.
 from fractions import Fraction
 
 from openbooks import kirby
-from openbooks.diagram import FramedLinkDiagram, compute_h1
+from openbooks.diagram import FramedLinkDiagram
 from openbooks.linalg import det, signature
 
 from oracles import h1_oracle
@@ -293,7 +293,7 @@ def _undo_step(before, rec):
 
 def exercise_long_script(d, rng, steps, whole_matrix):
     """Run `steps` random steps from d, undoing each cycle a step closes
-    on a forest by the next step.  Both sides of every MoveRecord must equal compute_h1 of a
+    on a forest by the next step.  Both sides of every MoveRecord must equal |H1| of a
     diagram rebuilt from the step's vertices and edges (so it carries no
     fold messages), and h1_oracle up to 12 vertices; each moved diagram's
     vertex lookup and neighbour lists must equal the rebuilt one's; the
@@ -305,7 +305,7 @@ def exercise_long_script(d, rng, steps, whole_matrix):
     script = []
     trail = []
     before = None
-    expected = compute_h1(d.vertices, d.edges)
+    expected = FramedLinkDiagram(d.vertices, d.edges).h1
     for _ in range(steps):
         if before is not None and trail[-1][0] and not trail[-1][1]:
             step = _undo_step(before, d.move_log[-1])
@@ -320,7 +320,7 @@ def exercise_long_script(d, rng, steps, whole_matrix):
         rec = after.move_log[-1]
         fresh = FramedLinkDiagram(after.vertices, after.edges)
         assert rec.h1_before == expected
-        expected = compute_h1(fresh.vertices, fresh.edges)
+        expected = fresh.h1
         assert rec.h1_after == expected
         if len(after.vertices) <= 12:
             assert rec.h1_after == h1_oracle(after)

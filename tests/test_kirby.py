@@ -485,13 +485,55 @@ def test_h1_eliminates_only_graphs_with_a_cycle(monkeypatch):
     rng = random.Random(1619)
     for _ in range(100):
         d = random_forest(rng)
-        assert diagram_mod.compute_h1(d.vertices, d.edges) == h1_oracle(d)
+        assert d.h1 == h1_oracle(d)
     assert calls == []
-    for _ in range(100):
-        d = random_cyclic(rng)
+    # a cycle beside an isolated vertex: fewer edges than vertices
+    beside = FramedLinkDiagram.build([("a", 1), ("b", 1), ("c", 1), ("d", 1)],
+                                     {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1})
+    for d in [*(random_cyclic(rng) for _ in range(100)), beside]:
         assert not is_forest(d)
-        assert diagram_mod.compute_h1(d.vertices, d.edges) == h1_oracle(d)
-    assert len(calls) == 100
+        assert d.h1 == h1_oracle(d)
+    assert len(calls) == 101
+
+
+def test_h1_of_the_empty_and_one_vertex_diagrams():
+    empty = FramedLinkDiagram()
+    assert empty.h1 == 1 and empty._messages is None
+    for framing, order in ((5, 5), (-3, 3), (0, INFINITE), (Fraction(-7, 2), 7)):
+        d = FramedLinkDiagram.build([("x", framing)], {})
+        assert d.h1 == order == h1_oracle(d)
+        assert d._messages == {}  # one tree, its root carries no message
+        up = blow_up(d, 1, {"x": 1})  # refolded from those messages
+        assert up.move_log[-1].h1_after == order == h1_oracle(up)
+
+
+def test_a_forest_carries_no_fold_messages_and_a_move_joining_its_trees_is_folded_whole():
+    # c - a and a lone b: sliding a over the 2-framed b links a to b twice,
+    # which joins the trees into the path c - a - b
+    d = FramedLinkDiagram.build([("a", 3), ("b", 2), ("c", -2)], {("a", "c"): 1})
+    assert d.h1 == h1_oracle(d) and d._messages is None
+    joined = handle_slide(d, "a", "b", 1)
+    assert is_forest(joined) and len(joined.edges) == 2
+    assert joined.move_log[-1].h1_after == h1_oracle(joined) == d.h1
+    assert joined._messages is not None
+    # the joined tree's messages refold the next move
+    up = blow_up(joined, -1, {"c": 1})
+    assert up.move_log[-1].h1_after == h1_oracle(up) == d.h1
+
+
+def test_a_long_chain_is_folded_and_refolded_without_recursion():
+    # listed in reverse, the chain is folded from its root c19999, and the
+    # blow-up at the other end, c00000, reroots all 20,000 messages;
+    # recursion that deep would overflow the interpreter's stack
+    h, k = 19_998, 3
+    p = (h + 1) * (2 * k - 1) + 2
+    ids = [f"c{i:05}" for i in range(h + 2)]
+    d = FramedLinkDiagram.build(list(zip(ids, [-2, -(k + 1)] + [-2] * h))[::-1],
+                                {(a, b): 1 for a, b in zip(ids, ids[1:])})
+    assert d.vertices[0].id == ids[-1]
+    assert d.h1 == p
+    up = blow_up(d, -1, {ids[0]: 1})
+    assert up.move_log[-1].h1_before == up.move_log[-1].h1_after == p
 
 
 def test_random_move_scripts_record_oracle_h1():
@@ -506,17 +548,19 @@ def test_random_move_scripts_record_oracle_h1():
 
 
 def _count_whole_matrix_determinants(monkeypatch):
-    """Count the whole-matrix determinants compute_h1 takes from now on."""
+    """Count the whole-matrix determinants from now on: the compute_h1
+    calls with no move region, folded or eliminated."""
     import openbooks.diagram as diagram_mod
 
     calls = []
-    for name in ("det_forest", "det_sparse_rows"):
-        def counting(*args, _whole=getattr(diagram_mod, name)):
-            calls.append(1)
-            return _whole(*args)
+    compute_h1 = diagram_mod.compute_h1
 
-        monkeypatch.setattr(diagram_mod, name, counting)
-    return lambda: len(calls)
+    def counting(vertices, adjacency, fold):
+        calls.append(fold.region is None)
+        return compute_h1(vertices, adjacency, fold)
+
+    monkeypatch.setattr(diagram_mod, "compute_h1", counting)
+    return lambda: sum(calls)
 
 
 def test_long_scripts_on_large_trees_record_full_matrix_h1(monkeypatch):
@@ -560,9 +604,9 @@ def test_moves_outside_one_closed_star_or_splitting_the_tree_are_not_refolded():
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_family_reduction_takes_as_many_whole_matrix_determinants_for_any_h(monkeypatch, k):
     # the chain loop's blow-ups and the last blow-down refold at the moved
-    # vertices; only the start diagram and the nine moves before the loop
-    # (six-vertex diagrams, some with a cycle) take a whole-matrix
-    # determinant, whatever h
+    # vertices; only the start diagram, the four moves before the loop that
+    # leave a cycle and the handle slide back to a tree (diagrams of at most
+    # six vertices) take a whole-matrix determinant, whatever h
     count = _count_whole_matrix_determinants(monkeypatch)
     counts = []
     for h in (10, 100):
@@ -570,7 +614,7 @@ def test_family_reduction_takes_as_many_whole_matrix_determinants_for_any_h(monk
         d = reduce_family_diagram(h, k)
         counts.append(count() - start)
         assert len(d.move_log) == h + 9
-    assert counts[0] == counts[1] == 10
+    assert counts[0] == counts[1] == 6
 
 
 def test_family_reduction_and_its_replay_check_h1_once_per_move_and_at_the_start(monkeypatch):

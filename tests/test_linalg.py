@@ -6,14 +6,15 @@ import pytest
 from openbooks.linalg import (
     SingularMatrixError,
     det,
-    det_forest,
     det_sparse_rows,
     signature,
     solve,
     symmetric_rows,
 )
 
-from diagram_gen import random_chain, random_cyclic, random_forest
+from openbooks.diagram import INFINITE, FramedLinkDiagram
+
+from diagram_gen import random_chain, random_forest
 from oracles import (
     dense_det,
     dense_solve,
@@ -23,13 +24,6 @@ from oracles import (
     presentation_matrix,
     signature_oracle,
 )
-
-
-def _forest_input(m):
-    """det_forest's arguments for a matrix with a symmetric nonzero pattern."""
-    n = len(m)
-    edges = [(i, j, m[i][j] * m[j][i]) for i in range(n) for j in range(i + 1, n) if m[i][j]]
-    return [m[i][i] for i in range(n)], edges
 
 
 def solve_dense(m, rhs):
@@ -241,43 +235,38 @@ def test_one_pass_matches_oracles_with_several_right_hand_sides():
         )
 
 
-def test_det_forest_matches_elimination_and_dense_oracle():
+def _order(det_m):
+    return INFINITE if det_m == 0 else abs(det_m)
+
+
+def test_tree_fold_matches_elimination_and_dense_oracle():
+    # a forest's |H1| comes from the diagram module's tree fold, never from
+    # elimination; both must give the same determinant
     rng = random.Random(20244)
     zero = several_trees = 0
     for _ in range(600):
         d = random_forest(rng)
         m = presentation_matrix(d)
-        value = det_forest(*_forest_input(m))
-        assert value == det_sparse_rows(_sparse_rows(m), len(m)) == dense_det(m)
-        zero += value == 0
+        value = d.h1
+        assert value == _order(det_sparse_rows(_sparse_rows(m), len(m))) == _order(dense_det(m))
+        zero += value is INFINITE
         several_trees += len(d.edges) < len(d.vertices) - 1
     assert zero >= 30 and several_trees >= 200
 
 
-def test_det_forest_on_long_chains():
+def test_tree_fold_on_long_chains():
     rng = random.Random(20245)
     for n in (1, 2, 3, 50, 199, 400):
-        m = presentation_matrix(random_chain(rng, n))
-        value = det_forest(*_forest_input(m))
-        assert value == det_sparse_rows(_sparse_rows(m), n) == dense_det(m)
+        d = random_chain(rng, n)
+        m = presentation_matrix(d)
+        value = d.h1
+        assert value == _order(det_sparse_rows(_sparse_rows(m), n)) == _order(dense_det(m))
     # the family's chain [-2, -(k+1), -2 x h] has determinant +-p
     h, k = 399, 3
-    framings = [-2, -(k + 1)] + [-2] * h
-    edges = [(i, i + 1, 1) for i in range(len(framings) - 1)]
-    assert abs(det_forest(framings, edges)) == (h + 1) * (2 * k - 1) + 2
-
-
-def test_det_forest_declines_graphs_with_a_cycle():
-    rng = random.Random(20246)
-    for _ in range(200):
-        m = presentation_matrix(random_cyclic(rng))
-        assert det_forest(*_forest_input(m)) is None
-    # a cycle beside an isolated vertex: fewer edges than vertices
-    assert det_forest([1, 1, 1, 1], [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) is None
-    # a repeated pair and a self-loop are not forests either
-    assert det_forest([1, 1, 1], [(0, 1, 1), (0, 1, 1)]) is None
-    assert det_forest([1, 1], [(0, 0, 1)]) is None
-    assert det_forest([], []) == 1
+    ids = [f"c{i:03}" for i in range(h + 2)]
+    d = FramedLinkDiagram.build(zip(ids, [-2, -(k + 1)] + [-2] * h),
+                                {(a, b): 1 for a, b in zip(ids, ids[1:])})
+    assert d.h1 == (h + 1) * (2 * k - 1) + 2
 
 
 def _has_twin_rows(m, rhs):

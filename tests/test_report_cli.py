@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -14,6 +15,9 @@ from openbooks.d3 import OVERTWISTED_CERTIFIED
 from openbooks.lens import LensSpace
 from openbooks.report import InternalCheckError, run_family, run_sweep
 from openbooks.serialize import canonical_dumps, canonical_line
+
+# the package re-exports the function d3 under the submodule's name
+d3_module = importlib.import_module("openbooks.d3")
 
 
 def test_run_family_1_1():
@@ -122,12 +126,7 @@ def test_cli_usage_exit_codes(capsys):
 
 
 def test_cli_internal_check_failure_exits_3(monkeypatch, capsys):
-    import openbooks.report as report_mod
-
-    monkeypatch.setattr(
-        report_mod, "family_lens", lambda h, k: LensSpace(
-            7, 1)
-    )
+    monkeypatch.setattr(d3_module, "family_lens", lambda h, k: LensSpace(7, 1))
     assert main(["family", "--h", "1", "--k", "1"]) == 3
     err = capsys.readouterr().err
     assert "lens_chain_equals_formula" in err
@@ -195,7 +194,6 @@ def test_cli_d3_family_at_the_size_limit(capsys):
 
 
 def test_cli_d3_family_builds_the_presentation_once(monkeypatch, capsys):
-    d3_module = sys.modules["openbooks.d3"]
     calls = []
     build = d3_module.from_expanded_diagram
 
@@ -270,18 +268,14 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 def test_internal_check_error_reports_first_violation(monkeypatch):
-    import openbooks.report as report_mod
-
-    monkeypatch.setattr(report_mod, "family_lens", lambda h, k: LensSpace(7, 1))
+    monkeypatch.setattr(d3_module, "family_lens", lambda h, k: LensSpace(7, 1))
     with pytest.raises(InternalCheckError, match="lens_chain_equals_formula"):
         run_family(1, 1)
 
 
 def test_internal_check_error_names_every_failed_check(monkeypatch):
-    import openbooks.report as report_mod
-
     # L(7, 1) is neither the chain's lens space nor of order |H1| = 4
-    monkeypatch.setattr(report_mod, "family_lens", lambda h, k: LensSpace(7, 1))
+    monkeypatch.setattr(d3_module, "family_lens", lambda h, k: LensSpace(7, 1))
     with pytest.raises(InternalCheckError) as err:
         run_family(1, 1)
     assert str(err.value).endswith(": lens_chain_equals_formula, h1_equals_lens_p")

@@ -23,9 +23,8 @@ def test_only_the_diagram_module_touches_diagram_internals():
     # the fold messages a tree carries from move to move; every other module
     # uses its public API
     package = Path(openbooks.__file__).resolve().parent
-    private = {"_index", "_by_id", "_adjacency", "_chain", "_trusted", "__dict__",
-               "_canonical_edges", "_messages", "_Fold", "_refold", "_move_region", "_row",
-               "_records"}
+    private = {"_by_id", "_adjacency", "_chain", "__dict__", "_source", "_h1", "_messages",
+               "_Fold", "_move_region", "_bfs_parents", "_row", "_records"}
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "diagram.py":
