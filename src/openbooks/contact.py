@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .diagram import FramedLinkDiagram, Vertex, canonical_edges, check_edges, is_json_edge_list
-from .serialize import fraction_str, parse_fraction
+from .serialize import exact_fraction, fraction_str, parse_fraction
 
 
 class UnsupportedCoefficientError(ValueError):
@@ -53,7 +53,7 @@ class LegendrianUnknotData:
     contact_coeff: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "contact_coeff", Fraction(self.contact_coeff))
+        object.__setattr__(self, "contact_coeff", exact_fraction(self.contact_coeff))
         if self.tb > -1:
             raise ValueError(f"a Legendrian unknot has tb <= -1, got {self.tb}")
         if abs(self.rot) > abs(self.tb) - 1:
@@ -145,38 +145,41 @@ def expand_to_unit_coefficients(d: ContactSurgeryDiagram) -> ContactSurgeryDiagr
     Pushoffs of one component keep its (tb, rot), link each other at tb
     (the contact-framed pushoff linking number), and inherit the linking
     numbers to every other component unchanged.  Components whose
-    coefficient is already +-1 pass through as themselves.
+    coefficient is already +-1 pass through as themselves.  The linking is
+    written once, in canonical order, so it is not re-checked; a pushoff id
+    that is already taken is a ValueError.
     """
-    groups = []
+    components = []
+    owner = {}  # expanded id -> the component it came from
     for c in d.components:
         num, den = c.contact_coeff.numerator, c.contact_coeff.denominator
         if abs(num) != 1:
             raise UnsupportedCoefficientError(
                 f"coefficient {c.contact_coeff} of {c.id!r} is not of the form 1/m"
             )
-        count = den  # |m| where the coefficient is 1/m = num/den with num = +-1
-        sign = num
-        if count == 1:
-            groups.append((c, [c]))
-            continue
-        pushoffs = [
-            LegendrianUnknotData(f"{c.id}.{i}", c.tb, c.rot, Fraction(sign))
-            for i in range(1, count + 1)
+        # |m| = den pushoffs of coefficient num = +-1
+        unit = Fraction(num)
+        members = [c] if den == 1 else [
+            LegendrianUnknotData(f"{c.id}.{i}", c.tb, c.rot, unit) for i in range(1, den + 1)
         ]
-        groups.append((c, pushoffs))
-    components = [p for _, grp in groups for p in grp]
-    linking = {}
-    for gi, (ci, grp_i) in enumerate(groups):
-        for a in range(len(grp_i)):
-            for b in range(a + 1, len(grp_i)):
-                linking[(grp_i[a].id, grp_i[b].id)] = ci.tb
-        for cj, grp_j in groups[gi + 1:]:
-            w = d.lk(ci.id, cj.id)
+        components += members
+        owner.update((p.id, c) for p in members)
+    if len(owner) != len(components):
+        raise ValueError("vertex ids must be distinct")
+    ids = sorted(owner)
+    linking = []
+    for a, i in enumerate(ids):
+        ci = owner[i]
+        for j in ids[a + 1:]:
+            cj = owner[j]
+            w = ci.tb if ci is cj else d.lk(ci.id, cj.id)
             if w:
-                for pa in grp_i:
-                    for pb in grp_j:
-                        linking[(pa.id, pb.id)] = w
-    return ContactSurgeryDiagram.build(components, linking)
+                linking.append((i, j, w))
+    # canonical by construction, so __post_init__'s edge check is skipped
+    expanded = object.__new__(ContactSurgeryDiagram)
+    object.__setattr__(expanded, "components", tuple(components))
+    object.__setattr__(expanded, "linking", tuple(linking))
+    return expanded
 
 
 def smooth_diagram(d: ContactSurgeryDiagram) -> FramedLinkDiagram:

@@ -14,18 +14,20 @@ so no move check is ever partial.
 
 This module alone knows how a diagram stores its graph: the canonical
 edge rule (check_edges, shared with the contact surgery diagrams), the
-vertices by id, and one adjacency map {id: {neighbour: weight}}, which
-compute_h1 reads as they are.
+vertices by id, the framings as integer ratios {id: (p, q)} and one
+adjacency map {id: {neighbour: weight}}; compute_h1 reads the last two as
+they are.
 
 Diagrams are immutable values.  A Kirby move is a congruence of the
 linking form plus at most one +-1 or leaf block; the kirby module holds
 each move's preconditions and data, and this module applies it to a
 ScriptState, the working copy of one script private to one call: it
-edits the copy in place, checks |H_1| of the full post-move matrix
-against the order before the move, and appends the MoveRecord that
-stores both.  freeze() ends the script with one new diagram; the diagram
-it started from never changes.  FramedLinkDiagram.apply_move is a script
-of one move.
+edits the copy in place, a framing as an exact integer shift (p + s*q, q)
+or a replacement, checks |H_1| of the full post-move matrix against the
+order before the move, and appends the MoveRecord that stores both.
+freeze() ends the script with one new diagram, building a Vertex only for
+each appended or re-framed vertex; the diagram it started from never
+changes.  FramedLinkDiagram.apply_move is a script of one move.
 
 A diagram whose graph is one tree also carries the directed messages of
 its last determinant fold: for each edge, the determinant of the subtree
@@ -43,7 +45,7 @@ from functools import cached_property
 from itertools import chain
 
 from .linalg import det_sparse_rows
-from .serialize import fraction_str, parse_fraction
+from .serialize import exact_fraction, fraction_str, parse_fraction
 
 
 class _InfiniteOrder:
@@ -67,13 +69,16 @@ def order_to_jsonable(order):
 
 @dataclass(frozen=True)
 class Vertex:
+    """A surgery component; an int framing is stored as a Fraction, and any
+    type but int and Fraction is a TypeError."""
+
     id: str
     framing: Fraction
     is_unknot: bool = True
 
     def __post_init__(self):
         if type(self.framing) is not Fraction:
-            object.__setattr__(self, "framing", Fraction(self.framing))
+            object.__setattr__(self, "framing", exact_fraction(self.framing))
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ class _Reads:
         return self._by_id[vid]
 
     def framing(self, vid: str) -> Fraction:
-        return self._by_id[vid].framing
+        return self.vertex(vid).framing
 
     def linking(self, i: str, j: str) -> int:
         return self._adjacency.get(i, {}).get(j, 0)
@@ -136,23 +141,25 @@ class FramedLinkDiagram(_Reads):
     def build(vertices, edges: dict, move_log=()) -> "FramedLinkDiagram":
         """Construct from any iterable of vertices and an edge dict {(i, j): w};
         zero weights are dropped and pairs are canonicalized."""
-        vs = tuple(
-            v if isinstance(v, Vertex) else Vertex(v[0], Fraction(v[1]), *(v[2:] or (True,)))
-            for v in vertices
-        )
+        vs = tuple(v if isinstance(v, Vertex) else Vertex(*v) for v in vertices)
         return FramedLinkDiagram(vs, canonical_edges(edges), tuple(move_log))
 
     def apply_move(self, move, args, framings=None, deltas=None, drop=None,
-                   append=None) -> "FramedLinkDiagram":
+                   append=None, shifts=None) -> "FramedLinkDiagram":
         """This diagram after one Kirby move, checked and logged: a script of
         one move (ScriptState.apply_move has the arguments)."""
-        return ScriptState(self).apply_move(move, args, framings, deltas, drop, append).freeze()
+        return ScriptState(self).apply_move(move, args, framings, deltas, drop, append,
+                                            shifts).freeze()
 
     # -- accessors ---------------------------------------------------------
 
     @cached_property
     def _by_id(self):
         return {v.id: v for v in self.vertices}
+
+    @cached_property
+    def _ratios(self):
+        return {v.id: v.framing.as_integer_ratio() for v in self.vertices}
 
     @cached_property
     def _adjacency(self):
@@ -171,7 +178,7 @@ class FramedLinkDiagram(_Reads):
     def h1(self):
         """Order of H_1 of the surgered manifold; INFINITE when b_1 > 0."""
         fold = _Fold()
-        order = compute_h1(self._by_id, self._adjacency, fold)
+        order = compute_h1(self._ratios, self._adjacency, fold)
         self.__dict__["_messages"] = fold.messages
         return order
 
@@ -260,20 +267,32 @@ class FramedLinkDiagram(_Reads):
 
 class ScriptState(_Reads):
     """The working copy of a diagram under one Kirby script, private to the
-    call that runs it: the diagram's read API, apply_move, which edits the
-    state in place, and freeze(), which ends the script with one new
-    FramedLinkDiagram that takes over the state's maps.  The maps are
-    copied when the state opens, each adjacency row and the fold messages
-    on their first write, so the starting diagram never changes."""
+    call that runs it: the read API, apply_move, which edits the state in
+    place, and freeze(), which ends the script with one new
+    FramedLinkDiagram that takes over the state's maps.  Framings are
+    ratios {id: (p, q)} in lowest terms, q >= 1; _changed {id: is_unknot}
+    names the appended or re-framed vertices, whose entries in _by_id are
+    stale until freeze() builds their Vertex.  The maps are copied when the
+    state opens, each adjacency row and the fold messages on their first
+    write, so the starting diagram never changes."""
 
-    __slots__ = ("_source", "_by_id", "_adjacency", "_messages", "_h1", "_records")
+    __slots__ = ("_source", "_by_id", "_ratios", "_changed", "_adjacency", "_messages",
+                 "_h1", "_records")
 
     def __init__(self, d: FramedLinkDiagram):
         self._source = d
         self._by_id = dict(d._by_id)
+        self._ratios = dict(d._ratios)
+        self._changed = {}
         self._adjacency = dict(d._adjacency)
         self._messages = self._h1 = None  # read from d at the first move
         self._records = []
+
+    def vertex(self, vid: str) -> Vertex:
+        """The vertex as it stands, built if the script appended or re-framed it."""
+        if vid in self._changed:
+            return Vertex(vid, Fraction(*self._ratios[vid]), self._changed[vid])
+        return self._by_id[vid]
 
     def _row(self, vid):
         """vid's adjacency row, copied on its first write."""
@@ -283,38 +302,39 @@ class ScriptState(_Reads):
         return row
 
     def apply_move(self, move, args, framings=None, deltas=None, drop=None,
-                   append=None) -> "ScriptState":
+                   append=None, shifts=None) -> "ScriptState":
         """Apply one Kirby move given as its congruence data, checked and
         logged; returns the state.
 
-        framings {id: framing} replaces framings; deltas {(i, j): dw}, keyed
-        by id pair in either order, adds to linking numbers; `drop` names a
-        vertex to remove with its edges and `append` is a new Vertex (the
-        kirby module's preconditions make the data refer to current
-        vertices).  Zero weights are dropped, |H_1| of the full post-move
-        matrix (refolded at the move's region when it can be, see
-        _move_region) must equal the order before the move, else
-        InvariantViolationError, and the MoveRecord is appended.
+        framings {id: int or Fraction} replaces framings; shifts {id: s} adds
+        the integer s to framings, p/q becoming (p + s*q)/q; deltas
+        {(i, j): dw}, keyed by id pair in either order, adds to linking
+        numbers; `drop` names a vertex to remove with its edges and `append`
+        is the (id, framing) of a new unknot (the kirby module's
+        preconditions make the data refer to current vertices).  Zero
+        weights are dropped, |H_1| of the full post-move matrix (refolded at
+        the move's region when it can be, see _move_region) must equal the
+        order before the move, else InvariantViolationError, and the
+        MoveRecord is appended.
         """
         framings = framings or {}
+        shifts = shifts or {}
         deltas = deltas or {}
         before = self._h1
         if before is None:
             before = self._h1 = self._source.h1
             if self._source._messages is not None:
                 self._messages = self._source._messages.copy()
-        by_id, adj, messages = self._by_id, self._adjacency, self._messages
+        by_id, ratios, changed, adj = self._by_id, self._ratios, self._changed, self._adjacency
+        messages = self._messages
+        new = None if append is None else append[0]
         centre = None
         if messages is not None:
             # the existing vertices the move touches, and a centre whose
             # closed star holds them all in the pre-move tree
-            touched = dict.fromkeys(framings)
-            if drop is not None:
-                touched.update(dict.fromkeys(adj[drop]))
-            for i, j in deltas:
-                touched[min(i, j)] = touched[max(i, j)] = None
-            if append is not None:
-                touched.pop(append.id, None)
+            touched = dict.fromkeys(chain(framings, shifts, () if drop is None else adj[drop],
+                                          chain.from_iterable(deltas)))
+            touched.pop(new, None)
             if drop is not None:
                 touched[drop] = None
             if touched:
@@ -328,14 +348,23 @@ class ScriptState(_Reads):
                 else:
                     centre = None
         for vid, framing in framings.items():
-            by_id[vid] = Vertex(vid, framing, by_id[vid].is_unknot)
+            ratios[vid] = _ratio(framing)
+        for vid, s in shifts.items():
+            p, q = ratios[vid]
+            ratios[vid] = (p + s * q, q)  # gcd(p + s*q, q) = gcd(p, q) = 1
+        for vid in chain(framings, shifts):
+            if vid not in changed:
+                changed[vid] = by_id[vid].is_unknot
         if drop is not None:
-            del by_id[drop]
+            del by_id[drop], ratios[drop]
+            changed.pop(drop, None)
             for u in adj.pop(drop):
                 del self._row(u)[drop]
-        if append is not None:
-            by_id[append.id] = append
-            adj[append.id] = {}
+        if new is not None:
+            by_id[new] = None  # its place in vertex order
+            ratios[new] = _ratio(append[1])
+            changed[new] = True
+            adj[new] = {}
         for (i, j), dw in deltas.items():
             row_i, row_j = self._row(i), self._row(j)
             w = row_i.get(j, 0) + dw
@@ -346,12 +375,12 @@ class ScriptState(_Reads):
                 row_j.pop(i, None)
         parent = None
         if centre is not None:
-            parent = _move_region(touched, centre, drop, append, adj)
+            parent = _move_region(touched, centre, drop, new, adj)
         if parent is not None:
             for v in chain(parent, (drop,)):
                 messages.pop(v, None)
         fold = _Fold(messages, parent)
-        after = compute_h1(by_id, adj, fold)
+        after = compute_h1(ratios, adj, fold)
         self._messages = fold.messages
         if after != before:
             raise InvariantViolationError(
@@ -363,13 +392,17 @@ class ScriptState(_Reads):
 
     def freeze(self) -> FramedLinkDiagram:
         """The diagram at the end of the script, with its moves logged: the
-        starting diagram itself when no move was applied.  It takes over the
-        state's maps, so the state ends here and a later read or move on it
-        fails at once."""
-        source, by_id, adj, messages = self._source, self._by_id, self._adjacency, self._messages
-        self._by_id = self._adjacency = self._messages = None
+        starting diagram itself when no move was applied.  It builds one
+        Vertex per appended or re-framed vertex and takes over the state's
+        maps, so the state ends here and a later read or move on it fails at
+        once."""
+        source, by_id, ratios, adj = self._source, self._by_id, self._ratios, self._adjacency
+        changed, messages = self._changed, self._messages
+        self._by_id = self._ratios = self._changed = self._adjacency = self._messages = None
         if not self._records:
             return source
+        for vid, unknot in changed.items():
+            by_id[vid] = Vertex(vid, Fraction(*ratios[vid]), unknot)
         edges = sorted((i, j, w) for i, row in adj.items() for j, w in row.items() if i < j)
         # canonical by construction, so __post_init__ is skipped; h1 is the
         # order the last move checked
@@ -377,27 +410,32 @@ class ScriptState(_Reads):
         d.__dict__.update(
             vertices=tuple(by_id.values()), edges=tuple(edges),
             move_log=source.move_log + tuple(self._records), h1=self._h1,
-            _messages=messages, _by_id=by_id, _adjacency=adj,
+            _messages=messages, _by_id=by_id, _ratios=ratios, _adjacency=adj,
         )
         return d
 
 
-def _move_region(touched, centre, drop, append, adjacency):
+def _ratio(x):
+    """(p, q) of a framing that Vertex takes: an int, not a bool, or a Fraction."""
+    return (x if type(x) is int else exact_fraction(x)).as_integer_ratio()
+
+
+def _move_region(touched, centre, drop, new, adjacency):
     """{vertex: its parent} in breadth-first order over the region whose
-    fold messages a move recomputes: touched, centre and appended vertex,
+    fold messages a move recomputes: touched, centre and the appended `new`,
     less the dropped one.  Every untouched subtree hangs off it by one
     unchanged edge, so its message stays exact, unless the region spans no
     subtree of the post-move `adjacency` (then None: the whole matrix)."""
     region = touched
     region[centre] = None
     region.pop(drop, None)
-    if append is not None:
-        region[append.id] = None
+    if new is not None:
+        region[new] = None
     if not region:
         return None
     # the root is the appended vertex, else the centre, so a run of
     # blow-ups along a chain keeps it in the next move's region
-    root = centre if append is None else append.id
+    root = centre if new is None else new
     if root == drop:
         root = next(iter(region))
     parent = _bfs_parents((root,), region, adjacency)
@@ -437,7 +475,8 @@ class _Fold:
 
     where t_vc = M_vc * M_cv: on a forest every permutation with a nonzero
     Leibniz term is a product of transpositions along edges.  fold_at
-    applies it at one vertex over {id: Vertex} and the adjacency.
+    applies it at one vertex over the framings {id: (p, q)} and the
+    adjacency.
 
     messages[v] = (u, D, E) for every vertex v but the root of the fold: u
     is v's neighbour toward the root, D = D_v and E = E_v on v's side of
@@ -455,21 +494,21 @@ class _Fold:
         self.messages = messages
         self.region = region
 
-    def fold_at(self, vertices, adjacency, v, skip):
+    def fold_at(self, ratios, adjacency, v, skip):
         """(D, E) of v folded over the messages of its neighbours but skip."""
         messages = self.messages
-        a, q = vertices[v].framing.as_integer_ratio()
+        a, q = ratios[v]
         b = 1
         for u, w in adjacency[v].items():
             if u != skip:
                 m = messages.get(u)
                 if m is None or m[0] != v:
-                    m = self.reroot(vertices, adjacency, u, v)
-                t = w * w * q * vertices[u].framing.denominator
+                    m = self.reroot(ratios, adjacency, u, v)
+                t = w * w * q * ratios[u][1]
                 a, b = a * m[1] - t * b * m[2], b * m[1]
         return a, b
 
-    def reroot(self, vertices, adjacency, u, v):
+    def reroot(self, ratios, adjacency, u, v):
         """The message u -> v, folding back the path from u to the old root."""
         messages = self.messages
         path = [(u, v)]
@@ -480,13 +519,14 @@ class _Fold:
             path.append((m[0], path[-1][0]))
             m = messages.get(m[0])
         for x, y in reversed(path):
-            messages[x] = (y, *self.fold_at(vertices, adjacency, x, y))
+            messages[x] = (y, *self.fold_at(ratios, adjacency, x, y))
         return messages[u]
 
 
-def compute_h1(vertices, adjacency, fold):
-    """|H_1| of the diagram with vertices {id: Vertex} and `adjacency`
-    {id: {neighbour: weight}}: |det| of the presentation matrix.
+def compute_h1(ratios, adjacency, fold):
+    """|H_1| of the diagram with framings {id: (p, q)} in lowest terms, q >= 1,
+    and `adjacency` {id: {neighbour: weight}}: |det| of the presentation
+    matrix.
 
     With a move region set on the _Fold `fold`, the determinant is refolded
     at the region from the messages it carries.  Otherwise those are
@@ -497,13 +537,12 @@ def compute_h1(vertices, adjacency, fold):
     """
     parent = fold.region
     if parent is None:
-        parent = _bfs_parents(vertices, vertices, adjacency)
+        parent = _bfs_parents(ratios, ratios, adjacency)
         if parent is None:
             fold.messages = None
-            idx = {vid: i for i, vid in enumerate(vertices)}
+            idx = {vid: i for i, vid in enumerate(ratios)}
             rows = []
-            for vid, v in vertices.items():
-                p, q = v.framing.as_integer_ratio()
+            for vid, (p, q) in ratios.items():
                 row = {idx[u]: q * w for u, w in adjacency[vid].items()}
                 if p:
                     row[idx[vid]] = p
@@ -518,10 +557,10 @@ def compute_h1(vertices, adjacency, fold):
     roots = 0
     for v in reversed(parent):
         if parent[v] is None:
-            d *= fold.fold_at(vertices, adjacency, v, None)[0]
+            d *= fold.fold_at(ratios, adjacency, v, None)[0]
             roots += 1
         else:
-            messages[v] = (parent[v], *fold.fold_at(vertices, adjacency, v, parent[v]))
+            messages[v] = (parent[v], *fold.fold_at(ratios, adjacency, v, parent[v]))
     if roots != 1:  # the messages of a forest or the empty diagram are not kept
         fold.messages = None
     return INFINITE if d == 0 else abs(d)

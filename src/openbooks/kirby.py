@@ -4,8 +4,10 @@ Moves act on the weighted-graph model of a diagram (framings on vertices,
 linking numbers on edges), not on pictures.  Every move is a congruence of
 the linking form plus at most one +-1 or leaf block (Gompf-Stipsicz,
 4-Manifolds and Kirby Calculus, ch. 5), so this module holds only each
-move's preconditions and its congruence data: the framings it replaces,
-the linking-number deltas, and the vertex it drops or appends.  The
+move's preconditions and its congruence data: integer framing shifts
+(blow-ups, blow-downs, handle slides), replaced framings (slam dunks and
+their inverses), linking-number deltas, and the vertex it drops or the
+(id, framing) it appends; a twist does no Fraction arithmetic.  The
 diagram module applies the data and checks that the order of the first
 homology of the full post-move matrix equals the order before the move
 (InvariantViolationError otherwise), since each move is supposed to be a
@@ -67,13 +69,13 @@ def _fresh_id(d: FramedLinkDiagram, base: str) -> str:
     return f"{base}{n}"
 
 
-def _twist(d: FramedLinkDiagram, star: list, eps: int):
+def _twist(star: list, eps: int):
     """The rank-one twist by a +-1 unknot that links each u of the [(u, lk)]
     star lk times: framing_u += eps * lk_u^2 and lk_uv += eps * lk_u * lk_v.
-    Returns the move's (framings, deltas)."""
-    framings = {u: d.framing(u) + eps * w * w for u, w in star}
+    Returns the move's (shifts, deltas), integers only."""
+    shifts = {u: eps * w * w for u, w in star}
     deltas = {(u, v): eps * wu * wv for a, (u, wu) in enumerate(star) for v, wv in star[a + 1:]}
-    return framings, deltas
+    return shifts, deltas
 
 
 def blow_down(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
@@ -88,8 +90,9 @@ def blow_down(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     if not v.is_unknot:
         raise IllegalMoveError(f"blow down needs an unknot at {vid!r}")
     eps = int(v.framing)
-    framings, deltas = _twist(d, d.neighbors(vid), -eps)
-    return d.apply_move("blow_down", (("vertex", vid), ("sign", eps)), framings, deltas, drop=vid)
+    shifts, deltas = _twist(d.neighbors(vid), -eps)
+    return d.apply_move("blow_down", (("vertex", vid), ("sign", eps)), deltas=deltas, drop=vid,
+                        shifts=shifts)
 
 
 def blow_up(d: FramedLinkDiagram, sign: int, star=None, new_id: str = None) -> FramedLinkDiagram:
@@ -106,10 +109,10 @@ def blow_up(d: FramedLinkDiagram, sign: int, star=None, new_id: str = None) -> F
             raise IllegalMoveError(f"star references unknown vertex {u!r}")
     star = [(u, int(w)) for u, w in star.items() if w]
     vid = _fresh_id(d, new_id or "u")
-    framings, deltas = _twist(d, star, sign)
+    shifts, deltas = _twist(star, sign)
     deltas.update(((u, vid), w) for u, w in star)
     args = (("id", vid), ("sign", sign), ("star", tuple(sorted(star))))
-    return d.apply_move("blow_up", args, framings, deltas, append=Vertex(vid, sign))
+    return d.apply_move("blow_up", args, deltas=deltas, append=(vid, sign), shifts=shifts)
 
 
 def _canonical_split(r: Fraction) -> int:
@@ -143,7 +146,7 @@ def inverse_slam_dunk(d: FramedLinkDiagram, vid: str, n: int = None, leaf_id: st
     x = 1 / (Fraction(n) - r)  # n - 1/x = r
     leaf = _fresh_id(d, leaf_id or f"{vid}_leaf")
     args = (("vertex", vid), ("n", n), ("leaf", leaf))
-    return d.apply_move("inverse_slam_dunk", args, {vid: n}, {(vid, leaf): 1}, append=Vertex(leaf, x))
+    return d.apply_move("inverse_slam_dunk", args, {vid: n}, {(vid, leaf): 1}, append=(leaf, x))
 
 
 def slam_dunk(d: FramedLinkDiagram, leaf_id: str) -> FramedLinkDiagram:
@@ -189,9 +192,9 @@ def handle_slide(d: FramedLinkDiagram, slide_id: str, over_id: str, sign: int) -
     # the over-component's row: its linking off the slid pair, its framing on it
     deltas = {(slide_id, u): sign * w for u, w in d.neighbors(over_id) if u != slide_id}
     deltas[(slide_id, over_id)] = sign * fj.numerator
-    framing = fi + fj + 2 * sign * d.linking(slide_id, over_id)
+    shift = fj.numerator + 2 * sign * d.linking(slide_id, over_id)
     args = (("slide", slide_id), ("over", over_id), ("sign", sign))
-    return d.apply_move("handle_slide", args, {slide_id: framing}, deltas)
+    return d.apply_move("handle_slide", args, deltas=deltas, shifts={slide_id: shift})
 
 
 def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:

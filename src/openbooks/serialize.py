@@ -31,6 +31,16 @@ def fraction_str(x) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
+def exact_fraction(x) -> Fraction:
+    """x as a Fraction when it is an int (not a bool) or a Fraction; any
+    other type (a float, a bool, a string) is a TypeError."""
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+        raise TypeError(f"an exact rational is an int or a Fraction, not {x!r}")
+    return Fraction(x)
+
+
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 

@@ -141,3 +141,60 @@ def test_diagram_serialization_roundtrip():
     assert ContactSurgeryDiagram.from_jsonable(p.to_jsonable()) == p
     e = expand_to_unit_coefficients(p)
     assert ContactSurgeryDiagram.from_jsonable(e.to_jsonable()) == e
+
+
+def _expand_by_dict_and_build(d):
+    # the expansion as a linking dict {(i, j): lk} handed to build, which
+    # canonicalizes and re-checks every edge
+    groups = []
+    for c in d.components:
+        count, sign = c.contact_coeff.denominator, c.contact_coeff.numerator
+        members = [c] if count == 1 else [
+            LegendrianUnknotData(f"{c.id}.{i}", c.tb, c.rot, Fraction(sign))
+            for i in range(1, count + 1)
+        ]
+        groups.append((c, members))
+    linking = {}
+    for gi, (ci, grp_i) in enumerate(groups):
+        for a in range(len(grp_i)):
+            for b in range(a + 1, len(grp_i)):
+                linking[(grp_i[a].id, grp_i[b].id)] = ci.tb
+        for cj, grp_j in groups[gi + 1:]:
+            w = d.lk(ci.id, cj.id)
+            if w:
+                for pa in grp_i:
+                    for pb in grp_j:
+                        linking[(pa.id, pb.id)] = w
+    return ContactSurgeryDiagram.build([p for _, grp in groups for p in grp], linking)
+
+
+def test_expansion_writes_the_canonical_linking_of_dict_and_build():
+    three = ContactSurgeryDiagram.build(
+        (LegendrianUnknotData("z", -2, -1, Fraction(-1, 3)),
+         LegendrianUnknotData("b", -1, 0, Fraction(1)),
+         LegendrianUnknotData("a", -3, 0, Fraction(1, 11))),
+        {("z", "a"): 2, ("b", "a"): -1},
+    )
+    cases = [presentation_for(h, k) for h in range(1, 13) for k in range(1, 13)] + [three]
+    for d in cases:
+        expanded = expand_to_unit_coefficients(d)
+        assert expanded == _expand_by_dict_and_build(d)
+        ContactSurgeryDiagram(expanded.components, expanded.linking)  # passes the edge rule
+
+
+def test_expansion_refuses_a_pushoff_id_that_is_taken():
+    # K at coefficient 1/2 expands to K.1 and K.2, and K.1 is already there
+    d = ContactSurgeryDiagram.build(
+        (LegendrianUnknotData("K", -1, 0, Fraction(1, 2)),
+         LegendrianUnknotData("K.1", -1, 0, Fraction(1))),
+        {("K", "K.1"): 1},
+    )
+    with pytest.raises(ValueError):
+        expand_to_unit_coefficients(d)
+
+
+def test_contact_coefficients_are_exact():
+    for coeff in (0.5, True, "1/2", None):
+        with pytest.raises(TypeError):
+            LegendrianUnknotData("x", -1, 0, coeff)
+    assert type(LegendrianUnknotData("x", -1, 0, -1).contact_coeff) is Fraction

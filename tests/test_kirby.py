@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from openbooks.contact import presentation_for, smooth_diagram
-from openbooks.diagram import INFINITE, FramedLinkDiagram, ScriptState
+from openbooks.diagram import INFINITE, FramedLinkDiagram, ScriptState, Vertex
 from openbooks.kirby import (
     MOVES,
     IllegalMoveError,
@@ -447,6 +448,76 @@ def test_a_frozen_script_state_ends():
             [frozen.linking(i, j) for i in ids for j in ids], frozen.move_log) == view
     assert frozen.same_diagram(reverse_orientation(d, v))
     assert ScriptState(d).freeze() is d
+
+
+def test_a_script_builds_one_vertex_per_changed_vertex(monkeypatch):
+    # inside a script framings are integer ratios, so a Vertex is built at
+    # freeze for each appended or re-framed vertex, and otherwise only for
+    # the start diagram (2) and the nine move preconditions that read one;
+    # a Vertex per framing change would add two or three per move
+    calls = []
+    post_init = Vertex.__post_init__
+
+    def counting(self):
+        calls.append(self.id)
+        post_init(self)
+
+    monkeypatch.setattr(Vertex, "__post_init__", counting)
+    extra = []
+    for h in (40, 160):
+        del calls[:]
+        d = reduce_family_diagram(h, 3)
+        assert len(d.move_log) == h + 9
+        extra.append(len(calls) - len(d.vertices))
+    assert extra[0] == extra[1] <= 11
+
+
+def test_frozen_framings_are_fractions():
+    d = reduce_family_diagram(12, 3)
+    moves = json.loads(canonical_dumps(d.to_jsonable()))["moves"]
+    replayed = replay(smooth_diagram(presentation_for(12, 3)), moves)
+    rational = FramedLinkDiagram.build([("a", Fraction(-7, 3)), ("b", 2), ("c", 1)],
+                                       {("a", "b"): 1, ("b", "c"): 2})
+    s = ScriptState(rational)
+    inverse_slam_dunk(s, "a", leaf_id="x")
+    handle_slide(s, "b", "c", 1)
+    slam_dunk(s, "x")
+    blow_up(s, -1, {"a": 1, "c": -2})
+    scripted = s.freeze()
+    assert scripted.h1 == h1_oracle(scripted) == h1_oracle(rational)
+    for diagram in (d, replayed, scripted, blow_up(rational, 1, {"a": 3})):
+        assert all(type(v.framing) is Fraction for v in diagram.vertices)
+
+
+def test_a_blow_up_and_its_blow_down_restore_rational_framings_exactly():
+    d = FramedLinkDiagram.build([("a", Fraction(-3, 2)), ("b", Fraction(7, 5)), ("c", 2)],
+                                {("a", "b"): 2, ("b", "c"): 1})
+    s = ScriptState(d)
+    blow_up(s, 1, {"a": 2, "b": -1}, new_id="e")
+    # framing += lk^2, an integer shift of the numerator, still in lowest terms
+    assert [s.framing(v) for v in "abce"] == [Fraction(5, 2), Fraction(12, 5), 2, 1]
+    assert all(q >= 1 and math.gcd(p, q) == 1 for p, q in s._ratios.values())
+    blow_down(s, "e")
+    restored = s.freeze()
+    assert restored.same_diagram(d)
+    assert [v.framing.as_integer_ratio() for v in restored.vertices] == [(-3, 2), (7, 5), (2, 1)]
+    assert [r.h1_after for r in restored.move_log] == [h1_oracle(d)] * 2
+    assert blow_down(blow_up(d, -1, {"a": 1, "b": 3}), "u").same_diagram(d)
+
+
+def test_framings_are_exact():
+    for bad in (0.1, 1.0, True, "1/2", None):
+        with pytest.raises(TypeError):
+            Vertex("x", bad)
+        with pytest.raises(TypeError):
+            FramedLinkDiagram.build([("a", bad)], {})
+    with pytest.raises(TypeError):
+        FramedLinkDiagram.build([("a", 0.1), ("b", True)], {("a", "b"): 1})
+    d = FramedLinkDiagram.build([("a", 3)], {})
+    assert type(d.vertices[0].framing) is Fraction
+    for framings, append in (({"a": 0.5}, None), (None, ("b", 0.5)), (None, ("b", False))):
+        with pytest.raises(TypeError):
+            d.apply_move("test", (), framings, append=append)
 
 
 def test_move_property_suite_small():

@@ -24,7 +24,8 @@ def test_only_the_diagram_module_touches_diagram_internals():
     # uses its public API
     package = Path(openbooks.__file__).resolve().parent
     private = {"_by_id", "_adjacency", "_chain", "__dict__", "_source", "_h1", "_messages",
-               "_Fold", "_move_region", "_bfs_parents", "_row", "_records"}
+               "_Fold", "_move_region", "_bfs_parents", "_row", "_records", "_ratios",
+               "_changed", "_ratio"}
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "diagram.py":
@@ -37,6 +38,27 @@ def test_only_the_diagram_module_touches_diagram_internals():
                           for a in node.names if a.name in private]
     assert found == []
 
+
+def test_package_has_no_floating_point():
+    # every framing, coefficient and invariant is exact: no float literal, no
+    # float() or round() call and no math function that returns a float
+    package = Path(openbooks.__file__).resolve().parent
+    float_math = {"sqrt", "log", "log2", "log10", "exp", "fsum"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "round")):
+                found.append(f"{path.name}:{node.lineno} {node.func.id}()")
+            elif (isinstance(node, ast.Attribute) and node.attr in float_math
+                  and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                found.append(f"{path.name}:{node.lineno} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{path.name}:{node.lineno} import {a.name}"
+                          for a in node.names if a.name in float_math]
+    assert found == []
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
