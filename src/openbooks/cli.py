@@ -19,8 +19,8 @@ import sys
 
 from . import certcheck
 from .d3 import overtwisted_verdict, tight_census
-from .diagram import FramedLinkDiagram, order_to_jsonable
-from .kirby import IllegalMoveError, InvariantViolationError, replay
+from .diagram import FramedLinkDiagram, InvariantViolationError, order_to_jsonable
+from .kirby import IllegalMoveError, replay
 from .lens import LensSpace, chain_to_lens, lens_equal, neg_cf_expand
 from .pages import family_word
 from .report import InternalCheckError, run_family, run_sweep

@@ -71,6 +71,8 @@ class PM1Presentation:
             raise ValueError("rho length must match Q")
         if tuple(map(tuple, self.q)) != tuple(zip(*self.q)):
             raise ValueError("Q must be symmetric")
+        if type(self.q_plus) is not int:
+            raise TypeError(f"q_plus must be an int, got {self.q_plus!r}")
         if self.q_plus < 0:
             raise ValueError("q_plus is a count")
 

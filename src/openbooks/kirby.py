@@ -29,24 +29,7 @@ sequence of moves whose pictures are known.  That reduction takes the
 
 from fractions import Fraction
 
-from .diagram import (INFINITE, FramedLinkDiagram, InvariantViolationError, MoveRecord,
-                      ScriptState, Vertex)
-
-__all__ = [
-    "INFINITE",
-    "FramedLinkDiagram",
-    "IllegalMoveError",
-    "InvariantViolationError",
-    "MoveRecord",
-    "blow_down",
-    "blow_up",
-    "handle_slide",
-    "inverse_slam_dunk",
-    "reduce_family_diagram",
-    "replay",
-    "reverse_orientation",
-    "slam_dunk",
-]
+from .diagram import FramedLinkDiagram, InvariantViolationError, ScriptState, Vertex
 
 
 class IllegalMoveError(ValueError):
@@ -58,6 +41,14 @@ def _vertex(d: FramedLinkDiagram, vid: str) -> Vertex:
         return d.vertex(vid)
     except KeyError:
         raise IllegalMoveError(f"no vertex {vid!r}") from None
+
+
+def _integer(x, what: str) -> int:
+    """x if it is an int, not a bool; int() would truncate 3/2 or 2.5 and
+    read True as 1, so anything else is a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an int, got {x!r}")
+    return x
 
 
 def _fresh_id(d: FramedLinkDiagram, base: str) -> str:
@@ -101,13 +92,14 @@ def blow_up(d: FramedLinkDiagram, sign: int, star=None, new_id: str = None) -> F
     The existing framings and linkings are adjusted by the inverse of the
     blow-down rule, so blow_down of the new vertex is the exact identity.
     """
-    if sign not in (1, -1):
+    if _integer(sign, "blow up sign") not in (1, -1):
         raise IllegalMoveError(f"blow up sign must be +-1, got {sign}")
     star = dict(star or {})
-    for u in star:
+    for u, w in star.items():
         if u not in d:
             raise IllegalMoveError(f"star references unknown vertex {u!r}")
-    star = [(u, int(w)) for u, w in star.items() if w]
+        _integer(w, "a star weight")
+    star = [(u, w) for u, w in star.items() if w]
     vid = _fresh_id(d, new_id or "u")
     shifts, deltas = _twist(star, sign)
     deltas.update(((u, vid), w) for u, w in star)
@@ -140,10 +132,9 @@ def inverse_slam_dunk(d: FramedLinkDiagram, vid: str, n: int = None, leaf_id: st
                 f"framing {r} is an integer; a split must be forced to dunk it"
             )
         n = _canonical_split(r)
-    n = int(n)
-    if Fraction(n) == r:
+    elif _integer(n, "a forced split n") == r:
         raise IllegalMoveError(f"forced split n={n} equals the framing itself")
-    x = 1 / (Fraction(n) - r)  # n - 1/x = r
+    x = 1 / (n - r)  # n - 1/x = r
     leaf = _fresh_id(d, leaf_id or f"{vid}_leaf")
     args = (("vertex", vid), ("n", n), ("leaf", leaf))
     return d.apply_move("inverse_slam_dunk", args, {vid: n}, {(vid, leaf): 1}, append=(leaf, x))
@@ -184,7 +175,7 @@ def handle_slide(d: FramedLinkDiagram, slide_id: str, over_id: str, sign: int) -
     """
     if slide_id == over_id:
         raise IllegalMoveError("cannot slide a component over itself")
-    if sign not in (1, -1):
+    if _integer(sign, "slide sign") not in (1, -1):
         raise IllegalMoveError(f"slide sign must be +-1, got {sign}")
     fi, fj = _vertex(d, slide_id).framing, _vertex(d, over_id).framing
     if fi.denominator != 1 or fj.denominator != 1:
@@ -203,33 +194,33 @@ def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     A relabeling of the same diagram, recorded in the move log so replays
     stay complete; framings and all invariants are untouched.
     """
-    _vertex(d, vid)
+    if vid not in d:
+        raise IllegalMoveError(f"no vertex {vid!r}")
     deltas = {(vid, u): -2 * w for u, w in d.neighbors(vid)}
     return d.apply_move("reverse_orientation", (("vertex", vid),), deltas=deltas)
 
 
-# move name -> (required {argument: type}, optional {argument: type}, the
-# move applied to (diagram, args)); a star is an object {id: weight} or the
-# [id, weight] pairs that a move log records, each id at most once
+# move name -> (((argument, required?, type), ...), the move applied to
+# (diagram, args)), required arguments first; a star is an object
+# {id: weight} or the [id, weight] pairs that a move log records, each id
+# at most once
 MOVES = {
-    "blow_down": ({"vertex": str}, {}, lambda d, a: blow_down(d, a["vertex"])),
+    "blow_down": ((("vertex", True, str),), lambda d, a: blow_down(d, a["vertex"])),
     "blow_up": (
-        {"sign": int},
-        {"star": dict, "id": str},
+        (("sign", True, int), ("star", False, dict), ("id", False, str)),
         lambda d, a: blow_up(d, a["sign"], a.get("star"), a.get("id")),
     ),
     "inverse_slam_dunk": (
-        {"vertex": str},
-        {"n": int, "leaf": str},
+        (("vertex", True, str), ("n", False, int), ("leaf", False, str)),
         lambda d, a: inverse_slam_dunk(d, a["vertex"], a.get("n"), a.get("leaf")),
     ),
-    "slam_dunk": ({"leaf": str}, {}, lambda d, a: slam_dunk(d, a["leaf"])),
+    "slam_dunk": ((("leaf", True, str),), lambda d, a: slam_dunk(d, a["leaf"])),
     "handle_slide": (
-        {"slide": str, "over": str, "sign": int},
-        {},
+        (("slide", True, str), ("over", True, str), ("sign", True, int)),
         lambda d, a: handle_slide(d, a["slide"], a["over"], a["sign"]),
     ),
-    "reverse_orientation": ({"vertex": str}, {}, lambda d, a: reverse_orientation(d, a["vertex"])),
+    "reverse_orientation": ((("vertex", True, str),),
+                            lambda d, a: reverse_orientation(d, a["vertex"])),
 }
 
 
@@ -249,16 +240,6 @@ def _well_typed(kind, value) -> bool:
     return True
 
 
-# move name -> (required arguments, ((argument, required?, type), ...) over
-# all of its arguments, the move): MOVES merged once for replay's checks
-_SIGNATURES = {
-    name: (tuple(required),
-           tuple((a, a in required, kind) for a, kind in {**required, **optional}.items()),
-           apply)
-    for name, (required, optional, apply) in MOVES.items()
-}
-
-
 def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
     """Apply a JSON move script, a list of {"move": name, "args": {...}},
     to one ScriptState, and freeze it; `d` is never changed.
@@ -275,11 +256,11 @@ def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
         if not isinstance(step, dict) or not isinstance(step.get("args", {}), dict):
             raise ValueError(f"move script step must be an object with object args: {step!r}")
         name = step.get("move")
-        if not isinstance(name, str) or name not in _SIGNATURES:
+        if not isinstance(name, str) or name not in MOVES:
             raise IllegalMoveError(f"unknown move {name!r}")
-        required, arguments, apply = _SIGNATURES[name]
+        arguments, apply = MOVES[name]
         args = step.get("args", {})
-        missing = [a for a in required if a not in args]
+        missing = [a for a, needed, _ in arguments if needed and a not in args]
         if missing:
             raise ValueError(f"move {name!r} is missing argument {', '.join(missing)}")
         for a, needed, kind in arguments:

@@ -142,9 +142,9 @@ def _pivots(rows, n, bordered=()):
 def _integer_rows(matrix, rhs=()):
     """Dict rows of a square int or Fraction matrix, with the vectors `rhs`
     appended as columns n, n+1, ..., all times one positive common
-    denominator, and that denominator; any other entry is a TypeError, since
-    int(x * scale) would truncate a float.  An all-int matrix, the usual
-    case, takes one type scan and scale 1."""
+    denominator, and that denominator; any other entry (a float, a bool) is
+    a TypeError, since int(x * scale) would truncate a float or read True as
+    1.  An all-int matrix, the usual case, takes one type scan and scale 1."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
@@ -158,7 +158,7 @@ def _integer_rows(matrix, rhs=()):
         for x in row:
             if isinstance(x, Fraction):
                 scale = lcm(scale, x.denominator)
-            elif not isinstance(x, int):
+            elif type(x) is not int:
                 raise TypeError(f"matrix entries must be int or Fraction, got {x!r}")
     return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in dense], scale
 

@@ -12,6 +12,7 @@ from openbooks.linalg import (
     symmetric_rows,
 )
 
+from openbooks.d3 import PM1Presentation, d3
 from openbooks.diagram import INFINITE, FramedLinkDiagram
 
 from diagram_gen import random_chain, random_forest
@@ -115,13 +116,22 @@ def test_signature_handles_zero_diagonal_blocks():
 
 
 def test_inexact_entries_are_rejected():
-    # a float would be truncated to an integer, not used exactly
+    # a float would be truncated to an integer, not used exactly, and a bool
+    # read as 0 or 1
     with pytest.raises(TypeError):
         det([[0.5]])
     with pytest.raises(TypeError):
         signature([[-0.5]])
     with pytest.raises(TypeError):
         solve_dense([[2]], [[0.5]])
+    with pytest.raises(TypeError):
+        det([[True]])
+    with pytest.raises(TypeError):
+        signature([[True, False], [False, True]])
+    with pytest.raises(TypeError):
+        d3(PM1Presentation(((-1,),), (True,), 0))
+    with pytest.raises(TypeError):
+        PM1Presentation(((-1,),), (1,), True)
 
 
 def test_signature_rejects_asymmetric_input():

@@ -10,14 +10,18 @@ from pathlib import Path
 import pytest
 
 import openbooks
+from openbooks import certcheck
 from openbooks.cli import main
 from openbooks.d3 import OVERTWISTED_CERTIFIED
 from openbooks.lens import LensSpace
+from openbooks.pages import family_word
 from openbooks.report import InternalCheckError, run_family, run_sweep
 from openbooks.serialize import canonical_dumps, canonical_line
+from openbooks.veering import prove_right_veering
 
 # the package re-exports the function d3 under the submodule's name
 d3_module = importlib.import_module("openbooks.d3")
+report_module = importlib.import_module("openbooks.report")
 
 
 def test_run_family_1_1():
@@ -29,6 +33,30 @@ def test_run_family_1_1():
     assert report.destabilization.conclusion == "NOT_DESTABILIZABLE"
     assert all(ok for _, ok in report.checks)
     assert dict(report.checks)["lens_chain_equals_formula"]
+
+
+def test_run_family_validates_its_certificate_once(monkeypatch):
+    calls = []
+    check = certcheck.check_certificate
+    monkeypatch.setattr(certcheck, "check_certificate", lambda cert: calls.append(cert) or check(cert))
+    report = run_family(2, 3)
+    assert len(calls) == 1
+    assert [name for name, ok in report.checks if ok] == [
+        "lens_chain_equals_formula", "h1_equals_order_formula", "h1_equals_lens_p",
+        "move_log_h1_constant", "verdict_consistent", "expanded_det_matches",
+        "expansion_counts", "certificate_validates", "destabilization_closes",
+    ]
+
+
+def test_a_valid_certificate_of_another_word_fails_certificate_validates(monkeypatch, capsys):
+    other = prove_right_veering(family_word(2, 2))
+    assert certcheck.check_certificate(other)
+    monkeypatch.setattr(report_module, "prove_right_veering", lambda word: other)
+    with pytest.raises(InternalCheckError) as err:
+        run_family(1, 1)
+    assert str(err.value).endswith(": certificate_validates, destabilization_closes")
+    assert main(["family", "--h", "1", "--k", "1"]) == 3
+    assert "certificate_validates" in capsys.readouterr().err
 
 
 def test_run_family_2_1_lens():
