@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .diagram import FramedLinkDiagram, Vertex, canonical_edges, check_edges, is_json_edge_list
-from .serialize import exact_fraction, fraction_str, parse_fraction
+from .diagram import FramedLinkDiagram, Vertex, canonical_edges, check_edges
+from .pages import check_family
+from .serialize import exact_fraction, exact_int, fraction_str, parse_fraction
 
 
 class UnsupportedCoefficientError(ValueError):
@@ -45,7 +46,7 @@ def negative_stabilization(tb_rot):
 
 @dataclass(frozen=True)
 class LegendrianUnknotData:
-    """A Legendrian unknot surgery component: classical invariants and coefficient."""
+    """A Legendrian unknot surgery component: str id, int tb and rot, and coefficient."""
 
     id: str
     tb: int
@@ -54,9 +55,11 @@ class LegendrianUnknotData:
 
     def __post_init__(self):
         object.__setattr__(self, "contact_coeff", exact_fraction(self.contact_coeff))
-        if self.tb > -1:
+        if not isinstance(self.id, str):
+            raise TypeError(f"a component id is a str, got {self.id!r}")
+        if exact_int(self.tb, "tb") > -1:
             raise ValueError(f"a Legendrian unknot has tb <= -1, got {self.tb}")
-        if abs(self.rot) > abs(self.tb) - 1:
+        if abs(exact_int(self.rot, "rot")) > abs(self.tb) - 1:
             raise ValueError(f"|rot| <= |tb| - 1 fails: tb={self.tb}, rot={self.rot}")
         if (self.rot - (self.tb + 1)) % 2 != 0:
             raise ValueError(f"rot and tb+1 must share parity: tb={self.tb}, rot={self.rot}")
@@ -113,12 +116,7 @@ class ContactSurgeryDiagram:
                 LegendrianUnknotData(c["id"], c["tb"], c["rot"], parse_fraction(c["coeff"]))
                 for c in data["components"]
             )
-            linking = data.get("linking", [])
-            if not (all(isinstance(c.id, str) and type(c.tb) is int and type(c.rot) is int
-                        for c in comps) and is_json_edge_list(linking)):
-                raise ValueError("contact diagram JSON needs string ids, integer tb and rot "
-                                 "and [id, id, integer] linking entries")
-            return cls(comps, tuple(sorted(map(tuple, linking))))
+            return cls(comps, tuple(sorted(map(tuple, data.get("linking", [])))))
         except (KeyError, TypeError, AttributeError) as e:
             raise ValueError(f"malformed contact diagram JSON: {e!r}") from None
 
@@ -130,8 +128,7 @@ def presentation_for(h: int, k: int) -> ContactSurgeryDiagram:
     K_a: tb = -3, rot = -2, coefficient -1/h     (h positive twists);
     lk(K_e, K_a) = -2.
     """
-    if h < 1 or k < 1:
-        raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
+    check_family(h, k)
     tb_e, rot_e = negative_stabilization(STANDARD_UNKNOT_TB_ROT)
     tb_a, rot_a = negative_stabilization((tb_e, rot_e))
     k_e = LegendrianUnknotData("K_e", tb_e, rot_e, Fraction(1, k + 1))

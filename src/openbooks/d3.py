@@ -45,6 +45,7 @@ from fractions import Fraction
 from . import linalg
 from .contact import expand_to_unit_coefficients, presentation_for
 from .lens import LensSpace, family_lens, neg_cf_expand
+from .pages import check_family
 from .serialize import fraction_str
 
 OVERTWISTED_CERTIFIED = "OVERTWISTED_CERTIFIED"
@@ -265,8 +266,7 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
     OVERTWISTED_CERTIFIED when the value differs from every census value on
     the underlying lens space; INCONCLUSIVE (with the full data) otherwise.
     """
-    if h < 1 or k < 1:
-        raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
+    check_family(h, k)
     expanded = expand_to_unit_coefficients(presentation_for(h, k))
     space = family_lens(h, k)
     rows, q_plus = _expanded_rows(expanded)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .linalg import det_sparse_rows
 from .serialize import exact_fraction, fraction_str, parse_fraction
@@ -69,8 +70,8 @@ def order_to_jsonable(order):
 
 @dataclass(frozen=True)
 class Vertex:
-    """A surgery component; an int framing is stored as a Fraction, and any
-    type but int and Fraction is a TypeError."""
+    """A surgery component with a str id and a bool is_unknot; an int
+    framing is stored as a Fraction.  Any other type is a TypeError."""
 
     id: str
     framing: Fraction
@@ -79,10 +80,12 @@ class Vertex:
     def __post_init__(self):
         if type(self.framing) is not Fraction:
             object.__setattr__(self, "framing", exact_fraction(self.framing))
+        if not isinstance(self.id, str) or type(self.is_unknot) is not bool:
+            raise TypeError(f"a vertex id is a str and is_unknot a bool: {self.id!r}, "
+                            f"{self.is_unknot!r}")
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     """Audit entry for one move: kind, arguments, and the H_1 order check."""
 
     move: str
@@ -251,12 +254,7 @@ class FramedLinkDiagram(_Reads):
                 Vertex(v["id"], parse_fraction(v["framing"]), v.get("unknot", True))
                 for v in data["vertices"]
             )
-            es = data.get("edges", [])
-            if not (all(isinstance(v.id, str) and isinstance(v.is_unknot, bool) for v in vs)
-                    and is_json_edge_list(es)):
-                raise ValueError("diagram JSON needs string ids, boolean unknot flags and "
-                                 "[id, id, integer] edges")
-            return cls(vs, tuple(sorted(map(tuple, es))))
+            return cls(vs, tuple(sorted(map(tuple, data.get("edges", [])))))
         except (KeyError, TypeError, AttributeError) as e:
             raise ValueError(f"malformed diagram JSON: {e!r}") from None
 
@@ -579,17 +577,11 @@ def check_edges(ids, edges):
             raise ValueError(f"self-edge at {i!r}")
         if i not in idset or j not in idset:
             raise ValueError(f"edge ({i!r}, {j!r}) references unknown vertex")
-        if not isinstance(w, int) or w == 0:
+        if type(w) is not int or w == 0:
             raise ValueError("edge weights must be nonzero integers")
         if (i, j) in seen or i > j:
             raise ValueError("edges must be canonical: id_i < id_j, unique")
         seen.add((i, j))
-
-
-def is_json_edge_list(edges) -> bool:
-    """True when every entry of a parsed JSON edge list is [str, str, int]."""
-    return all(isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
-               and isinstance(e[1], str) and type(e[2]) is int for e in edges)
 
 
 def canonical_edges(edges: dict) -> tuple:
@@ -597,10 +589,10 @@ def canonical_edges(edges: dict) -> tuple:
     dropped and a pair given in both orders is an error."""
     canon = {}
     for (i, j), w in edges.items():
-        if w == 0:
+        if w == 0 and type(w) is int:
             continue
         key = (i, j) if i < j else (j, i)
         if key in canon:
             raise ValueError(f"duplicate edge {key}")
-        canon[key] = int(w)
+        canon[key] = w
     return tuple(sorted((i, j, w) for (i, j), w in canon.items()))

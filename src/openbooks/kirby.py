@@ -30,6 +30,8 @@ sequence of moves whose pictures are known.  That reduction takes the
 from fractions import Fraction
 
 from .diagram import FramedLinkDiagram, InvariantViolationError, ScriptState, Vertex
+from .pages import check_family
+from .serialize import exact_int
 
 
 class IllegalMoveError(ValueError):
@@ -41,14 +43,6 @@ def _vertex(d: FramedLinkDiagram, vid: str) -> Vertex:
         return d.vertex(vid)
     except KeyError:
         raise IllegalMoveError(f"no vertex {vid!r}") from None
-
-
-def _integer(x, what: str) -> int:
-    """x if it is an int, not a bool; int() would truncate 3/2 or 2.5 and
-    read True as 1, so anything else is a TypeError."""
-    if type(x) is not int:
-        raise TypeError(f"{what} must be an int, got {x!r}")
-    return x
 
 
 def _fresh_id(d: FramedLinkDiagram, base: str) -> str:
@@ -92,13 +86,13 @@ def blow_up(d: FramedLinkDiagram, sign: int, star=None, new_id: str = None) -> F
     The existing framings and linkings are adjusted by the inverse of the
     blow-down rule, so blow_down of the new vertex is the exact identity.
     """
-    if _integer(sign, "blow up sign") not in (1, -1):
+    if exact_int(sign, "blow up sign") not in (1, -1):
         raise IllegalMoveError(f"blow up sign must be +-1, got {sign}")
     star = dict(star or {})
     for u, w in star.items():
         if u not in d:
             raise IllegalMoveError(f"star references unknown vertex {u!r}")
-        _integer(w, "a star weight")
+        exact_int(w, "a star weight")
     star = [(u, w) for u, w in star.items() if w]
     vid = _fresh_id(d, new_id or "u")
     shifts, deltas = _twist(star, sign)
@@ -132,7 +126,7 @@ def inverse_slam_dunk(d: FramedLinkDiagram, vid: str, n: int = None, leaf_id: st
                 f"framing {r} is an integer; a split must be forced to dunk it"
             )
         n = _canonical_split(r)
-    elif _integer(n, "a forced split n") == r:
+    elif exact_int(n, "a forced split n") == r:
         raise IllegalMoveError(f"forced split n={n} equals the framing itself")
     x = 1 / (n - r)  # n - 1/x = r
     leaf = _fresh_id(d, leaf_id or f"{vid}_leaf")
@@ -175,7 +169,7 @@ def handle_slide(d: FramedLinkDiagram, slide_id: str, over_id: str, sign: int) -
     """
     if slide_id == over_id:
         raise IllegalMoveError("cannot slide a component over itself")
-    if _integer(sign, "slide sign") not in (1, -1):
+    if exact_int(sign, "slide sign") not in (1, -1):
         raise IllegalMoveError(f"slide sign must be +-1, got {sign}")
     fi, fj = _vertex(d, slide_id).framing, _vertex(d, over_id).framing
     if fi.denominator != 1 or fj.denominator != 1:
@@ -284,8 +278,7 @@ def reduce_family_diagram(h: int, k: int) -> FramedLinkDiagram:
     """
     from .contact import presentation_for, smooth_diagram
 
-    if h < 1 or k < 1:
-        raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
+    check_family(h, k)
     s = ScriptState(smooth_diagram(presentation_for(h, k)))
     blow_up(s, +1, {"K_e": 1, "K_a": 1}, new_id="p1")
     blow_up(s, +1, {"K_e": 1, "K_a": 1}, new_id="p2")

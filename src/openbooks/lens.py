@@ -16,6 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .pages import check_family
+from .serialize import exact_fraction
+
 
 class _Pole:
     """Value of a continued fraction that diverges to infinity."""
@@ -35,13 +38,13 @@ POLE = _Pole()
 
 
 def neg_cf_expand(x) -> list:
-    """Negative continued fraction expansion of a rational x > 1.
+    """Negative continued fraction expansion of an int or Fraction x > 1.
 
     Returns the unique list [a_1, ..., a_n] with every a_i >= 2 and
     x = a_1 - 1/(a_2 - 1/(... - 1/a_n)).  The recursion takes a_1 to be
     the ceiling of x and continues with 1/(a_1 - x).
     """
-    x = Fraction(x)
+    x = exact_fraction(x)
     if x <= 1:
         raise ValueError(f"expansion needs x > 1, got {x}")
     p, q = x.numerator, x.denominator
@@ -75,8 +78,8 @@ def cf_evaluate(coeffs):
 class LensSpace:
     """A normalized lens space L(p, q); -p/q surgery on an unknot.
 
-    Invariants: p >= 0; for p >= 2, 0 < q < p with gcd(p, q) = 1;
-    (1, 0) is S^3 and (0, 1) is S^1 x S^2.
+    Invariants: p, q ints (not bools); p >= 0; for p >= 2, 0 < q < p with
+    gcd(p, q) = 1; (1, 0) is S^3 and (0, 1) is S^1 x S^2.
     """
 
     p: int
@@ -84,6 +87,8 @@ class LensSpace:
 
     def __post_init__(self):
         p, q = self.p, self.q
+        if type(p) is not int or type(q) is not int:
+            raise TypeError(f"L(p, q) takes int p and q, got {p!r} and {q!r}")
         if p < 0:
             raise ValueError("p must be nonnegative")
         if p == 0 and q != 1:
@@ -104,7 +109,8 @@ class LensSpace:
         bookkeeping: (p, q) and (-p, -q) name the same oriented manifold),
         and reduces q modulo p.  0/0 is no coefficient: a ValueError.
         """
-        p, q = int(p), int(q)
+        if type(p) is not int or type(q) is not int:
+            raise TypeError(f"L(p, q) takes int p and q, got {p!r} and {q!r}")
         if p == q == 0:
             raise ValueError("0/0 is not a surgery coefficient")
         if q == 0:
@@ -149,9 +155,9 @@ def chain_to_lens(chain) -> LensSpace:
         framings = chain.chain_framings()  # raises on non-chain diagrams
     else:
         framings = list(chain)
-    if not all(int(f) == f for f in framings):
+    if not all(type(f) is int or exact_fraction(f).denominator == 1 for f in framings):
         raise ValueError("chain framings must be integers")
-    coeffs = [-int(f) for f in framings]
+    coeffs = [-f.numerator for f in framings]
     v = cf_evaluate(coeffs)
     if v is POLE:
         return LensSpace(1, 0)
@@ -180,6 +186,5 @@ def lens_equal(l1: LensSpace, l2: LensSpace, oriented: bool = True) -> bool:
 
 def family_lens(h: int, k: int) -> LensSpace:
     """The lens space L((h+1)(2k-1)+2, (h+1)k+1) attached to the (h, k) family."""
-    if h < 1 or k < 1:
-        raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
+    check_family(h, k)
     return LensSpace.normalized((h + 1) * (2 * k - 1) + 2, (h + 1) * k + 1)

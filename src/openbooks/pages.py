@@ -21,6 +21,8 @@ b, c, d, and k+1 negative twists about the separating curve e.
 
 from dataclasses import dataclass
 
+from .serialize import exact_int
+
 BOUNDARY_A = "∂a"
 BOUNDARY_B = "∂b"
 BOUNDARY_C = "∂c"
@@ -125,8 +127,7 @@ def _normalize(letters):
     for name, exp in letters:
         if name not in CURVES:
             raise KeyError(f"unknown curve {name!r}")
-        exp = int(exp)
-        if exp == 0:
+        if exact_int(exp, "a twist exponent") == 0:
             continue
         if out and out[-1][0] == name:
             merged = out[-1][1] + exp
@@ -142,7 +143,7 @@ def _normalize(letters):
 class TwistWord:
     """A composition of Dehn twists along named curves, left to right.
 
-    Letters are (curve name, nonzero exponent) pairs; adjacent letters
+    Letters are (curve name, nonzero int exponent) pairs; adjacent letters
     along the same curve are merged, so words are always in normal form.
     """
 
@@ -163,16 +164,15 @@ class TwistWord:
 
     @classmethod
     def from_jsonable(cls, data) -> "TwistWord":
-        if not isinstance(data, list) or not all(
-            isinstance(letter, list) and len(letter) == 2
-            and isinstance(letter[0], str) and type(letter[1]) is int
-            for letter in data
-        ):
-            raise ValueError(f"twist word must be a list of [curve, exponent] pairs: {data!r}")
-        unknown = sorted({name for name, _ in data} - CURVES.keys())
-        if unknown:
-            raise ValueError(f"twist word names unknown curves {unknown}")
-        return cls(tuple((name, exp) for name, exp in data))
+        """Parse [[curve, exponent], ...]; any malformed input is a ValueError."""
+        try:
+            if isinstance(data, list):
+                return cls(data)
+        except KeyError as e:
+            raise ValueError(f"twist word names unknown curves: {e.args[0]}") from None
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"twist word must be a list of [curve, exponent] pairs: {data!r}")
 
     def __str__(self) -> str:
         if not self.letters:
@@ -180,11 +180,16 @@ class TwistWord:
         return " ".join(f"{n}^{e}" if e != 1 else n for n, e in self.letters)
 
 
+def check_family(h, k):
+    """The family's domain, ints h, k >= 1; a bool or any other type is a TypeError."""
+    if exact_int(h, "h") < 1 or exact_int(k, "k") < 1:
+        raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
+
+
 def family_word(h: int, k: int) -> TwistWord:
     """The twist word a^h b c d e^-(k+1) on the four-holed sphere.
 
     Defined for h, k >= 1.
     """
-    if h < 1 or k < 1:
-        raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
+    check_family(h, k)
     return TwistWord((("a", h), ("b", 1), ("c", 1), ("d", 1), ("e", -(k + 1))))

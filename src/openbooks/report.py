@@ -14,7 +14,7 @@ from .contact import presentation_for
 from .d3 import overtwisted_verdict
 from .kirby import reduce_family_diagram
 from .lens import chain_to_lens, lens_equal
-from .pages import family_word
+from .pages import check_family, family_word
 from .serialize import fraction_str
 from .veering import NOT_DESTABILIZABLE, destabilization_report, prove_right_veering
 
@@ -91,8 +91,7 @@ def _require(h, k, checks):
 
 def run_family(h: int, k: int) -> FamilyReport:
     """Run the full pipeline for one (h, k) and cross-check every stage."""
-    if h < 1 or k < 1:
-        raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
+    check_family(h, k)
     order = (h + 1) * (2 * k - 1) + 2
     word = family_word(h, k)
     contact = presentation_for(h, k)

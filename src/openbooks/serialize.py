@@ -41,6 +41,14 @@ def exact_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def exact_int(x, what: str) -> int:
+    """x if it is an int, not a bool; int() would truncate 3/2 or 2.5 and
+    read True as 1, so anything else is a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an int, got {x!r}")
+    return x
+
+
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 

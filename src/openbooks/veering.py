@@ -38,6 +38,7 @@ from .pages import (
     CURVES,
     FOUR_HOLED_SPHERE,
     TwistWord,
+    check_family,
     family_word,
     geometric_intersection,
 )
@@ -302,8 +303,7 @@ def destabilization_report(h: int, k: int, ot: Verdict, rv: Certificate) -> Dest
     from .certcheck import CertificateError, check_certificate
     from .serialize import fraction_str
 
-    if h < 1 or k < 1:
-        raise ValueError(f"family is defined for h, k >= 1, got h={h}, k={k}")
+    check_family(h, k)
     if not isinstance(rv, Certificate):
         raise ValueError("a right-veering certificate is required")
     word = family_word(h, k)

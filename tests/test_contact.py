@@ -141,6 +141,19 @@ def test_diagram_serialization_roundtrip():
     assert ContactSurgeryDiagram.from_jsonable(p.to_jsonable()) == p
     e = expand_to_unit_coefficients(p)
     assert ContactSurgeryDiagram.from_jsonable(e.to_jsonable()) == e
+    # the same inexact values inside the document are a ValueError; with no
+    # linking, no edge check sees the component
+    for key, bad in (("id", 5), ("tb", -2.0), ("tb", True), ("rot", -1.0), ("rot", True)):
+        doc = p.to_jsonable()
+        doc["components"][0][key] = bad
+        doc["linking"] = []
+        with pytest.raises(ValueError):
+            ContactSurgeryDiagram.from_jsonable(doc)
+    for bad in (-2.0, True):
+        doc = p.to_jsonable()
+        doc["linking"][0][2] = bad
+        with pytest.raises(ValueError):
+            ContactSurgeryDiagram.from_jsonable(doc)
 
 
 def _expand_by_dict_and_build(d):
@@ -197,4 +210,8 @@ def test_contact_coefficients_are_exact():
     for coeff in (0.5, True, "1/2", None):
         with pytest.raises(TypeError):
             LegendrianUnknotData("x", -1, 0, coeff)
+    # the id is a str and tb and rot are ints
+    for cid, tb, rot in ((5, -2, -1), ("x", -2.0, -1), ("x", -2, True), ("x", Fraction(-2), -1)):
+        with pytest.raises(TypeError):
+            LegendrianUnknotData(cid, tb, rot, 1)
     assert type(LegendrianUnknotData("x", -1, 0, -1).contact_coeff) is Fraction

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from openbooks.contact import presentation_for, smooth_diagram
+from openbooks.d3 import overtwisted_verdict
 from openbooks.diagram import INFINITE, FramedLinkDiagram, ScriptState, Vertex
 from openbooks.kirby import (
     MOVES,
@@ -24,8 +25,10 @@ from openbooks.kirby import (
 )
 from openbooks.lens import chain_to_lens, family_lens, lens_equal
 from openbooks.linalg import det, signature
+from openbooks.pages import family_word
 from openbooks.report import run_family
 from openbooks.serialize import canonical_dumps, canonical_line
+from openbooks.veering import destabilization_report
 
 from diagram_gen import (
     exercise_moves,
@@ -514,6 +517,14 @@ def test_framings_are_exact():
             FramedLinkDiagram.build([("a", bad)], {})
     with pytest.raises(TypeError):
         FramedLinkDiagram.build([("a", 0.1), ("b", True)], {("a", "b"): 1})
+    # ids are strs and unknot flags bools; edge weights are ints, not
+    # truncated, and check_edges keeps its ValueError
+    for v in ((5, 1), (None, 1), ("x", 1, 1), ("x", 1, None)):
+        with pytest.raises(TypeError):
+            Vertex(*v)
+    for w in (1.5, 1.0, True, False, Fraction(1)):
+        with pytest.raises(ValueError, match="edge weights must be nonzero integers"):
+            FramedLinkDiagram.build([("a", 1), ("b", 2)], {("a", "b"): w})
     d = FramedLinkDiagram.build([("a", 3)], {})
     assert type(d.vertices[0].framing) is Fraction
     for framings, append in (({"a": 0.5}, None), (None, ("b", 0.5)), (None, ("b", False))):
@@ -527,6 +538,17 @@ def test_framings_are_exact():
                      lambda: handle_slide(c, "a", "b", bad)):
             with pytest.raises(TypeError):
                 move()
+    # so are the family's h and k, at each of its entry points; a float went
+    # through some of them whole (family_word(1.5, 1) was a b c d e^-2)
+    for entry in (family_word, presentation_for, reduce_family_diagram, family_lens,
+                  overtwisted_verdict, run_family,
+                  lambda h, k: destabilization_report(h, k, None, None)):
+        for h, k in ((True, 1), (1, True)):
+            with pytest.raises(TypeError):
+                entry(h, k)
+    for entry in (family_word, family_lens):
+        with pytest.raises(TypeError):
+            entry(1.5, 1)
 
 
 def test_move_property_suite_small():

@@ -28,6 +28,10 @@ def test_neg_cf_domain_error():
         neg_cf_expand(Fraction(1))
     with pytest.raises(ValueError):
         neg_cf_expand(Fraction(2, 3))
+    # an exact rational only: 2.5 is not rounded and " 8/5 " not parsed
+    for bad in (2.5, " 8/5 ", True):
+        with pytest.raises(TypeError):
+            neg_cf_expand(bad)
 
 
 def test_neg_cf_roundtrip_up_to_500():
@@ -85,6 +89,13 @@ def test_lens_invariant_validation():
         LensSpace(4, 5)
     with pytest.raises(ValueError):
         LensSpace(-2, 1)
+    # p and q are ints: 7.9 is not truncated to 7, nor True read as 1
+    for p, q in ((1.0, 0), (True, 0), (0, True)):
+        with pytest.raises(TypeError):
+            LensSpace(p, q)
+    for p, q in ((7.9, 2), (True, 2), (7, True), (5.0, 0), (Fraction(7), 2)):
+        with pytest.raises(TypeError):
+            LensSpace.normalized(p, q)
 
 
 def test_chain_to_lens_examples():
@@ -109,6 +120,10 @@ def test_chain_to_lens_accepts_diagrams():
 def test_chain_to_lens_rejects_rational_framings():
     with pytest.raises(ValueError):
         chain_to_lens([Fraction(-3, 2)])
+    # floats and bools are not framings, even integral ones
+    for bad in ([True, -2.0], [-2, -2.0], [False]):
+        with pytest.raises(TypeError):
+            chain_to_lens(bad)
 
 
 def test_lens_equal():

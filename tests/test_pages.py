@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,10 @@ def test_word_composition_and_serialization():
 def test_word_rejects_unknown_curves_and_zero_exponents():
     with pytest.raises(KeyError):
         TwistWord((("z", 1),))
+    # exponents are ints: 1.5 is not truncated to 1, nor True read as 1
+    for exp in (1.5, -2.0, True, Fraction(2)):
+        with pytest.raises(TypeError):
+            TwistWord((("a", exp),))
     assert TwistWord((("a", 0),)).letters == ()
 
 

@@ -342,6 +342,20 @@ _DEEP = "[" * 100_000 + "]" * 100_000  # json.dumps cannot write this depth
                  _REPLAY, id="diagram_edge_id_not_a_string"),
     pytest.param({"d.json": {"vertices": [{"id": "x", "framing": 0.1}]}, "s.json": []},
                  _REPLAY, id="diagram_float_framing"),
+    pytest.param({"d.json": {"vertices": [{"id": "x", "framing": "1", "unknot": 1}]}, "s.json": []},
+                 _REPLAY, id="diagram_unknot_not_a_bool"),
+    pytest.param({"d.json": {"vertices": [{"id": "a", "framing": "1"}, {"id": "b", "framing": "1"}],
+                             "edges": [["a", "b", True]]}, "s.json": []},
+                 _REPLAY, id="diagram_bool_edge_weight"),
+    pytest.param({"d.json": {"vertices": [{"id": "a", "framing": "1"}, {"id": "b", "framing": "1"}],
+                             "edges": [["a", "b", 1.5]]}, "s.json": []},
+                 _REPLAY, id="diagram_float_edge_weight"),
+    pytest.param({"c.json": {"word": [["a", 1.5]], "goals": {}}}, ["rv", "check", "c.json"],
+                 id="certificate_word_float_exponent"),
+    pytest.param({"c.json": {"word": [["a", True]], "goals": {}}}, ["rv", "check", "c.json"],
+                 id="certificate_word_bool_exponent"),
+    pytest.param({"c.json": {"word": {}, "goals": {}}}, ["rv", "check", "c.json"],
+                 id="certificate_word_an_object"),
     pytest.param({"c.json": {"word": [], "goals": {"∂a": {"rule": "POS", "boundary": "∂a",
                                                           "word": [], "children": 5}}}},
                  ["rv", "check", "c.json"], id="certificate_children_not_a_list"),

@@ -64,6 +64,30 @@ def test_package_has_no_floating_point():
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _int_calls(node, scope=None):
+    """(innermost enclosing function name, call source) of each int(...) call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "int":
+            yield scope, ast.unparse(child)
+        yield from _int_calls(child, child.name if isinstance(child, _FUNCTIONS) else scope)
+
+
+def test_no_int_call_truncates():
+    # int() truncates 2.5 and 3/2 and reads True as 1, so the package calls
+    # it only on values known to be exact integers: a framing after its +-1
+    # check, and an exact multiple of a common denominator.  cli.py parses
+    # argv text with it.
+    allowed = {("blow_down", "int(v.framing)"), ("_integer_rows", "int(x * scale)")}
+    package = Path(openbooks.__file__).resolve().parent
+    found = [
+        f"{path.name}:{scope} {call}"
+        for path in sorted(package.glob("*.py")) if path.name != "cli.py"
+        for scope, call in _int_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if (scope, call) not in allowed
+    ]
+    assert found == []
+
+
 def _nested_functions(outer):
     """The functions defined in the scope of `outer`, not in deeper ones."""
     todo = list(ast.iter_child_nodes(outer))
