@@ -38,11 +38,20 @@ EXIT_CHECK_FAILED = 3
 # per grid cell, about 0.6 s at its limit (times at the benchmark speed
 # probe's 1 ms reference).  A census of L(p, q) has a chain of fewer than
 # p components and fewer than p entries, and the continued fraction of p/q
-# has at most q coefficients.
+# has at most q coefficients.  kirby replay checks |H1| after every step,
+# on a graph with a cycle by eliminating the whole diagram, so the script's
+# steps are bounded, and so are the diagram's vertices and edges, on input
+# and after each step, since one blow-up can link a new vertex to all of
+# them; the worst case found, a cubic expander at the edge limit under 250
+# steps, takes 3 to 6 s.  The reduction of any family within
+# MAX_FAMILY_DIM starts from two vertices and takes at most 208 steps.
 MAX_FAMILY_DIM = 201
 MAX_SWEEP_SIDE = 20
 MAX_CENSUS_P = 1000
 MAX_CF_DENOMINATOR = 10000
+MAX_REPLAY_VERTICES = 250
+MAX_REPLAY_EDGES = 250
+MAX_REPLAY_STEPS = 250
 
 
 def _check_limit(name, value, limit):
@@ -217,10 +226,29 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _check_diagram_size(d, when):
+    _check_limit(f"vertices{when}", len(d.vertices), MAX_REPLAY_VERTICES)
+    _check_limit(f"edges{when}", len(d.edges), MAX_REPLAY_EDGES)
+
+
+def _replay_within_limits(d, script):
+    """replay, one step at a time, so that a step which takes the diagram
+    past a limit ends the script; the log and the result are those of one
+    replay of the whole script."""
+    _check_diagram_size(d, "")
+    if not isinstance(script, list):
+        return replay(d, script)  # a ValueError: a script is a list
+    _check_limit("script steps", len(script), MAX_REPLAY_STEPS)
+    for i, step in enumerate(script, 1):
+        d = replay(d, [step])
+        _check_diagram_size(d, f" after step {i}")
+    return d
+
+
 def _cmd_kirby_replay(args) -> int:
     d = FramedLinkDiagram.from_jsonable(_read_json(args.diagram))
     script = _read_json(args.script)
-    result = replay(d, script)
+    result = _replay_within_limits(d, script)
     payload = result.to_jsonable()
     payload["h1_order"] = order_to_jsonable(result.h1)
     lines = [

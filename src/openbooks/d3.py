@@ -46,7 +46,7 @@ from . import linalg
 from .contact import expand_to_unit_coefficients, presentation_for
 from .lens import LensSpace, family_lens, neg_cf_expand
 from .pages import check_family
-from .serialize import fraction_str
+from .serialize import exact_int, fraction_str
 
 OVERTWISTED_CERTIFIED = "OVERTWISTED_CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -72,9 +72,7 @@ class PM1Presentation:
             raise ValueError("rho length must match Q")
         if tuple(map(tuple, self.q)) != tuple(zip(*self.q)):
             raise ValueError("Q must be symmetric")
-        if type(self.q_plus) is not int:
-            raise TypeError(f"q_plus must be an int, got {self.q_plus!r}")
-        if self.q_plus < 0:
+        if exact_int(self.q_plus, "q_plus") < 0:
             raise ValueError("q_plus is a count")
 
 

@@ -221,14 +221,13 @@ MOVES = {
 def _well_typed(kind, value) -> bool:
     """An int (not a bool) or a str; for dict, a star, checked in one loop."""
     if kind is not dict:
-        return isinstance(value, kind) and not isinstance(value, bool)
+        return type(value) is kind
     if not isinstance(value, (dict, list, tuple)):
         return False
     ids = set()
     for pair in value.items() if isinstance(value, dict) else value:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
-                and pair[0] not in ids and isinstance(pair[1], int)
-                and not isinstance(pair[1], bool)):
+                and pair[0] not in ids and _well_typed(int, pair[1])):
             return False
         ids.add(pair[0])
     return True

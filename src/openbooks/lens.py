@@ -64,10 +64,16 @@ def cf_evaluate(coeffs):
     numerator/denominator pair, so interior poles pass through cleanly
     (a - 1/infinity is a).  Returns a Fraction, or POLE when the value of
     the whole expression is infinite.  The empty sequence evaluates to
-    POLE (the surgery coefficient of no surgery at all).
+    POLE (the surgery coefficient of no surgery at all).  Every
+    coefficient must be an int; any other type, a bool or a float
+    included, is a TypeError.  The test sits in the loop, where on
+    CPython 3.11 it measured cheaper than one C-level type scan of the
+    list before it.
     """
     p, q = 1, 0
     for a in reversed(coeffs):
+        if type(a) is not int:
+            raise TypeError(f"continued fraction coefficients must be ints, got {a!r}")
         p, q = a * p - q, p
     if q == 0:
         return POLE

@@ -3,10 +3,16 @@
 Everything in here is integer or fractions.Fraction arithmetic; no floats.
 One sparse integer elimination (Bareiss 1968: fraction-free, every division
 by the previous pivot exact), _pivots, is behind det_sparse_rows, det,
-signature and solve.  Its pivots are leading principal minors, so the last
-one is the determinant and, by Jacobi's rule, their signs give the
-signature.  On a symmetric Q it also carries right-hand sides r: each
-pivot row's entry u_t in r's column updates the corner of Q bordered by r,
+signature and solve.  It pivots on the diagonal, each time on a remaining
+row with the fewest entries (minimum degree, George-Liu 1989), so a tree
+with a few chords eliminates in near-linear time instead of filling in.
+That order is a symmetric permutation P^T Q P, which keeps det (det P^2 =
+1), sigma (a congruence; Jacobi's rule applies to the leading principal
+minors of P^T Q P) and every bordered corner below (r is permuted with
+Q).  The pivots are those leading minors, so the last one is the
+determinant and, by Jacobi's rule, their signs give the signature.  On a
+symmetric Q it also carries right-hand sides r: each pivot row's entry
+u_t in r's column updates the corner of Q bordered by r,
 acc <- (d_t acc - u_t^2) / d_(t-1), to det [[Q, r], [r^T, 0]] =
 -r^T adj(Q) r.  solve takes Q and its right-hand sides as sparse integer
 rows, as the d3 module writes them from a diagram's edges or a chain, and
@@ -22,6 +28,7 @@ module; only a graph with a cycle comes here, through det_sparse_rows.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import lcm
 from operator import itemgetter
@@ -42,14 +49,25 @@ def _pivots(rows, n, bordered=()):
     """Yield the pivots d_1, d_2, ... of a sparse integer Bareiss elimination.
 
     The n x n matrix is given as dict rows {column: nonzero int}, which are
-    consumed.  Pivots are diagonal, first remaining index first.  If every
-    remaining diagonal entry is 0, row and column j < n are added to row and
-    column i for an a_ij != 0, so a_ii = a_ij + a_ji (2 a_ij on symmetric
-    input), or the row alone if that is 0, so a_ii = a_ji.  Both keep det,
-    and the congruence keeps the signature: d_t is the t-th leading
-    principal minor of such a transform of the input.  A row with no entry
-    left below column n is dropped with a yielded 0; on symmetric input its
-    column is empty too.
+    consumed: a row is set to None once it is taken.  Pivots are diagonal.
+    Each step takes, among the remaining rows with a nonzero diagonal
+    entry, one with the fewest entries, the lowest index on a tie (minimum
+    degree, George-Liu 1989).  The candidates sit in a lazy heap of (row
+    length, index), pushed again whenever an update changes the row; a
+    popped entry that no longer matches its row is skipped.  When no
+    candidate is left, the first remaining row i is taken: with no entry
+    left below column n it is dropped with a yielded 0 (on symmetric input
+    its column is empty too); otherwise row and column j < n are added to
+    row and column i for an a_ij != 0, so a_ii = a_ij + a_ji (2 a_ij on
+    symmetric input), or the row alone if that is 0, so a_ii = a_ji.  Both
+    keep det, and the congruence keeps the signature.
+
+    Pivoting out of index order is a symmetric permutation P^T A P, with
+    det P^2 = 1: d_t is the t-th leading principal minor of such a
+    transform of the input, so the last pivot is det A, and Jacobi's rule
+    on the pivots gives the signature of P^T Q P, which is that of Q.  The
+    order is chosen step by step, not ahead of time, so a zero diagonal
+    entry that fill creates still reaches the congruence step.
 
     Columns n, n+1, ... are right-hand sides r_0, r_1, ...: they ride along
     in every row update but are never pivoted on.  `bordered` is a list of
@@ -58,12 +76,17 @@ def _pivots(rows, n, bordered=()):
     is both border entries of the step-t Bareiss update of
     [[Q, r_i], [r_i^T, 0]], so its corner follows
     bordered[i] <- (d_t bordered[i] - u_t^2) / d_(t-1) and ends as
-    det [[Q, r_i], [r_i^T, 0]].
+    det [[Q, r_i], [r_i^T, 0]]; permuting Q permutes r with it, which
+    keeps r^T adj(Q) r and so every corner.
 
-    Each division by the previous pivot is checked to be exact.  A row the
-    pivot column misses stays at level[r], the step it was last updated
-    at, and is multiplied by d_t / d_level when next touched, so with the
-    column occupancy index chain-shaped matrices cost O(n).
+    A row the pivot column misses stays at level[r], the step it was last
+    written at, standing for d_(t-1) / d_level times itself.  An update
+    at step t divides by the pivot of that level, (d_t row - v prow) /
+    d_level, which equals lifting the row to step t - 1 first and then
+    dividing by d_(t-1); only the pivot row is lifted.  Every division is
+    checked to be exact.  With the column occupancy index, which the
+    general, non-symmetric matrices of det need, a chain or a tree with a
+    few chords costs about O(n log n).
     """
     d = [1]  # d[t]: the t-th pivot
     level = [0] * n
@@ -71,69 +94,86 @@ def _pivots(rows, n, bordered=()):
     for r, row in enumerate(rows):
         for c in row:
             col_rows[c].add(r)
-    remaining = list(range(n))
-
-    def lift(r):
-        """Row r, brought up to the current step."""
-        row = rows[r]
-        s = level[r]
-        if s != len(d) - 1:
-            for c, x in row.items():
-                row[c] = _exact_div(x * d[-1], d[s])
-            level[r] = len(d) - 1
-        return row
-
-    def add(r, c, x):
-        """a_rc += x, keeping the occupancy index."""
-        row = rows[r]
-        y = row.get(c, 0) + x
-        if y:
-            row[c] = y
-            col_rows[c].add(r)
-        else:
-            del row[c]
-            col_rows[c].discard(r)
-
-    while remaining:
-        for p in remaining:
-            if p in rows[p] or all(c >= n for c in rows[p]):
+    heap = [(len(row), r) for r, row in enumerate(rows) if r in row]
+    heapify(heap)
+    first = 0  # no row below it remains
+    for _ in range(n):
+        while heap:
+            size, p = heappop(heap)
+            prow = rows[p]
+            if prow is not None and len(prow) == size and p in prow:
                 break
-        else:  # a nonzero remainder with a zero diagonal
-            p = remaining[0]
-            j = next(c for c in rows[p] if c < n)
-            row_j = lift(j)
-            congruence = lift(p)[j] + row_j.get(p, 0)
+        else:  # every remaining row has a zero diagonal entry
+            while rows[first] is None:
+                first += 1
+            p = first
+            prow = rows[p]
+            j = next((c for c in prow if c < n), None)
+            if j is None:
+                rows[p] = None
+                yield 0
+                continue
+            top = d[-1]
+            for r in (p, j):  # both rows up to the current step
+                s = level[r]
+                if s != len(d) - 1:
+                    rows[r] = {c: _exact_div(x * top, d[s]) for c, x in rows[r].items()}
+                    level[r] = len(d) - 1
+            prow, row_j = rows[p], rows[j]
+            congruence = prow[j] + row_j.get(p, 0)
             for c, x in row_j.items():
-                add(p, c, x)
+                y = prow.get(c, 0) + x
+                if y:
+                    prow[c] = y
+                    col_rows[c].add(p)
+                else:
+                    del prow[c]
+                    col_rows[c].discard(p)
             if congruence:
-                for r in list(col_rows[j]):
-                    add(r, p, rows[r][j])
-        remaining.remove(p)
-        if p not in rows[p]:  # after the congruence step a_pp != 0
-            yield 0
-            continue
-        prow = lift(p)
+                for r in col_rows[j]:
+                    row = rows[r]
+                    y = row.get(p, 0) + row[j]
+                    if y:
+                        row[p] = y
+                        col_rows[p].add(r)
+                    else:
+                        del row[p]
+                        col_rows[p].discard(r)
+        rows[p] = None
+        top = d[-1]
+        s = level[p]
+        if s != len(d) - 1:
+            prow = {c: _exact_div(x * top, d[s]) for c, x in prow.items()}
         for c in prow:
             col_rows[c].discard(p)
         piv = prow.pop(p)
+        t = len(d)
         for r in col_rows[p]:
-            row = lift(r)
+            row = rows[r]
             v = row.pop(p)
-            new = {c: piv * x for c, x in row.items()}
+            below = d[level[r]]
+            new = {}
+            for c, x in row.items():
+                y = prow.get(c)
+                if y is None:
+                    new[c] = _exact_div(piv * x, below)
+                else:
+                    x = piv * x - v * y
+                    if x:
+                        new[c] = _exact_div(x, below)
+                    else:
+                        col_rows[c].discard(r)
             for c, y in prow.items():
-                new[c] = new.get(c, 0) - v * y
-            new = {c: _exact_div(x, d[-1]) for c, x in new.items() if x}
-            for c in row:
-                if c not in new:
-                    col_rows[c].discard(r)
-            for c in new:
                 if c not in row:
+                    new[c] = _exact_div(-v * y, below)
                     col_rows[c].add(r)
             rows[r] = new
-            level[r] = len(d)
+            level[r] = t
+            if r in new:
+                heappush(heap, (len(new), r))
         for i, corner in enumerate(bordered):
             u = prow.get(n + i, 0)
-            bordered[i] = _exact_div(piv * corner - u * u, d[-1])
+            bordered[i] = _exact_div(piv * corner - u * u, top)
         col_rows[p] = ()
         d.append(piv)
         yield piv

@@ -30,6 +30,7 @@ right-veering property.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .d3 import Verdict
 from .pages import (
@@ -69,6 +70,14 @@ class CertNode:
     children: tuple = ()
     citation: str = ""
 
+    def __post_init__(self):
+        if not (isinstance(self.rule, str) and isinstance(self.boundary, str)
+                and isinstance(self.citation, str) and isinstance(self.arc, (str, type(None)))
+                and isinstance(self.word, TwistWord) and isinstance(self.children, tuple)
+                and all(map(isinstance, self.children, repeat(CertNode)))):
+            raise TypeError("certificate node needs a TwistWord word, str rule, boundary "
+                            "and citation, a str or None arc and a tuple of nodes")
+
     def to_jsonable(self):
         out = {
             "rule": self.rule,
@@ -83,20 +92,18 @@ class CertNode:
 
     @classmethod
     def from_jsonable(cls, data) -> "CertNode":
+        message = ("certificate node needs a word, string rule and boundary, "
+                   "and optional string arc and citation and children list")
         if (not isinstance(data, dict) or not {"rule", "boundary", "word"} <= data.keys()
-                or not all(isinstance(data.get(f, ""), str) for f in ("rule", "boundary", "citation"))
-                or not isinstance(data.get("arc", ""), (str, type(None)))
                 or not isinstance(data.get("children", []), list)):
-            raise ValueError("certificate node needs a word, string rule and boundary, "
-                             "and optional string arc and citation and children list")
-        return cls(
-            rule=data["rule"],
-            boundary=data["boundary"],
-            word=TwistWord.from_jsonable(data["word"]),
-            arc=data.get("arc"),
-            children=tuple(cls.from_jsonable(c) for c in data.get("children", [])),
-            citation=data.get("citation", ""),
-        )
+            raise ValueError(message)
+        word = TwistWord.from_jsonable(data["word"])
+        children = tuple(cls.from_jsonable(c) for c in data.get("children", []))
+        try:
+            return cls(data["rule"], data["boundary"], word, data.get("arc"), children,
+                       data.get("citation", ""))
+        except TypeError:
+            raise ValueError(message) from None
 
 
 @dataclass(frozen=True)

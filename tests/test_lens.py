@@ -60,6 +60,13 @@ def test_cf_evaluate_family_identity_small():
             assert value == Fraction((h + 1) * (2 * k - 1) + 2, (h + 1) * k + 1)
 
 
+def test_cf_evaluate_refuses_non_int_coefficients():
+    # a bool would be read as 0 or 1: [True, 2] as 1 - 1/2
+    for bad in ([True, 2], [3, True], [3, 2.0], [Fraction(3), 2]):
+        with pytest.raises(TypeError):
+            cf_evaluate(bad)
+
+
 def test_cf_evaluate_poles():
     assert cf_evaluate([]) is POLE
     assert cf_evaluate([2, 0]) is POLE  # 2 - 1/0: infinite

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from openbooks import linalg
 from openbooks.linalg import (
     SingularMatrixError,
+    _pivots,
     det,
     det_sparse_rows,
     signature,
@@ -338,3 +341,76 @@ def test_twin_slide_matches_oracles_on_planted_twins():
         else:
             assert solve_dense(m, rhs) == (d, sigma, [_quadratic_form(m, r) for r in rhs])
     assert min(seen.values()) >= 20, seen
+
+
+def _tree_with_chords(rng, n, chords, diagonal, shuffled=True):
+    """The sparse symmetric rows of a random tree on n vertices plus up to
+    `chords` extra edges, weights +-1 or +-2 and diagonal entries drawn by
+    `diagonal`.  Each vertex hangs off a random earlier one, in random
+    order if `shuffled`, else in index order, root first."""
+    perm = list(range(n))
+    if shuffled:
+        rng.shuffle(perm)
+    edges = {frozenset((perm[rng.randrange(i)], perm[i])) for i in range(1, n)}
+    target = len(edges) + min(chords, n * (n - 1) // 2 - len(edges))
+    while len(edges) < target:
+        edges.add(frozenset(rng.sample(range(n), 2)))
+    rows = [{i: x} if (x := diagonal(rng)) else {} for i in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = rng.choice((-2, -1, 1, 2))
+    return rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), chords=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_trees_with_chords_match_dense_oracles(n, chords, seed):
+    # a quarter of the diagonal entries 0, so that about one case in seven
+    # runs out of nonzero diagonals (the congruence step or a dropped row);
+    # det and solve against the dense oracles, and a chord-free tree's fold
+    # against the elimination
+    rng = random.Random(seed)
+    rows = _tree_with_chords(rng, n, chords, lambda rng: rng.choice((0, 0, -3, -2, -1, 1, 2, 3)))
+    m = [[row.get(j, 0) for j in range(n)] for row in rows]
+    # the first pivot is the diagonal entry of the row with the fewest
+    # entries among those with a nonzero diagonal, the lowest index first
+    candidates = [(sum(map(bool, row)), i) for i, row in enumerate(m) if row[i]]
+    if candidates:
+        first = min(candidates)[1]
+        assert next(_pivots(_sparse_rows(m), n)) == m[first][first]
+    d = dense_det(m)
+    assert det_sparse_rows(_sparse_rows(m), n) == d
+    r = [rng.randint(-3, 3) for _ in range(n)]
+    if d == 0:
+        assert signature(m) == signature_oracle(m)
+        with pytest.raises(SingularMatrixError):
+            solve_dense(m, [r])
+    else:
+        assert solve_dense(m, [r]) == (d, _oracle_signature(m, rng), [_quadratic_form(m, r)])
+    if chords == 0:
+        ids = [f"v{i:02}" for i in range(n)]
+        tree = FramedLinkDiagram.build(
+            [(ids[i], m[i][i]) for i in range(n)],
+            {(ids[j], ids[i]): m[i][j] for i in range(n) for j in range(i) if m[i][j]},
+        )
+        assert tree.h1 == _order(det_sparse_rows(_sparse_rows(m), n))
+
+
+def test_sparse_elimination_work_is_near_linear(monkeypatch):
+    # a tree with three chords, numbered root first: the smallest-row pivot
+    # rule eliminates the leaves first and fills in only around the chords,
+    # so the exact divisions about double from 500 to 1000 vertices (index
+    # order starts at the root and fills in, superlinearly)
+    calls = [0]
+
+    def counted(x, d, div=linalg._exact_div):
+        calls[0] += 1
+        return div(x, d)
+
+    monkeypatch.setattr(linalg, "_exact_div", counted)
+    counts = []
+    for n in (500, 1000):
+        rows = _tree_with_chords(random.Random(n), n, 3, lambda rng: rng.choice((-3, 2, 5)), False)
+        calls[0] = 0
+        det_sparse_rows(rows, n)
+        counts.append(calls[0])
+    assert 0 < counts[1] <= 2.2 * counts[0], counts

@@ -392,3 +392,34 @@ def test_cli_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+
+
+def _unknots(n):
+    return [{"id": f"v{i:03}", "framing": "-3"} for i in range(n)]
+
+
+def _clique(n):
+    return {"vertices": _unknots(n),
+            "edges": [[f"v{i:03}", f"v{j:03}", 1] for j in range(n) for i in range(j)]}
+
+
+@pytest.mark.parametrize("diagram, script, named", [
+    pytest.param({"vertices": _unknots(251)}, [],
+                 "vertices = 251", id="vertices"),
+    pytest.param(_clique(23), [], "edges = 253", id="edges"),  # 23 * 22 / 2
+    pytest.param(_ONE_UNKNOT,
+                 [{"move": "reverse_orientation", "args": {"vertex": "x"}}] * 251,
+                 "script steps = 251", id="steps"),
+    # a +1 blow-up over all 22 vertices of a clique of 231 edges links the
+    # new vertex to each of them and keeps every other edge
+    pytest.param(_clique(22),
+                 [{"move": "blow_up", "args": {"sign": 1, "star": {f"v{i:03}": 1 for i in range(22)}}}],
+                 "edges after step 1 = 253", id="edges_after_a_step"),
+])
+def test_cli_replay_limits_exit_2_and_name_the_limit(tmp_path, capsys, diagram, script, named):
+    (tmp_path / "d.json").write_text(json.dumps(diagram))
+    (tmp_path / "s.json").write_text(json.dumps(script))
+    argv = ["kirby", "replay", "--diagram", str(tmp_path / "d.json"),
+            "--script", str(tmp_path / "s.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {named} is above the limit 250\n"

@@ -189,6 +189,13 @@ def test_checker_rejects_unknown_rule_and_curve():
     bad["word"] = [["z", 1]]
     with pytest.raises(ValueError, match="unknown curves"):
         Certificate.from_jsonable(bad)
+    # a node checks its own fields, however it is built
+    from openbooks.veering import CertNode
+
+    for fields in ((5, None, TwistWord()), ("POS", "∂a", [("a", 1)]),
+                   ("COMP", "∂a", TwistWord(), None, [cert.goals[0][1]])):
+        with pytest.raises(TypeError):
+            CertNode(*fields)
 
 
 def test_arikan_tight_examples():
