@@ -107,12 +107,6 @@ def from_expanded_diagram(d) -> PM1Presentation:
     return PM1Presentation(q, tuple(c.rot for c in d.components), q_plus)
 
 
-def family_presentation(h: int, k: int) -> PM1Presentation:
-    """Expanded +-1 presentation of the (h, k) family: k+1 positive
-    coefficients on the tb = -2 pushoffs and h negative ones on tb = -3."""
-    return from_expanded_diagram(expand_to_unit_coefficients(presentation_for(h, k)))
-
-
 def _solve(rows, n, count):
     """linalg.solve, with the error d3 gives for a singular Q."""
     try:

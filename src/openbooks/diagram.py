@@ -141,11 +141,11 @@ class FramedLinkDiagram(_Reads):
         check_edges([v.id for v in self.vertices], self.edges)
 
     @staticmethod
-    def build(vertices, edges: dict, move_log=()) -> "FramedLinkDiagram":
+    def build(vertices, edges: dict) -> "FramedLinkDiagram":
         """Construct from any iterable of vertices and an edge dict {(i, j): w};
         zero weights are dropped and pairs are canonicalized."""
         vs = tuple(v if isinstance(v, Vertex) else Vertex(*v) for v in vertices)
-        return FramedLinkDiagram(vs, canonical_edges(edges), tuple(move_log))
+        return FramedLinkDiagram(vs, canonical_edges(edges))
 
     def apply_move(self, move, args, framings=None, deltas=None, drop=None,
                    append=None, shifts=None) -> "FramedLinkDiagram":
@@ -172,9 +172,6 @@ class FramedLinkDiagram(_Reads):
             adj[j][i] = w
         return adj
 
-    def has_integer_framings(self) -> bool:
-        return all(v.framing.denominator == 1 for v in self.vertices)
-
     # -- invariants --------------------------------------------------------
 
     @cached_property
@@ -184,24 +181,6 @@ class FramedLinkDiagram(_Reads):
         order = compute_h1(self._ratios, self._adjacency, fold)
         self.__dict__["_messages"] = fold.messages
         return order
-
-    def linking_matrix(self):
-        """Symmetric integer linking matrix (framings on the diagonal).
-
-        Only defined when every framing is an integer.
-        """
-        if not self.has_integer_framings():
-            raise ValueError("linking matrix needs integer framings")
-        n = len(self.vertices)
-        idx = {v.id: i for i, v in enumerate(self.vertices)}
-        m = [[0] * n for _ in range(n)]
-        for i, v in enumerate(self.vertices):
-            m[i][i] = v.framing.numerator
-        for a, b, w in self.edges:
-            ia, ib = idx[a], idx[b]
-            m[ia][ib] = w
-            m[ib][ia] = w
-        return m
 
     @cached_property
     def _chain(self):

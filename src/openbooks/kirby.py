@@ -29,6 +29,7 @@ sequence of moves whose pictures are known.  That reduction takes the
 
 from fractions import Fraction
 
+from .contact import presentation_for, smooth_diagram
 from .diagram import FramedLinkDiagram, InvariantViolationError, ScriptState, Vertex
 from .pages import check_family
 from .serialize import exact_int
@@ -275,8 +276,6 @@ def reduce_family_diagram(h: int, k: int) -> FramedLinkDiagram:
     [-2, -(k+1), -2 x h] with all edges +1 and the full move log, run on
     one ScriptState; every move checks that |H_1| = (h+1)(2k-1)+2 holds.
     """
-    from .contact import presentation_for, smooth_diagram
-
     check_family(h, k)
     s = ScriptState(smooth_diagram(presentation_for(h, k)))
     blow_up(s, +1, {"K_e": 1, "K_a": 1}, new_id="p1")
@@ -308,7 +307,7 @@ def reduce_family_diagram(h: int, k: int) -> FramedLinkDiagram:
         )
     framings = d.chain_framings()
     expected = [Fraction(-2), Fraction(-(k + 1))] + [Fraction(-2)] * h
-    if framings != expected and framings != expected[::-1]:
+    if framings != expected:
         raise InvariantViolationError(
             f"family reduction ({h}, {k}) produced unexpected chain {framings}"
         )

@@ -15,7 +15,7 @@ from .d3 import overtwisted_verdict
 from .kirby import reduce_family_diagram
 from .lens import chain_to_lens, lens_equal
 from .pages import check_family, family_word
-from .serialize import fraction_str
+from .serialize import canonical_line, fraction_str
 from .veering import NOT_DESTABILIZABLE, destabilization_report, prove_right_veering
 
 
@@ -150,8 +150,6 @@ def run_sweep(hmax: int, kmax: int, out_path=None):
 
     Returns a summary with the verdict histogram and the d3 table.
     """
-    from .serialize import canonical_line
-
     if hmax < 1 or kmax < 1:
         raise ValueError("sweep bounds must be >= 1")
     histogram = {}

@@ -32,6 +32,7 @@ right-veering property.
 from dataclasses import dataclass
 from itertools import repeat
 
+from . import certcheck
 from .d3 import Verdict
 from .pages import (
     ARCS,
@@ -43,6 +44,7 @@ from .pages import (
     family_word,
     geometric_intersection,
 )
+from .serialize import fraction_str
 
 POS_CITATION = (
     "Honda-Kazez-Matic: right-veering diffeomorphisms form a monoid "
@@ -307,9 +309,6 @@ def destabilization_report(h: int, k: int, ot: Verdict, rv: Certificate) -> Dest
     overtwistedness result) and `rv` a right-veering certificate for the
     family word, which is re-validated here by the independent checker.
     """
-    from .certcheck import CertificateError, check_certificate
-    from .serialize import fraction_str
-
     check_family(h, k)
     if not isinstance(rv, Certificate):
         raise ValueError("a right-veering certificate is required")
@@ -317,8 +316,8 @@ def destabilization_report(h: int, k: int, ot: Verdict, rv: Certificate) -> Dest
     if rv.word != word:
         raise ValueError(f"certificate proves {rv.word}, not the ({h}, {k}) family word")
     try:
-        check_certificate(rv)
-    except CertificateError as e:
+        certcheck.check_certificate(rv)
+    except certcheck.CertificateError as e:
         raise ValueError(f"certificate failed validation: {e}") from None
 
     steps = [

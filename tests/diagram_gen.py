@@ -23,7 +23,7 @@ from openbooks import kirby
 from openbooks.diagram import FramedLinkDiagram
 from openbooks.linalg import det, signature
 
-from oracles import h1_oracle
+from oracles import h1_oracle, has_integer_framings, linking_matrix
 
 
 def _random_framing(rng, rational_prob, bound=5):
@@ -112,10 +112,10 @@ def exercise_moves(d, rng):
     moves = 0
     base_h1 = h1_oracle(d)
     assert d.h1 == base_h1
-    integer = d.has_integer_framings()
+    integer = has_integer_framings(d)
     if integer:
-        base_det = det(d.linking_matrix())
-        base_sig = signature(d.linking_matrix())
+        base_det = det(linking_matrix(d))
+        base_sig = signature(linking_matrix(d))
 
     # blow up with a random star, then blow the new vertex back down
     sign = rng.choice((1, -1))
@@ -130,8 +130,8 @@ def exercise_moves(d, rng):
     if integer:
         # blowup is a congruence of (A + [sign]): signature shifts by the
         # sign, determinant picks up that factor
-        assert signature(up.linking_matrix()) == base_sig + sign
-        assert det(up.linking_matrix()) == base_det * sign
+        assert signature(linking_matrix(up)) == base_sig + sign
+        assert det(linking_matrix(up)) == base_det * sign
     down = kirby.blow_down(up, "bb")
     assert down.same_diagram(d)
     moves += 2
@@ -142,8 +142,8 @@ def exercise_moves(d, rng):
             bd = kirby.blow_down(d, v.id)
             assert bd.h1 == base_h1 == h1_oracle(bd)
             if integer:
-                assert signature(bd.linking_matrix()) == base_sig - int(v.framing)
-                assert det(bd.linking_matrix()) == base_det * int(v.framing)
+                assert signature(linking_matrix(bd)) == base_sig - int(v.framing)
+                assert det(linking_matrix(bd)) == base_det * int(v.framing)
             moves += 1
             break
 
@@ -176,7 +176,7 @@ def exercise_moves(d, rng):
         slid = kirby.handle_slide(d, i, j, s)
         assert slid.h1 == base_h1 == h1_oracle(slid)
         if integer:
-            m = slid.linking_matrix()
+            m = linking_matrix(slid)
             assert det(m) == base_det
             assert signature(m) == base_sig
         moves += 1

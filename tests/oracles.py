@@ -8,12 +8,18 @@ the signs of those minors by Jacobi's rule; continued fractions are
 evaluated by plain Fraction division, and homology orders, leading
 minors and linear solves by dense fraction elimination.  The canonical
 pretty JSON document is json's own indent=2 encoder.
+
+family_presentation is the one exception: it is the library's own dense
+presentation of the (h, k) family, kept here for the tests that pin it
+and feed it to the dense entry points and the oracles above.
 """
 
 import itertools
 import json
 from fractions import Fraction
 
+from openbooks.contact import expand_to_unit_coefficients, presentation_for
+from openbooks.d3 import from_expanded_diagram
 from openbooks.diagram import INFINITE
 from openbooks.lens import POLE
 
@@ -158,6 +164,19 @@ def presentation_matrix(d):
     return m
 
 
+def has_integer_framings(d):
+    return all(v.framing.denominator == 1 for v in d.vertices)
+
+
+def linking_matrix(d):
+    """Symmetric integer linking matrix (framings on the diagonal): the
+    presentation matrix of a diagram whose framings are all integers.  Any
+    other diagram is a ValueError."""
+    if not has_integer_framings(d):
+        raise ValueError("linking matrix needs integer framings")
+    return presentation_matrix(d)
+
+
 def h1_oracle(d):
     """|H1| of a framed link diagram by dense elimination on the
     presentation matrix."""
@@ -165,6 +184,12 @@ def h1_oracle(d):
         return 1
     det = dense_det(presentation_matrix(d))
     return INFINITE if det == 0 else abs(int(det))
+
+
+def family_presentation(h, k):
+    """Expanded +-1 presentation of the (h, k) family: k+1 positive
+    coefficients on the tb = -2 pushoffs and h negative ones on tb = -3."""
+    return from_expanded_diagram(expand_to_unit_coefficients(presentation_for(h, k)))
 
 
 def json_pretty(obj):

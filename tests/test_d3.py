@@ -11,7 +11,6 @@ from openbooks.d3 import (
     PM1Presentation,
     census_size_formula,
     d3,
-    family_presentation,
     overtwisted_verdict,
     tight_census,
 )
@@ -19,7 +18,14 @@ from openbooks.lens import LensSpace, cf_evaluate, family_lens, neg_cf_expand
 from openbooks.linalg import SingularMatrixError, signature
 from openbooks.report import run_family
 
-from oracles import dense_det, dense_solve, jacobi_signature, leading_minors, signature_oracle
+from oracles import (
+    dense_det,
+    dense_solve,
+    family_presentation,
+    jacobi_signature,
+    leading_minors,
+    signature_oracle,
+)
 from test_linalg import solve_dense
 
 CANCELLING_PAIR = (((0, -1), (-1, -2)), (0, 0), 1)

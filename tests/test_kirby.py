@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from openbooks.contact import presentation_for, smooth_diagram
 from openbooks.d3 import overtwisted_verdict
-from openbooks.diagram import INFINITE, FramedLinkDiagram, ScriptState, Vertex
+from openbooks.diagram import (
+    INFINITE,
+    FramedLinkDiagram,
+    InvariantViolationError,
+    ScriptState,
+    Vertex,
+)
 from openbooks.kirby import (
     MOVES,
     IllegalMoveError,
@@ -40,7 +46,7 @@ from diagram_gen import (
     random_diagram,
     random_forest,
 )
-from oracles import h1_oracle
+from oracles import h1_oracle, has_integer_framings, linking_matrix
 
 
 def chain(*framings, weight=1):
@@ -186,7 +192,7 @@ def test_handle_slide_preserves_det_and_signature():
         i, j = rng.sample(ids, 2)
         s = rng.choice((1, -1))
         slid = handle_slide(d, i, j, s)
-        m0, m1 = d.linking_matrix(), slid.linking_matrix()
+        m0, m1 = linking_matrix(d), linking_matrix(slid)
         assert det(m0) == det(m1)
         assert signature(m0) == signature(m1)
         assert slid.h1 == d.h1
@@ -293,16 +299,16 @@ def test_reduce_family_signature_walk():
         for rec in final.move_log:
             args = dict(rec.args)
             before_sig = (
-                signature(d.linking_matrix()) if d.has_integer_framings() else None
+                signature(linking_matrix(d)) if has_integer_framings(d) else None
             )
             if rec.move == "blow_up":
                 d = blow_up(d, args["sign"], dict(args["star"]), args["id"])
                 if before_sig is not None:
-                    assert signature(d.linking_matrix()) == before_sig + args["sign"]
+                    assert signature(linking_matrix(d)) == before_sig + args["sign"]
             elif rec.move == "blow_down":
                 d = blow_down(d, args["vertex"])
-                if before_sig is not None and d.has_integer_framings():
-                    assert signature(d.linking_matrix()) == before_sig - args["sign"]
+                if before_sig is not None and has_integer_framings(d):
+                    assert signature(linking_matrix(d)) == before_sig - args["sign"]
             elif rec.move == "inverse_slam_dunk":
                 d = inverse_slam_dunk(d, args["vertex"], args["n"], args["leaf"])
             elif rec.move == "slam_dunk":
@@ -310,11 +316,11 @@ def test_reduce_family_signature_walk():
             elif rec.move == "handle_slide":
                 d = handle_slide(d, args["slide"], args["over"], args["sign"])
                 if before_sig is not None:
-                    assert signature(d.linking_matrix()) == before_sig
+                    assert signature(linking_matrix(d)) == before_sig
             elif rec.move == "reverse_orientation":
                 d = reverse_orientation(d, args["vertex"])
                 if before_sig is not None:
-                    assert signature(d.linking_matrix()) == before_sig
+                    assert signature(linking_matrix(d)) == before_sig
         assert d.same_diagram(final)
 
 
@@ -430,6 +436,19 @@ def test_a_script_never_touches_its_input():
     again = one_move_at_each_vertex()
     assert all(a.same_diagram(m) and a.move_log == m.move_log for a, m in zip(again, moved))
     assert reduce_family_diagram(40, 3).move_log == reduce_family_diagram(40, 3).move_log
+
+
+def test_move_data_that_changes_h1_is_refused():
+    # the congruence data of a real move keeps |H1|; data that does not is
+    # an InvariantViolationError, on a chain (a local refold) and on a
+    # triangle (the whole matrix)
+    triangle = FramedLinkDiagram.build(
+        [("a", 2), ("b", 3), ("c", 5)], {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1}
+    )
+    for d in (chain(-2, -3, -2), triangle):
+        with pytest.raises(InvariantViolationError, match="changed"):
+            d.apply_move("test", (), shifts={d.vertices[0].id: 1})
+        assert d.h1 == h1_oracle(d)
 
 
 def test_a_frozen_script_state_ends():

@@ -1,7 +1,9 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
+import mutants
 import openbooks
 
 
@@ -155,3 +157,67 @@ def test_benchmark_trace_layers_resolve():
             missing.append(f"{modname}.{attr}")
     assert len(layers) > 20
     assert missing == []
+
+
+def _docstrings(tree):
+    """The docstring nodes of a module and of each function and class in it."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef) + _FUNCTIONS)
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def test_every_definition_in_the_package_has_a_caller():
+    # a function, method or class of src/ that nothing in src/ or perfbench/
+    # names is dead or test-only code; tests keep their helpers in tests/.
+    # A name counts as a name, an attribute, an import alias (the package's
+    # exports included) or a word of a string constant such as the
+    # tracer's LAYERS; a docstring is prose and does not count.
+    package = Path(openbooks.__file__).resolve().parent
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    defined, named = [], set()
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        prose = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef,) + _FUNCTIONS) and path.parent == package:
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update({node.name.rpartition(".")[2], node.asname})
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in prose):
+                named.update(re.findall(r"\w+", node.value))
+    found = [f"{where} {name}" for name, where in defined
+             if name not in named and not (name.startswith("__") and name.endswith("__"))]
+    assert found == []
+
+
+def test_every_mutant_anchor_occurs_once_and_its_tests_exist():
+    # tests/mutants.py edits each anchor in place, so an anchor that a
+    # refactor moved or duplicated must be updated with it; a test id that
+    # names no test would let its mutant read as killed by a usage error
+    root = Path(__file__).resolve().parents[1]
+    tests = {}
+    found = []
+    for mutant in mutants.MUTANTS:
+        count = mutants.source_path(mutant).read_text(encoding="utf-8").count(mutant.anchor)
+        if count != 1:
+            found.append(f"{mutant.name}: anchor occurs {count} times")
+        if not mutant.tests:
+            found.append(f"{mutant.name}: no test kills it")
+        for test in mutant.tests:
+            path, _, name = test.partition("::")
+            if path not in tests:
+                tree = ast.parse((root / path).read_text(encoding="utf-8"))
+                tests[path] = {node.name for node in tree.body if isinstance(node, _FUNCTIONS)}
+            if name not in tests[path]:
+                found.append(f"{mutant.name}: no test {test}")
+    assert len(mutants.MUTANTS) >= 8
+    assert found == []
