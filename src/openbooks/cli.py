@@ -32,9 +32,11 @@ EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
 # Larger inputs are usage errors, so that no argument starts an unbounded
-# computation.  family and d3 family eliminate the sparse rows of one
-# (h+k+1)-square matrix, whose pushoff stacks are slid into chains first,
-# about 0.04 s and 0.025 s at the limit, and sweep runs one family report
+# computation.  family works in O(h + k): h + 9 Kirby moves, the sparse
+# rows of the (h+k+1)-square Q written from two pushoff stacks and
+# eliminated once, a census of k entries, a report of O(h + k) bytes,
+# about 0.35 s at the limit.  d3 family also prints the dense Q, so it
+# keeps the old limit, about 0.025 s there.  sweep runs one family report
 # per grid cell, about 0.6 s at its limit (times at the benchmark speed
 # probe's 1 ms reference).  A census of L(p, q) has a chain of fewer than
 # p components and fewer than p entries, and the continued fraction of p/q
@@ -43,9 +45,10 @@ EXIT_CHECK_FAILED = 3
 # steps are bounded, and so are the diagram's vertices and edges, on input
 # and after each step, since one blow-up can link a new vertex to all of
 # them; the worst case found, a cubic expander at the edge limit under 250
-# steps, takes 3 to 6 s.  The reduction of any family within
-# MAX_FAMILY_DIM starts from two vertices and takes at most 208 steps.
-MAX_FAMILY_DIM = 201
+# steps, takes 3 to 6 s.  The reduction of a family within MAX_D3_FAMILY_DIM
+# starts from two vertices and takes at most 208 steps.
+MAX_FAMILY_DIM = 10001
+MAX_D3_FAMILY_DIM = 201
 MAX_SWEEP_SIDE = 20
 MAX_CENSUS_P = 1000
 MAX_CF_DENOMINATOR = 10000
@@ -316,7 +319,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_d3_family(args) -> int:
-    _check_limit("h + k + 1", args.h + args.k + 1, MAX_FAMILY_DIM)
+    _check_limit("h + k + 1", args.h + args.k + 1, MAX_D3_FAMILY_DIM)
     verdict = overtwisted_verdict(args.h, args.k)
     payload = verdict.to_jsonable()
     pres = verdict.presentation

@@ -15,7 +15,10 @@ negative twist a contact (+1)-surgery, so the family becomes contact
 surgery with coefficient 1/(k+1) on the first knot and -1/h on the
 second.  A 1/m coefficient expands into |m| parallel contact pushoffs
 each carrying coefficient sign(m), which is how the diagram is reduced
-to +-1 coefficients for the homotopy invariant computation.
+to +-1 coefficients for the homotopy invariant computation.  The
+expansion is kept as one stack record per knot, not as the O(m^2)
+pairwise linkings of its pushoffs, so it costs O(h + k) to build, store
+and serialize.
 
 Smooth surgery coefficients are tb + contact coefficient, giving the
 rational framed-link diagram that the move engine reduces.
@@ -81,13 +84,31 @@ class LegendrianUnknotData:
 
 @dataclass(frozen=True)
 class ContactSurgeryDiagram:
-    """Legendrian unknot components with a symmetric pairwise linking form."""
+    """Legendrian unknots with a symmetric pairwise linking form, each knot
+    of coefficient 1/m either drawn as itself or expanded into a stack.
 
-    components: tuple
+    `knots` are the knots drawn and `linking` their canonical linking edges.
+    A stack (companion, count, sign) stands for the knot `companion`, whose
+    coefficient is sign/count, expanded into count parallel contact
+    pushoffs companion.1, ..., companion.count of coefficient sign each: a
+    pushoff keeps its companion's tb and rot, links its stack-mates at tb
+    (the contact-framed pushoff linking number) and every other component
+    as its companion does.  Stacks are sorted by companion, one per knot at
+    most, and no other knot may hold a pushoff's id.  `components` lists
+    the link's components, each stack in place of its companion, and is
+    built on first read; unstacked() writes out their pairwise linking.
+    The JSON lists the knots under "components" and, when there are any,
+    the stacks under "stacks".
+    """
+
+    knots: tuple
     linking: tuple  # ((id_i, id_j, lk), ...), canonical as a diagram's edges
+    stacks: tuple = ()  # ((companion id, count, sign), ...)
 
     def __post_init__(self):
-        check_edges([c.id for c in self.components], self.linking)
+        check_edges([c.id for c in self.knots], self.linking)
+        if self.stacks:
+            _check_stacks(self.knots, self.stacks)
 
     @staticmethod
     def build(components, linking: dict) -> "ContactSurgeryDiagram":
@@ -95,30 +116,96 @@ class ContactSurgeryDiagram:
         entries are dropped and pairs are canonicalized."""
         return ContactSurgeryDiagram(tuple(components), canonical_edges(linking))
 
-    @cached_property
-    def _lk(self):
-        return {(i, j): w for i, j, w in self.linking}
+    def members(self):
+        """(knot, count, coefficient) for each knot, in order: a stacked knot
+        stands for its count pushoffs of coefficient sign, any other knot
+        for itself, once, at its own coefficient."""
+        stacks = {c: (count, sign) for c, count, sign in self.stacks}
+        for c in self.knots:
+            stack = stacks.get(c.id)
+            yield (c, 1, c.contact_coeff) if stack is None else (c, stack[0], Fraction(stack[1]))
 
-    def lk(self, i: str, j: str) -> int:
-        return self._lk.get((i, j) if i < j else (j, i), 0)
+    def _groups(self):
+        """Each knot with its components: its pushoffs, or itself."""
+        stacked = {c for c, _, _ in self.stacks}
+        for c, count, coeff in self.members():
+            yield c, ([LegendrianUnknotData(f"{c.id}.{i}", c.tb, c.rot, coeff)
+                       for i in range(1, count + 1)] if c.id in stacked else [c])
+
+    @cached_property
+    def components(self):
+        """One component per pushoff, each stack in place of its companion."""
+        return tuple(p for _, group in self._groups() for p in group) if self.stacks else self.knots
+
+    def unstacked(self) -> "ContactSurgeryDiagram":
+        """The same link with every stack written out: one knot per component
+        and all their pairwise linking, about n^2/2 edges, for the smooth
+        diagram of the expanded link."""
+        if not self.stacks:
+            return self
+        groups = {c.id: (c, group) for c, group in self._groups()}
+        linking = {}
+        for c, group in groups.values():
+            for a, p in enumerate(group):
+                for q in group[a + 1:]:
+                    linking[p.id, q.id] = c.tb
+        for i, j, w in self.linking:
+            for p in groups[i][1]:
+                for q in groups[j][1]:
+                    linking[p.id, q.id] = w
+        return ContactSurgeryDiagram.build([p for _, group in groups.values() for p in group], linking)
 
     def to_jsonable(self):
-        return {
-            "components": [c.to_jsonable() for c in self.components],
+        out = {
+            "components": [c.to_jsonable() for c in self.knots],
             "linking": [[i, j, w] for i, j, w in self.linking],
         }
+        if self.stacks:
+            out["stacks"] = [{"companion": c, "count": count, "sign": sign}
+                             for c, count, sign in self.stacks]
+        return out
 
     @classmethod
     def from_jsonable(cls, data) -> "ContactSurgeryDiagram":
         """Parse a contact diagram document; any malformed input is a ValueError."""
         try:
-            comps = tuple(
+            knots = tuple(
                 LegendrianUnknotData(c["id"], c["tb"], c["rot"], parse_fraction(c["coeff"]))
                 for c in data["components"]
             )
-            return cls(comps, tuple(sorted(map(tuple, data.get("linking", [])))))
+            stacks = sorted((s["companion"], s["count"], s["sign"]) for s in data.get("stacks", []))
+            return cls(knots, tuple(sorted(map(tuple, data.get("linking", [])))), tuple(stacks))
         except (KeyError, TypeError, AttributeError) as e:
             raise ValueError(f"malformed contact diagram JSON: {e!r}") from None
+
+
+def _check_stacks(knots, stacks):
+    """Each stack (companion, count, sign) names a knot of coefficient
+    sign/count, count an int >= 1 and sign +-1, in ascending companion
+    order (so once each); and no unstacked knot holds a pushoff's id.  The
+    ids are checked against the knots, never by writing every pushoff."""
+    coeff = {c.id: c.contact_coeff for c in knots}
+    counts = {}
+    last = None
+    for companion, count, sign in stacks:
+        if not isinstance(companion, str):
+            raise TypeError(f"a stack's companion is a str id, got {companion!r}")
+        if exact_int(count, "a stack's count") < 1 or exact_int(sign, "a stack's sign") not in (1, -1):
+            raise ValueError(f"a stack has count >= 1 and sign +-1, got {count} and {sign}")
+        if last is not None and companion <= last:
+            raise ValueError("stacks must be sorted by companion, one stack per knot")
+        last = companion
+        if companion not in coeff:
+            raise ValueError(f"stack of unknown knot {companion!r}")
+        if coeff[companion] != Fraction(sign, count):
+            raise ValueError(f"a stack of {count} pushoffs of coefficient {sign} expands "
+                             f"1/{sign * count}, not {coeff[companion]}, at {companion!r}")
+        counts[companion] = count
+    for c in knots:
+        stem, dot, tail = c.id.rpartition(".")
+        if (dot and c.id not in counts and stem in counts and tail.isascii()
+                and tail.isdecimal() and tail[0] != "0" and parse_fraction(tail) <= counts[stem]):
+            raise ValueError(f"pushoff id {c.id!r} is taken")
 
 
 def presentation_for(h: int, k: int) -> ContactSurgeryDiagram:
@@ -137,48 +224,31 @@ def presentation_for(h: int, k: int) -> ContactSurgeryDiagram:
 
 
 def expand_to_unit_coefficients(d: ContactSurgeryDiagram) -> ContactSurgeryDiagram:
-    """Replace each 1/m coefficient by |m| contact pushoffs with coefficient +-1.
+    """Stack each knot of coefficient 1/m, |m| > 1, as |m| contact pushoffs
+    of coefficient sign(m), in O(number of knots).
 
-    Pushoffs of one component keep its (tb, rot), link each other at tb
-    (the contact-framed pushoff linking number), and inherit the linking
-    numbers to every other component unchanged.  Components whose
-    coefficient is already +-1 pass through as themselves.  The linking is
-    written once, in canonical order, so it is not re-checked; a pushoff id
-    that is already taken is a ValueError.
+    The knots and their linking are kept as they are; the pushoffs and their
+    pairwise linking are left implicit in the stack (companion, |m|,
+    sign(m)), as ContactSurgeryDiagram describes.  Knots whose coefficient
+    is already +-1 stay themselves.  A pushoff id that is already taken is
+    a ValueError.
     """
-    components = []
-    owner = {}  # expanded id -> the component it came from
-    for c in d.components:
+    stacks = set(d.stacks)
+    for c in d.knots:
         num, den = c.contact_coeff.numerator, c.contact_coeff.denominator
         if abs(num) != 1:
             raise UnsupportedCoefficientError(
                 f"coefficient {c.contact_coeff} of {c.id!r} is not of the form 1/m"
             )
-        # |m| = den pushoffs of coefficient num = +-1
-        unit = Fraction(num)
-        members = [c] if den == 1 else [
-            LegendrianUnknotData(f"{c.id}.{i}", c.tb, c.rot, unit) for i in range(1, den + 1)
-        ]
-        components += members
-        owner.update((p.id, c) for p in members)
-    if len(owner) != len(components):
-        raise ValueError("vertex ids must be distinct")
-    ids = sorted(owner)
-    linking = []
-    for a, i in enumerate(ids):
-        ci = owner[i]
-        for j in ids[a + 1:]:
-            cj = owner[j]
-            w = ci.tb if ci is cj else d.lk(ci.id, cj.id)
-            if w:
-                linking.append((i, j, w))
-    # canonical by construction, so __post_init__'s edge check is skipped
-    expanded = object.__new__(ContactSurgeryDiagram)
-    object.__setattr__(expanded, "components", tuple(components))
-    object.__setattr__(expanded, "linking", tuple(linking))
-    return expanded
+        if den > 1:
+            stacks.add((c.id, den, num))
+    if stacks == set(d.stacks):
+        return d
+    return ContactSurgeryDiagram(d.knots, d.linking, tuple(sorted(stacks)))
 
 
 def smooth_diagram(d: ContactSurgeryDiagram) -> FramedLinkDiagram:
-    """Forget the contact structure: framings become tb + contact coefficient."""
-    return FramedLinkDiagram(tuple(Vertex(c.id, c.smooth_coeff) for c in d.components), d.linking)
+    """Forget the contact structure: framings become tb + contact coefficient,
+    one vertex per component: per knot of the unstacked diagram."""
+    d = d.unstacked()
+    return FramedLinkDiagram(tuple(Vertex(c.id, c.smooth_coeff) for c in d.knots), d.linking)

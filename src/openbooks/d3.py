@@ -16,12 +16,14 @@ linalg.solve on sparse integer rows with right-hand sides r riding along:
 the last pivot is det Q, Jacobi's rule gives sigma, and each r gets its
 bordered corner det [[Q, r], [r^T, 0]] = -r^T adj(Q) r, so each d3 is one
 exact Fraction(base - corner, 4 det Q).  A verdict is two such passes.
-The family's rows come straight from the expanded diagram's framings and
-linking edges, with rho as the right-hand side; its pushoff stacks are
-dense, but linalg slides each pushoff over its twin first, so the pass
-costs O(h + k) pivot steps.  The census chain carries one right-hand side
-per pair of components that can rotate (framing <= -3), which gives adj(Q)
-on them and so every entry's corner, however many entries there are.
+The family's rows come straight from the expanded diagram's pushoff
+stacks, each written as the chain a handle slide of each pushoff over the
+one before makes of it, with rho as the right-hand side, so the rows have
+O(h + k) entries and the pass costs O(h + k) pivot steps.  The census
+chain carries one right-hand side per pair of components that can rotate
+(framing <= -3), which gives adj(Q) on them and so every entry's corner,
+however many entries there are; the verdict reads the d3 values only, so
+no census rotation vector is written out over the whole chain.
 
 Every tight contact structure on a lens space L(p, q) (p >= 2) arises
 from Legendrian surgery on a chain of stabilized unknots realizing the
@@ -76,35 +78,77 @@ class PM1Presentation:
             raise ValueError("q_plus is a count")
 
 
-def _expanded_rows(d):
+def _signed_members(d):
+    """(knot, count, sign) for each knot of an expanded contact surgery
+    diagram (ContactSurgeryDiagram.members): a coefficient other than +-1
+    is a ValueError."""
+    out = []
+    for c, count, coeff in d.members():
+        if coeff not in (1, -1):
+            raise ValueError(f"component {c.id!r} has coefficient {coeff}; expand first")
+        out.append((c, count, coeff.numerator))
+    return out
+
+
+def _slid_rows(d):
     """The linking matrix of an expanded contact surgery diagram as sparse
-    integer rows, with rho in column n, and q_+.  Framings are tb + the
-    contact coefficient; each linking edge gives both of its entries, so the
-    rows are symmetric as written."""
-    index = {}
+    integer rows, each pushoff stack written already slid into a chain,
+    with rho in column n, and q_+.  Framings are tb + the contact
+    coefficient.
+
+    A stack of m pushoffs of a knot (tb, rot), each of coefficient eps, is
+    the block tb J + eps I of Q (J all ones), and each member links every
+    other component as the knot does.  In the basis e_1, e_2 - e_1, ...,
+    e_m - e_(m-1), a handle slide of each member over the one before
+    (Q' = P^T Q P, r' = P^T r, det P = 1, so det, sigma and every c^2
+    stay), the block is a chain: the first member keeps the diagonal
+    tb + eps, the rotation and the linking to the other knots' first
+    members; each later member has 2 eps on the diagonal, -eps to its
+    neighbours in the stack, rotation 0 and nothing outside the stack.  So
+    the rows have O(h + k) entries, and no pushoff linking is written."""
+    members = _signed_members(d)
+    n = sum(count for _, count, _ in members)
+    first = {}  # knot id -> the row of its first member
     rows = []
     q_plus = 0
-    n = len(d.components)
-    for i, c in enumerate(d.components):
-        if c.contact_coeff not in (1, -1):
-            raise ValueError(
-                f"component {c.id!r} has coefficient {c.contact_coeff}; expand first"
-            )
-        index[c.id] = i
-        q_plus += c.contact_coeff == 1
-        rows.append({j: x for j, x in ((i, c.tb + c.contact_coeff.numerator), (n, c.rot)) if x})
+    for c, count, sign in members:
+        i = len(rows)
+        first[c.id] = i
+        rows.append({j: x for j, x in ((i, c.tb + sign), (n, c.rot)) if x})
+        for j in range(i + 1, i + count):  # each later member, a chain link
+            rows[j - 1][j] = -sign
+            rows.append({j - 1: -sign, j: 2 * sign})
+        if sign == 1:
+            q_plus += count
     for a, b, w in d.linking:
-        i, j = index[a], index[b]
+        i, j = first[a], first[b]
         rows[i][j] = rows[j][i] = w
     return rows, q_plus
 
 
 def from_expanded_diagram(d) -> PM1Presentation:
-    """The presentation data of an expanded contact surgery diagram, dense."""
-    rows, q_plus = _expanded_rows(d)
-    n = len(rows)
-    q = tuple(tuple(row.get(j, 0) for j in range(n)) for row in rows)
-    return PM1Presentation(q, tuple(c.rot for c in d.components), q_plus)
+    """The dense presentation of an expanded contact surgery diagram, written
+    block by block from its stacks: the stack of a knot (tb, rot) of m
+    pushoffs of coefficient eps is the block tb J + eps I of Q, and a
+    linking w between two knots fills the block between their stacks.  Only
+    a caller that prints or compares Q needs it; the verdict never does."""
+    members = _signed_members(d)
+    n = sum(count for _, count, _ in members)
+    q = [[0] * n for _ in range(n)]
+    blocks = {}  # knot id -> the range of its components
+    rho = []
+    for c, count, sign in members:
+        block = blocks[c.id] = range(len(rho), len(rho) + count)
+        rho += [c.rot] * count
+        for i in block:
+            q[i][block.start:block.stop] = [c.tb] * count
+            q[i][i] += sign
+    for a, b, w in d.linking:
+        for rows, cols in ((blocks[a], blocks[b]), (blocks[b], blocks[a])):
+            for i in rows:
+                q[i][cols.start:cols.stop] = [w] * len(cols)
+    q_plus = sum(count for _, count, sign in members if sign == 1)
+    return PM1Presentation(tuple(map(tuple, q)), tuple(rho), q_plus)
 
 
 def _solve(rows, n, count):
@@ -164,29 +208,30 @@ class TightDescriptor:
         }
 
 
-def tight_census(space: LensSpace):
-    """All tight contact structures on L(p, q), p >= 2, with their d3 values.
+def _census(space: LensSpace):
+    """The chain of L(p, q), p >= 2, the support S = {i : a_i <= -3} of its
+    rotation vectors, every rotation vector restricted to S, in sorted
+    order, and the d3 of each, from one elimination.
 
     The chain is the negated negative continued fraction expansion of p/q;
-    each component admits rotation numbers a_i + 2, a_i + 4, ..., -a_i - 2,
-    so the census has prod(|a_i| - 1) entries.  Sorted by rotation vector.
-
-    A rotation vector r is 0 off the support S = {i : a_i <= -3}, so the
-    one elimination carries e_i and, for i < j in S, e_i + e_j: their
-    corners give A = adj(Q) on S by polarization (2 A_ij, checked even),
-    and each entry's corner -r^T A r is an integer sum over S.
+    component i admits rotation numbers a_i + 2, a_i + 4, ..., -a_i - 2,
+    which is only 0 off S.  So the one elimination carries e_i and, for
+    i < j in S, e_i + e_j: their corners give A = adj(Q) on S by
+    polarization (2 A_ij, checked even), and each entry's corner
+    -r^T A r is an integer sum over S.  Nothing here is O(len(chain)) per
+    entry.
     """
     if space.p < 2:
         raise ValueError(f"census needs p >= 2, got {space}")
     chain = tuple(-a for a in neg_cf_expand(Fraction(space.p, space.q)))
     n = len(chain)
     support = [i for i, a in enumerate(chain) if a <= -3]
-    pairs = [(i, j) for t, i in enumerate(support) for j in support[t:]]
+    pairs = [(i, j) for i in range(len(support)) for j in range(i, len(support))]
     rows = [{i: a} for i, a in enumerate(chain)]
     for i in range(1, n):
         rows[i - 1][i] = rows[i][i - 1] = 1
-    for t, (i, j) in enumerate(pairs):
-        rows[i][n + t] = rows[j][n + t] = 1  # e_i when i == j
+    for col, (i, j) in enumerate(pairs, n):  # positions in the support
+        rows[support[i]][col] = rows[support[j]][col] = 1  # e_i when i == j
     det, sigma, corners = _solve(rows, n, len(pairs))
     block = {pair: -corner for pair, corner in zip(pairs, corners)}
     terms = []  # (i, j, the coefficient of r_i r_j in r^T adj(Q) r)
@@ -198,10 +243,22 @@ def tight_census(space: LensSpace):
                 raise ArithmeticError("adj(Q) polarization is not exact")
         terms.append((i, j, coefficient))
     # a product of ascending ranges comes out in sorted order
-    rotations = list(itertools.product(*(range(a + 2, -a - 1, 2) for a in chain)))
+    rotations = list(itertools.product(*(range(chain[i] + 2, -chain[i] - 1, 2) for i in support)))
     corners = [-sum([x * r[i] * r[j] for i, j, x in terms]) for r in rotations]
-    values = _d3_values(det, sigma, n, 0, corners)
-    return tuple(TightDescriptor(chain, rot, value) for rot, value in zip(rotations, values))
+    return chain, support, rotations, _d3_values(det, sigma, n, 0, corners)
+
+
+def tight_census(space: LensSpace):
+    """All tight contact structures on L(p, q), p >= 2, with their d3 values:
+    prod(|a_i| - 1) entries over the chain a, sorted by rotation vector."""
+    chain, support, rotations, values = _census(space)
+    census = []
+    for r, value in zip(rotations, values):
+        rot = [0] * len(chain)
+        for i, x in zip(support, r):
+            rot[i] = x
+        census.append(TightDescriptor(chain, tuple(rot), value))
+    return tuple(census)
 
 
 def census_size_formula(space: LensSpace) -> int:
@@ -261,11 +318,11 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
     check_family(h, k)
     expanded = expand_to_unit_coefficients(presentation_for(h, k))
     space = family_lens(h, k)
-    rows, q_plus = _expanded_rows(expanded)
+    rows, q_plus = _slid_rows(expanded)
     n = len(rows)
     det, sigma, [corner] = _solve(rows, n, 1)
     [value] = _d3_values(det, sigma, n, q_plus, [corner])
-    census_values = tuple(t.d3 for t in tight_census(space))
+    census_values = tuple(_census(space)[-1])  # the d3 values only
     status = OVERTWISTED_CERTIFIED if value not in census_values else INCONCLUSIVE
     return Verdict(
         status=status,

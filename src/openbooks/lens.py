@@ -161,13 +161,17 @@ def chain_to_lens(chain) -> LensSpace:
         framings = chain.chain_framings()  # raises on non-chain diagrams
     else:
         framings = list(chain)
-    if not all(type(f) is int or exact_fraction(f).denominator == 1 for f in framings):
-        raise ValueError("chain framings must be integers")
-    coeffs = [-f.numerator for f in framings]
-    v = cf_evaluate(coeffs)
-    if v is POLE:
-        return LensSpace(1, 0)
-    return LensSpace.normalized(v.numerator, v.denominator)
+    # cf_evaluate's recurrence on the coefficients -f, with one type test
+    # per framing: an int, or an integral Fraction
+    p, q = 1, 0
+    for f in reversed(framings):
+        if type(f) is not int:
+            f = exact_fraction(f)
+            if f.denominator != 1:
+                raise ValueError("chain framings must be integers")
+            f = f.numerator
+        p, q = -f * p - q, p
+    return LensSpace.normalized(p, q)  # q = 0 is a POLE: S^3
 
 
 def lens_equal(l1: LensSpace, l2: LensSpace, oriented: bool = True) -> bool:

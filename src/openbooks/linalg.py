@@ -15,14 +15,14 @@ symmetric Q it also carries right-hand sides r: each pivot row's entry
 u_t in r's column updates the corner of Q bordered by r,
 acc <- (d_t acc - u_t^2) / d_(t-1), to det [[Q, r], [r^T, 0]] =
 -r^T adj(Q) r.  solve takes Q and its right-hand sides as sparse integer
-rows, as the d3 module writes them from a diagram's edges or a chain, and
-returns det Q, sigma(Q) and those corners, all integers, from one pass;
-a caller holding a dense int or Fraction matrix converts it with
-symmetric_rows first.  Before the pass, solve and signature slide each row
-over its twin (a handle slide, e_i -> e_i - e_(i-1), where rows i-1 and i
-agree off columns i-1 and i): det, sigma and every corner stay, and the
-dense stacks of parallel contact pushoffs become chains, which the pass
-eliminates in O(n) instead of O(n^3).  The move engine's determinants on
+rows, as the d3 module writes them from a diagram's pushoff stacks or a
+chain, and returns det Q, sigma(Q) and those corners, all integers, from
+one pass; a caller holding a dense int or Fraction matrix converts it
+with symmetric_rows first, which also slides each row over its twin (a
+handle slide, e_i -> e_i - e_(i-1), where rows i-1 and i agree off
+columns i-1 and i): det, sigma and every corner stay, and a dense stack
+of parallel contact pushoffs becomes a chain, which the pass eliminates
+in O(n) instead of O(n^3).  The move engine's determinants on
 chain- and tree-shaped matrices are folded over the tree in the diagram
 module; only a graph with a cycle comes here, through det_sparse_rows.
 """
@@ -240,12 +240,15 @@ def _slide_twins(rows, n):
 
 
 def symmetric_rows(matrix, rhs=()):
-    """_integer_rows of a matrix that must be symmetric (ValueError if not):
-    the rows solve takes, for a caller that holds Q and its right-hand sides
-    densely, and the common denominator they were scaled by."""
+    """_integer_rows of a matrix that must be symmetric (ValueError if not),
+    twins slid (_slide_twins): the rows solve takes, for a caller that holds
+    Q and its right-hand sides densely, and the common denominator they
+    were scaled by.  The rows are those of a unimodular congruence of Q,
+    with the same det, sigma and r^T Q^-1 r."""
     rows, scale = _integer_rows(matrix, rhs)
     if list(map(tuple, matrix)) != list(zip(*matrix)):
         raise ValueError("matrix is not symmetric")
+    _slide_twins(rows, len(matrix))
     return rows, scale
 
 
@@ -278,7 +281,6 @@ def det(matrix):
 def signature(matrix):
     """Signature of a symmetric matrix with int or Fraction entries."""
     rows, _ = symmetric_rows(matrix)
-    _slide_twins(rows, len(rows))
     return _jacobi(_pivots(rows, len(rows)))
 
 
@@ -290,14 +292,12 @@ def solve(rows, n, count):
     Q, with the `count` right-hand sides in columns n, ..., n + count - 1;
     they are consumed.  Symmetry is the caller's to keep (symmetric_rows
     checks a dense Q), since the corner recurrence of _pivots reads u_t for
-    both border entries.  Twin rows are slid first (_slide_twins), which
-    changes none of the values; then the last pivot of _pivots is det Q,
-    Jacobi's rule on its pivots gives sigma, and by Schur's formula
-    r^T Q^-1 r = -corner / det Q.  SingularMatrixError if det Q = 0.  The
-    name is kept from the Fraction solver this replaced, for the
-    benchmark's linalg.solve layer.
+    both border entries.  The last pivot of _pivots is det Q, Jacobi's rule
+    on its pivots gives sigma, and by Schur's formula r^T Q^-1 r =
+    -corner / det Q.  SingularMatrixError if det Q = 0.  The name is kept
+    from the Fraction solver this replaced, for the benchmark's
+    linalg.solve layer.
     """
-    _slide_twins(rows, n)
     bordered = [0] * count
     pivots = []
     for piv in _pivots(rows, n, bordered):

@@ -10,7 +10,7 @@ a failed check raises InternalCheckError naming every failed check.
 
 from dataclasses import dataclass
 
-from .contact import presentation_for
+from .contact import ContactSurgeryDiagram
 from .d3 import overtwisted_verdict
 from .kirby import reduce_family_diagram
 from .lens import chain_to_lens, lens_equal
@@ -94,12 +94,13 @@ def run_family(h: int, k: int) -> FamilyReport:
     check_family(h, k)
     order = (h + 1) * (2 * k - 1) + 2
     word = family_word(h, k)
-    contact = presentation_for(h, k)
     reduced = reduce_family_diagram(h, k)
     chain = tuple(reduced.chain_framings())
     lens_from_chain = chain_to_lens(chain)
     verdict = overtwisted_verdict(h, k)
     expanded, lens_formula = verdict.expanded, verdict.lens
+    # the presentation the verdict expanded: its knots and their linking
+    contact = ContactSurgeryDiagram(expanded.knots, expanded.linking)
     cert = prove_right_veering(word)
 
     checks = []
@@ -113,8 +114,8 @@ def run_family(h: int, k: int) -> FamilyReport:
     checks.append(("verdict_consistent",
                    verdict.certified == (verdict.d3_value not in verdict.census_d3)))
     checks.append(("expanded_det_matches", abs(verdict.det) == order))
-    plus = sum(1 for c in expanded.components if c.contact_coeff == 1)
-    minus = sum(1 for c in expanded.components if c.contact_coeff == -1)
+    plus = sum(count for _, count, coeff in expanded.members() if coeff == 1)
+    minus = sum(count for _, count, coeff in expanded.members() if coeff == -1)
     checks.append(("expansion_counts", plus == k + 1 and minus == h))
     # the report re-validates the certificate against this (h, k)'s word and
     # raises ValueError for a missing, mismatched or invalid one

@@ -83,6 +83,28 @@ MUTANTS = (
     Mutant("family_chain_direction", "kirby.py",
            "if framings != expected:", "if framings != expected[::-1]:",
            ("tests/test_kirby.py::test_reduce_family_chain_shape",)),
+    Mutant("slid_stack_diagonal", "d3.py",
+           "rows.append({j - 1: -sign, j: 2 * sign})", "rows.append({j - 1: -sign, j: sign})",
+           ("tests/test_d3.py::test_verdict_consistency_and_lens_match",
+            "tests/test_d3.py::test_verdict_at_the_size_limit_matches_closed_forms")),
+    # -eps and +eps links are one congruence apart (negate the later
+    # members), so the mutant drops the links instead of flipping them
+    Mutant("slid_stack_off_diagonal", "d3.py",
+           "            rows[j - 1][j] = -sign\n            rows.append({j - 1: -sign, j: 2 * sign})",
+           "            rows.append({j: 2 * sign})",
+           ("tests/test_d3.py::test_verdict_1_1",
+            "tests/test_d3.py::test_verdict_consistency_and_lens_match")),
+    Mutant("first_member_linking", "d3.py",
+           "rows[i][j] = rows[j][i] = w", "rows[i][j] = rows[j][i] = 2 * w",
+           ("tests/test_d3.py::test_verdict_1_1",
+            "tests/test_d3.py::test_verdict_consistency_and_lens_match")),
+    Mutant("expansion_counts_check", "report.py",
+           "plus == k + 1 and minus == h", "True",
+           ("tests/test_report_cli.py::test_a_wrong_expansion_fails_its_named_checks",)),
+    Mutant("expanded_det_matches_check", "report.py",
+           "abs(verdict.det) == order", "True",
+           ("tests/test_report_cli.py::test_a_wrong_expansion_fails_its_named_checks",
+            "tests/test_report_cli.py::test_a_wrong_linking_fails_expanded_det_matches")),
 )
 
 

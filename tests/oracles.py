@@ -12,13 +12,20 @@ pretty JSON document is json's own indent=2 encoder.
 family_presentation is the one exception: it is the library's own dense
 presentation of the (h, k) family, kept here for the tests that pin it
 and feed it to the dense entry points and the oracles above.
+all_pairs_expansion is the pushoff expansion written out pair by pair,
+which the library's pushoff stacks must instantiate to.
 """
 
 import itertools
 import json
 from fractions import Fraction
 
-from openbooks.contact import expand_to_unit_coefficients, presentation_for
+from openbooks.contact import (
+    ContactSurgeryDiagram,
+    LegendrianUnknotData,
+    expand_to_unit_coefficients,
+    presentation_for,
+)
 from openbooks.d3 import from_expanded_diagram
 from openbooks.diagram import INFINITE
 from openbooks.lens import POLE
@@ -190,6 +197,45 @@ def family_presentation(h, k):
     """Expanded +-1 presentation of the (h, k) family: k+1 positive
     coefficients on the tb = -2 pushoffs and h negative ones on tb = -3."""
     return from_expanded_diagram(expand_to_unit_coefficients(presentation_for(h, k)))
+
+
+def all_pairs_expansion(d):
+    """Replace each 1/m coefficient of an unstacked contact diagram by |m|
+    contact pushoffs K.1, ..., K.|m| of coefficient +-1, every pairwise
+    linking written out: pushoffs of one knot keep its (tb, rot) and link
+    each other at tb, and inherit its linking to every other component.
+    Components whose coefficient is already +-1 pass through as themselves;
+    an id that is taken twice is a ValueError."""
+    components = []
+    owner = {}  # expanded id -> the knot it came from
+    for c in d.knots:
+        num, den = c.contact_coeff.numerator, c.contact_coeff.denominator
+        if abs(num) != 1:
+            raise ValueError(f"coefficient {c.contact_coeff} of {c.id!r} is not of the form 1/m")
+        members = [c] if den == 1 else [
+            LegendrianUnknotData(f"{c.id}.{i}", c.tb, c.rot, Fraction(num)) for i in range(1, den + 1)
+        ]
+        components += members
+        owner.update((p.id, c) for p in members)
+    if len(owner) != len(components):
+        raise ValueError("vertex ids must be distinct")
+    lk = {frozenset((i, j)): w for i, j, w in d.linking}
+    ids = sorted(owner)
+    linking = []
+    for a, i in enumerate(ids):
+        ci = owner[i]
+        for j in ids[a + 1:]:
+            cj = owner[j]
+            w = ci.tb if ci is cj else lk.get(frozenset((ci.id, cj.id)), 0)
+            if w:
+                linking.append((i, j, w))
+    return ContactSurgeryDiagram(tuple(components), tuple(linking))
+
+
+def contact_lk(d, i, j):
+    """The linking number of components i and j of a contact diagram, its
+    stacks written out."""
+    return {frozenset((a, b)): w for a, b, w in d.unstacked().linking}.get(frozenset((i, j)), 0)
 
 
 def json_pretty(obj):

@@ -12,8 +12,9 @@ from openbooks.contact import (
     presentation_for,
     smooth_diagram,
 )
+from openbooks.d3 import from_expanded_diagram
 
-from oracles import h1_oracle, has_integer_framings
+from oracles import all_pairs_expansion, contact_lk, h1_oracle, has_integer_framings
 
 
 def order_formula(h, k):
@@ -31,7 +32,7 @@ def test_presentation_components():
     k_e, k_a = p.components
     assert (k_e.tb, k_e.rot, k_e.contact_coeff) == (-2, -1, Fraction(1, 2))
     assert (k_a.tb, k_a.rot, k_a.contact_coeff) == (-3, -2, Fraction(-1))
-    assert p.lk("K_e", "K_a") == -2
+    assert contact_lk(p, "K_e", "K_a") == -2
 
 
 def test_presentation_invariants_across_grid():
@@ -95,9 +96,9 @@ def test_expansion_for_1_1():
     assert [c.id for c in e.components] == ["K_e.1", "K_e.2", "K_a"]
     assert [c.contact_coeff for c in e.components] == [Fraction(1), Fraction(1), Fraction(-1)]
     # pushoffs of K_e link each other at tb(K_e) = -2
-    assert e.lk("K_e.1", "K_e.2") == -2
-    assert e.lk("K_e.1", "K_a") == -2
-    assert e.lk("K_e.2", "K_a") == -2
+    assert contact_lk(e, "K_e.1", "K_e.2") == -2
+    assert contact_lk(e, "K_e.1", "K_a") == -2
+    assert contact_lk(e, "K_e.2", "K_a") == -2
 
 
 def test_expansion_identity_when_coefficient_is_unit():
@@ -173,7 +174,7 @@ def _expand_by_dict_and_build(d):
             for b in range(a + 1, len(grp_i)):
                 linking[(grp_i[a].id, grp_i[b].id)] = ci.tb
         for cj, grp_j in groups[gi + 1:]:
-            w = d.lk(ci.id, cj.id)
+            w = contact_lk(d, ci.id, cj.id)
             if w:
                 for pa in grp_i:
                     for pb in grp_j:
@@ -191,8 +192,78 @@ def test_expansion_writes_the_canonical_linking_of_dict_and_build():
     cases = [presentation_for(h, k) for h in range(1, 13) for k in range(1, 13)] + [three]
     for d in cases:
         expanded = expand_to_unit_coefficients(d)
-        assert expanded == _expand_by_dict_and_build(d)
-        ContactSurgeryDiagram(expanded.components, expanded.linking)  # passes the edge rule
+        # the stacks, written out, are the all-pairs oracle's expansion
+        flat = expanded.unstacked()
+        assert flat == all_pairs_expansion(d) == _expand_by_dict_and_build(d)
+        assert expanded.components == flat.components == flat.knots
+        assert smooth_diagram(expanded) == smooth_diagram(flat)
+        assert from_expanded_diagram(expanded) == from_expanded_diagram(flat)
+        ContactSurgeryDiagram(flat.knots, flat.linking)  # passes the edge rule
+
+
+def test_expansion_keeps_the_knots_and_adds_one_stack_per_reciprocal_coefficient():
+    for h in range(1, 13):
+        for k in range(1, 13):
+            d = presentation_for(h, k)
+            e = expand_to_unit_coefficients(d)
+            assert (e.knots, e.linking) == (d.knots, d.linking)
+            assert e.stacks == ((("K_a", h, -1),) if h > 1 else ()) + (("K_e", k + 1, 1),)
+            assert expand_to_unit_coefficients(e) == e
+            assert [(c.id, count, coeff) for c, count, coeff in e.members()] == [
+                ("K_e", k + 1, 1), ("K_a", h, -1)]
+
+
+def test_stacked_json_round_trips_and_a_malformed_stack_is_a_value_error():
+    e = expand_to_unit_coefficients(presentation_for(3, 2))
+    doc = e.to_jsonable()
+    assert doc["stacks"] == [{"companion": "K_a", "count": 3, "sign": -1},
+                             {"companion": "K_e", "count": 3, "sign": 1}]
+    assert ContactSurgeryDiagram.from_jsonable(doc) == e
+    doc["stacks"].reverse()  # stacks are sorted on parsing, as edges are
+    assert ContactSurgeryDiagram.from_jsonable(doc) == e
+    bad_stacks = [
+        {"companion": "K_e", "count": 0, "sign": 1},  # a count < 1
+        {"companion": "K_e", "count": -3, "sign": -1},
+        {"companion": "K_e", "count": 3, "sign": 0},  # a sign other than +-1
+        {"companion": "K_e", "count": 3, "sign": 2},
+        {"companion": "K_x", "count": 3, "sign": 1},  # an unknown companion
+        {"companion": "K_e", "count": 2, "sign": 1},  # not K_e's coefficient 1/3
+        {"companion": "K_e", "count": True, "sign": 1},  # bools and floats
+        {"companion": "K_e", "count": 3, "sign": True},
+        {"companion": "K_e", "count": 3.0, "sign": 1},
+        {"companion": "K_e", "count": 3, "sign": 1.0},
+        {"companion": 5, "count": 3, "sign": 1},
+        {"companion": "K_e", "count": 3},
+    ]
+    for bad in bad_stacks:
+        doc = e.to_jsonable()
+        doc["stacks"][1] = bad
+        with pytest.raises(ValueError):
+            ContactSurgeryDiagram.from_jsonable(doc)
+    doc = e.to_jsonable()
+    doc["stacks"].append(dict(doc["stacks"][1]))  # a repeated companion
+    with pytest.raises(ValueError):
+        ContactSurgeryDiagram.from_jsonable(doc)
+    for bad in (5, "K_e", None, [["K_e", 3, 1]]):
+        doc = e.to_jsonable()
+        doc["stacks"] = bad
+        with pytest.raises(ValueError):
+            ContactSurgeryDiagram.from_jsonable(doc)
+
+
+def test_a_stack_refuses_a_pushoff_id_that_is_taken():
+    def doc(other):
+        return {"components": [{"id": "K", "tb": -1, "rot": 0, "coeff": "1/2"},
+                               {"id": other, "tb": -1, "rot": 0, "coeff": "1"}],
+                "linking": [], "stacks": [{"companion": "K", "count": 2, "sign": 1}]}
+
+    for taken in ("K.1", "K.2"):
+        with pytest.raises(ValueError, match="taken"):
+            ContactSurgeryDiagram.from_jsonable(doc(taken))
+    # ids that only look like pushoff ids of K
+    for free in ("K.0", "K.01", "K.3", "K.1.1", "K.\u0661", "K1", "L.1"):
+        d = ContactSurgeryDiagram.from_jsonable(doc(free))
+        assert [c.id for c in d.components] == ["K.1", "K.2", free]
 
 
 def test_expansion_refuses_a_pushoff_id_that_is_taken():

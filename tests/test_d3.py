@@ -289,7 +289,7 @@ def test_family_solve_matches_dense_oracle_at_20_20():
 
 @pytest.mark.parametrize("h, k", [(100, 100), (199, 1), (1, 199)])
 def test_verdict_at_the_size_limit_matches_closed_forms(h, k):
-    # h + k + 1 = MAX_FAMILY_DIM; closed forms of ROADMAP item 1
+    # h + k + 1 = MAX_D3_FAMILY_DIM; closed forms of ROADMAP item 1
     p = (h + 1) * (2 * k - 1) + 2
     v = overtwisted_verdict(h, k)
     assert v.det == (-1) ** (h + 1) * p

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import openbooks
-from openbooks import certcheck
+from openbooks import certcheck, linalg
 from openbooks.cli import main
+from openbooks.contact import ContactSurgeryDiagram, presentation_for
 from openbooks.d3 import OVERTWISTED_CERTIFIED
 from openbooks.lens import LensSpace
 from openbooks.pages import family_word
@@ -110,14 +111,68 @@ def test_run_sweep_consistency(tmp_path):
 
 
 def test_run_sweep_golden_output(tmp_path):
-    # byte-identical canonical output of the paper's 10 x 10 grid
+    # byte-identical canonical output of the paper's 10 x 10 grid, whose
+    # expanded diagrams are written as pushoff stacks
     out = tmp_path / "rows.jsonl"
     run_sweep(10, 10, out)
     data = out.read_bytes()
-    assert len(data) == 577_288
+    assert len(data) == 386_753
     assert hashlib.sha256(data).hexdigest() == (
-        "57d1b2d4b4b0de7fd73e06805d649f84e878f6d5acba6359d24243af8ef5b54d"
+        "142c6a3490a34d4d9a46be17da78623bda94402f26ddfc76fbcf8d5a16c9fbba"
     )
+
+
+def test_run_sweep_golden_output_apart_from_the_expanded_diagrams(tmp_path):
+    # every field but expanded_diagram has the bytes it had when the
+    # expansion wrote each pushoff linking out
+    out = tmp_path / "rows.jsonl"
+    run_sweep(10, 10, out)
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        del row["expanded_diagram"]
+    data = "".join(canonical_line(row) + "\n" for row in rows).encode("utf-8")
+    assert len(data) == 362_713
+    assert hashlib.sha256(data).hexdigest() == (
+        "38a27755a46a3e4a970fe962d6c778c1ecc381083b57984514299f860b78a3ee"
+    )
+
+
+def test_family_report_work_grows_linearly(monkeypatch):
+    # a work count, not a wall time: from h + k = 1,000 to 4,000 the report's
+    # JSON and the elimination's exact divisions grow about 4x (all pushoff
+    # linkings, as written before the stacks, would grow 16x)
+    work = []
+    for h, k in ((500, 500), (2000, 2000)):
+        divisions = []
+        exact_div = linalg._exact_div
+        monkeypatch.setattr(linalg, "_exact_div", lambda x, d: divisions.append(1) or exact_div(x, d))
+        line = canonical_line(run_family(h, k).to_jsonable())
+        monkeypatch.undo()
+        work.append((len(line), len(divisions)))
+    (small_bytes, small_divs), (big_bytes, big_divs) = work
+    assert 3 * small_bytes < big_bytes < 5 * small_bytes
+    assert 3 * small_divs < big_divs < 5 * small_divs
+
+
+def test_a_wrong_expansion_fails_its_named_checks(monkeypatch):
+    # the verdict's expansion one pushoff short in K_e's stack: both the
+    # stack counts and |det Q| against the Kirby route's |H1| miss
+    monkeypatch.setattr(d3_module, "presentation_for", lambda h, k: presentation_for(h, k - 1))
+    with pytest.raises(InternalCheckError) as err:
+        run_family(2, 3)
+    assert str(err.value).endswith(": expanded_det_matches, expansion_counts")
+
+
+def test_a_wrong_linking_fails_expanded_det_matches(monkeypatch):
+    # the right stacks on the wrong linking: only |det Q| misses
+    def relinked(h, k):
+        d = presentation_for(h, k)
+        return ContactSurgeryDiagram(d.knots, (("K_a", "K_e", -1),))
+
+    monkeypatch.setattr(d3_module, "presentation_for", relinked)
+    with pytest.raises(InternalCheckError) as err:
+        run_family(2, 3)
+    assert str(err.value).endswith(": expanded_det_matches")
 
 
 def test_run_sweep_io_error():
@@ -212,13 +267,25 @@ def test_cli_d3_family(capsys):
 
 
 def test_cli_d3_family_at_the_size_limit(capsys):
-    # h + k + 1 = 201 = MAX_FAMILY_DIM: the twin slide makes this cheap
+    # h + k + 1 = 201 = MAX_D3_FAMILY_DIM: the rows come slid from the stacks
     assert main(["d3", "family", "100", "100", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["det"] == -20101
     assert payload["sigma"] == -1
     assert payload["c_squared"] == "-30001/20101"
     assert payload["status"] == OVERTWISTED_CERTIFIED
+
+
+def test_cli_family_at_the_size_limit(capsys):
+    # h + k + 1 = 10001 = MAX_FAMILY_DIM: every stage is O(h + k), and so is
+    # the report, whose expanded diagram holds two stacks
+    assert main(["family", "--h", "5000", "--k", "5000", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["h1_order"] == 5001 * 9999 + 2
+    assert payload["expanded_diagram"]["stacks"] == [
+        {"companion": "K_a", "count": 5000, "sign": -1}, {"companion": "K_e", "count": 5001, "sign": 1}]
+    assert all(payload["checks"].values())
+    assert main(["family", "--h", "5000", "--k", "5001"]) == 2
 
 
 def test_cli_d3_family_builds_the_presentation_once(monkeypatch, capsys):
@@ -359,7 +426,7 @@ _DEEP = "[" * 100_000 + "]" * 100_000  # json.dumps cannot write this depth
     pytest.param({"c.json": {"word": [], "goals": {"∂a": {"rule": "POS", "boundary": "∂a",
                                                           "word": [], "children": 5}}}},
                  ["rv", "check", "c.json"], id="certificate_children_not_a_list"),
-    pytest.param({}, ["family", "--h", "200", "--k", "1"], id="family_above_limit"),
+    pytest.param({}, ["family", "--h", "10000", "--k", "1"], id="family_above_limit"),
     pytest.param({}, ["d3", "family", "1", "200"], id="d3_family_above_limit"),
     pytest.param({}, ["sweep", "--hmax", "21", "--kmax", "1"], id="sweep_above_limit"),
     pytest.param({}, ["census", "1001", "1"], id="census_above_limit"),
