@@ -169,12 +169,14 @@ class ContactSurgeryDiagram:
     def from_jsonable(cls, data) -> "ContactSurgeryDiagram":
         """Parse a contact diagram document; any malformed input is a ValueError."""
         try:
-            knots = tuple(
-                LegendrianUnknotData(c["id"], c["tb"], c["rot"], parse_fraction(c["coeff"]))
-                for c in data["components"]
-            )
-            stacks = sorted((s["companion"], s["count"], s["sign"]) for s in data.get("stacks", []))
-            return cls(knots, tuple(sorted(map(tuple, data.get("linking", [])))), tuple(stacks))
+            components = data["components"]
+            linking, stacks = data.get("linking", []), data.get("stacks", [])
+            if not all(isinstance(x, list) for x in (components, linking, stacks)):
+                raise TypeError("components, linking and stacks are lists")
+            knots = tuple(LegendrianUnknotData(c["id"], c["tb"], c["rot"], parse_fraction(c["coeff"]))
+                          for c in components)
+            stacks = sorted((s["companion"], s["count"], s["sign"]) for s in stacks)
+            return cls(knots, tuple(sorted(map(tuple, linking))), tuple(stacks))
         except (KeyError, TypeError, AttributeError) as e:
             raise ValueError(f"malformed contact diagram JSON: {e!r}") from None
 

@@ -21,22 +21,24 @@ they are.
 Diagrams are immutable values.  A Kirby move is a congruence of the
 linking form plus at most one +-1 or leaf block; the kirby module holds
 each move's preconditions and data, and this module applies it to a
-ScriptState, the working copy of one script private to one call: it
-edits the copy in place, a framing as an exact integer shift (p + s*q, q)
-or a replacement, checks |H_1| of the full post-move matrix against the
-order before the move, and appends the MoveRecord that stores both.
-freeze() ends the script with one new diagram, building a Vertex only for
-each appended or re-framed vertex; the diagram it started from never
+ScriptState, the working copy of one script private to one call.  One pass
+edits the copy in place (a framing as an exact integer shift (p + s*q, q)
+or a replacement, an adjacency row copied on its first write) and collects
+the vertices the move touches; |H_1| of the full post-move matrix is then
+checked against the order before the move, and the MoveRecord that stores
+both is appended.  freeze() ends the script with one new diagram, building
+a Vertex, unchecked since its values were checked where they entered, only
+for each appended or re-framed vertex; the diagram it started from never
 changes.  FramedLinkDiagram.apply_move is a script of one move.
 
 A diagram whose graph is one tree also carries the directed messages of
 its last determinant fold: for each edge, the determinant of the subtree
-on one side, and the same with its end vertex deleted.  When the
-vertices a move touches lie in one closed star and the result is still a
-tree, every untouched subtree hangs off them by one unchanged edge, so
-compute_h1 refolds just those vertices from the carried messages at a
-cost of their degrees, not of n.  Any other move, and
-every diagram built from data, takes the whole-matrix path.
+on one side, and the same with its end vertex deleted.  When the vertices
+a move touches lie in one closed star of that tree, every untouched
+subtree hangs off them by one unchanged edge, so one walk refolds just
+those vertices from the carried messages, at a cost of their degrees, not
+of n, and finds on the way a cycle or a split that sends the move to the
+whole matrix, as any other move and every diagram built from data go.
 """
 
 from dataclasses import dataclass
@@ -229,11 +231,12 @@ class FramedLinkDiagram(_Reads):
     def from_jsonable(cls, data) -> "FramedLinkDiagram":
         """Parse a diagram document; any malformed input is a ValueError."""
         try:
-            vs = tuple(
-                Vertex(v["id"], parse_fraction(v["framing"]), v.get("unknot", True))
-                for v in data["vertices"]
-            )
-            return cls(vs, tuple(sorted(map(tuple, data.get("edges", [])))))
+            vertices, edges = data["vertices"], data.get("edges", [])
+            if not isinstance(vertices, list) or not isinstance(edges, list):
+                raise TypeError("vertices and edges are lists")
+            vs = tuple(Vertex(v["id"], parse_fraction(v["framing"]), v.get("unknot", True))
+                       for v in vertices)
+            return cls(vs, tuple(sorted(map(tuple, edges))))
         except (KeyError, TypeError, AttributeError) as e:
             raise ValueError(f"malformed diagram JSON: {e!r}") from None
 
@@ -250,10 +253,11 @@ class ScriptState(_Reads):
     ratios {id: (p, q)} in lowest terms, q >= 1; _changed {id: is_unknot}
     names the appended or re-framed vertices, whose entries in _by_id are
     stale until freeze() builds their Vertex.  The maps are copied when the
-    state opens, each adjacency row and the fold messages on their first
-    write, so the starting diagram never changes."""
+    state opens, each adjacency row on its first write (named in _copied),
+    and the fold messages into the script's one _Fold at the first move, so
+    the starting diagram never changes."""
 
-    __slots__ = ("_source", "_by_id", "_ratios", "_changed", "_adjacency", "_messages",
+    __slots__ = ("_source", "_by_id", "_ratios", "_changed", "_adjacency", "_copied", "_fold",
                  "_h1", "_records")
 
     def __init__(self, d: FramedLinkDiagram):
@@ -262,7 +266,8 @@ class ScriptState(_Reads):
         self._ratios = dict(d._ratios)
         self._changed = {}
         self._adjacency = dict(d._adjacency)
-        self._messages = self._h1 = None  # read from d at the first move
+        self._copied = set()
+        self._fold, self._h1 = _Fold(), None  # d's messages and h1, read at the first move
         self._records = []
 
     def vertex(self, vid: str) -> Vertex:
@@ -270,13 +275,6 @@ class ScriptState(_Reads):
         if vid in self._changed:
             return Vertex(vid, Fraction(*self._ratios[vid]), self._changed[vid])
         return self._by_id[vid]
-
-    def _row(self, vid):
-        """vid's adjacency row, copied on its first write."""
-        row = self._adjacency[vid]
-        if row is self._source._adjacency.get(vid):
-            row = self._adjacency[vid] = dict(row)
-        return row
 
     def apply_move(self, move, args, framings=None, deltas=None, drop=None,
                    append=None, shifts=None) -> "ScriptState":
@@ -287,78 +285,63 @@ class ScriptState(_Reads):
         the integer s to framings, p/q becoming (p + s*q)/q; deltas
         {(i, j): dw}, keyed by id pair in either order, adds to linking
         numbers; `drop` names a vertex to remove with its edges and `append`
-        is the (id, framing) of a new unknot (the kirby module's
-        preconditions make the data refer to current vertices).  Zero
+        is the (str id, framing) of a new unknot (the kirby module's
+        preconditions make the data refer to current vertices).  One pass
+        edits the state and collects the vertices the move touches.  Zero
         weights are dropped, |H_1| of the full post-move matrix (refolded at
-        the move's region when it can be, see _move_region) must equal the
-        order before the move, else InvariantViolationError, and the
-        MoveRecord is appended.
+        the move's region when it can be, see _region) must equal the order
+        before the move, else InvariantViolationError, and the MoveRecord is
+        appended.
         """
-        framings = framings or {}
-        shifts = shifts or {}
-        deltas = deltas or {}
+        if append is not None and type(append[0]) is not str:
+            raise TypeError(f"a vertex id is a str: {append[0]!r}")
+        new = None if append is None else append[0]
+        fold = self._fold
         before = self._h1
         if before is None:
             before = self._h1 = self._source.h1
             if self._source._messages is not None:
-                self._messages = self._source._messages.copy()
-        by_id, ratios, changed, adj = self._by_id, self._ratios, self._changed, self._adjacency
-        messages = self._messages
-        new = None if append is None else append[0]
-        centre = None
-        if messages is not None:
-            # the existing vertices the move touches, and a centre whose
-            # closed star holds them all in the pre-move tree
-            touched = dict.fromkeys(chain(framings, shifts, () if drop is None else adj[drop],
-                                          chain.from_iterable(deltas)))
-            touched.pop(new, None)
-            if drop is not None:
-                touched[drop] = None
-            if touched:
-                for centre in chain(touched, adj[next(iter(touched))]):
-                    row = adj[centre]
-                    for v in touched:
-                        if v != centre and v not in row:
-                            break
-                    else:
-                        break
-                else:
-                    centre = None
-        for vid, framing in framings.items():
+                fold.messages = self._source._messages.copy()
+        by_id, ratios, changed, adj, copied = (self._by_id, self._ratios, self._changed,
+                                               self._adjacency, self._copied)
+        touched = {}  # the vertices the move edits, in order
+        for vid, framing in framings.items() if framings else ():
             ratios[vid] = _ratio(framing)
-        for vid, s in shifts.items():
+            touched[vid] = None
+        for vid, s in shifts.items() if shifts else ():
             p, q = ratios[vid]
             ratios[vid] = (p + s * q, q)  # gcd(p + s*q, q) = gcd(p, q) = 1
-        for vid in chain(framings, shifts):
+            touched[vid] = None
+        for vid in touched:
             if vid not in changed:
                 changed[vid] = by_id[vid].is_unknot
         if drop is not None:
             del by_id[drop], ratios[drop]
             changed.pop(drop, None)
             for u in adj.pop(drop):
-                del self._row(u)[drop]
+                del (adj[u] if u in copied else _own(adj, copied, u))[drop]
+                touched[u] = None
+            touched[drop] = None
         if new is not None:
             by_id[new] = None  # its place in vertex order
             ratios[new] = _ratio(append[1])
             changed[new] = True
             adj[new] = {}
-        for (i, j), dw in deltas.items():
-            row_i, row_j = self._row(i), self._row(j)
+            copied.add(new)
+        for (i, j), dw in deltas.items() if deltas else ():
+            row_i = adj[i] if i in copied else _own(adj, copied, i)
+            row_j = adj[j] if j in copied else _own(adj, copied, j)
             w = row_i.get(j, 0) + dw
             if w:
                 row_i[j] = row_j[i] = w
             else:
                 row_i.pop(j, None)
                 row_j.pop(i, None)
-        parent = None
-        if centre is not None:
-            parent = _move_region(touched, centre, drop, new, adj)
-        if parent is not None:
-            for v in chain(parent, (drop,)):
-                messages.pop(v, None)
-        fold = _Fold(messages, parent)
+            touched[i] = touched[j] = None
+        fold.region = None
+        if fold.messages is not None and touched:
+            fold.region = _region(touched, new, drop, fold.messages)
         after = compute_h1(ratios, adj, fold)
-        self._messages = fold.messages
         if after != before:
             raise InvariantViolationError(
                 f"move {move} with args {dict(args)} changed |H_1|: {before!r} -> {after!r}"
@@ -374,16 +357,22 @@ class ScriptState(_Reads):
         maps, so the state ends here and a later read or move on it fails at
         once."""
         source, by_id, ratios, adj = self._source, self._by_id, self._ratios, self._adjacency
-        changed, messages = self._changed, self._messages
-        self._by_id = self._ratios = self._changed = self._adjacency = self._messages = None
+        changed, messages = self._changed, self._fold.messages
+        self._by_id = self._ratios = self._changed = self._adjacency = self._fold = None
         if not self._records:
             return source
-        for vid, unknot in changed.items():
-            by_id[vid] = Vertex(vid, Fraction(*ratios[vid]), unknot)
-        edges = sorted((i, j, w) for i, row in adj.items() for j, w in row.items() if i < j)
-        # canonical by construction, so __post_init__ is skipped; h1 is the
+        # ids and framings were checked where they entered the script, so no
+        # __post_init__ runs; equal framings share one Fraction, and h1 is the
         # order the last move checked
-        d = object.__new__(FramedLinkDiagram)
+        blank, fractions = object.__new__, {}
+        for vid, unknot in changed.items():
+            framing = fractions.get(ratios[vid])
+            if framing is None:
+                framing = fractions[ratios[vid]] = Fraction(*ratios[vid])
+            v = by_id[vid] = blank(Vertex)
+            v.__dict__.update(id=vid, framing=framing, is_unknot=unknot)
+        edges = sorted((i, j, w) for i, row in adj.items() for j, w in row.items() if i < j)
+        d = blank(FramedLinkDiagram)
         d.__dict__.update(
             vertices=tuple(by_id.values()), edges=tuple(edges),
             move_log=source.move_log + tuple(self._records), h1=self._h1,
@@ -397,47 +386,38 @@ def _ratio(x):
     return (x if type(x) is int else exact_fraction(x)).as_integer_ratio()
 
 
-def _move_region(touched, centre, drop, new, adjacency):
-    """{vertex: its parent} in breadth-first order over the region whose
-    fold messages a move recomputes: touched, centre and the appended `new`,
-    less the dropped one.  Every untouched subtree hangs off it by one
-    unchanged edge, so its message stays exact, unless the region spans no
-    subtree of the post-move `adjacency` (then None: the whole matrix)."""
-    region = touched
-    region[centre] = None
-    region.pop(drop, None)
-    if new is not None:
-        region[new] = None
-    if not region:
-        return None
-    # the root is the appended vertex, else the centre, so a run of
-    # blow-ups along a chain keeps it in the next move's region
-    root = centre if new is None else new
-    if root == drop:
-        root = next(iter(region))
-    parent = _bfs_parents((root,), region, adjacency)
-    return parent if parent is not None and len(parent) == len(region) else None
+def _own(adjacency, copied, vid):
+    """vid's adjacency row, copied on a script's first write to it."""
+    row = adjacency[vid] = dict(adjacency[vid])
+    copied.add(vid)
+    return row
 
 
-def _bfs_parents(roots, within, adjacency):
-    """{vertex: its parent, None at a root} in breadth-first order over the
-    vertices of `within` that `adjacency` reaches from `roots`, a root
-    already reached starting no tree of its own; None when they span a
-    cycle."""
-    parent = {}
-    for root in roots:
-        if root in parent:
-            continue
-        parent[root] = None
-        order = [root]
-        for v in order:
-            for u in adjacency[v]:
-                if u in within and u != parent[v]:
-                    if u in parent:
-                        return None
-                    parent[u] = v
-                    order.append(u)
-    return parent
+def _region(touched, new, drop, messages):
+    """{vertex: None} over the vertices whose fold messages a move
+    recomputes, root first: the appended `new` (the root when there is one,
+    so a run of blow-ups along a chain keeps it in the next move's region),
+    a centre whose closed star holds every `touched` vertex in the pre-move
+    tree, and those, less the dropped one; None when there is no centre.
+    The pre-move tree is read from the messages, each naming its vertex's
+    neighbour toward the root, so the centre is a touched vertex or the
+    parent of one.  Every untouched subtree then hangs off the region by
+    one unchanged edge, so its message stays exact."""
+    touched.pop(new, None)
+    for v in touched:  # its parent, None at the root
+        touched[v] = (messages.get(v) or (None,))[0]
+    messages.pop(drop, None)
+    for centre in chain(touched, touched.values()):
+        above = (messages.get(centre) or (None,))[0]
+        for v, parent in touched.items():
+            if v != centre and parent != centre and v != above:
+                break
+        else:
+            region = dict.fromkeys((centre,) if new is None else (new, centre))
+            region.update(touched)
+            region.pop(drop, None)
+            return region
+    return None
 
 
 class _Fold:
@@ -457,22 +437,50 @@ class _Fold:
 
     messages[v] = (u, D, E) for every vertex v but the root of the fold: u
     is v's neighbour toward the root, D = D_v and E = E_v on v's side of
-    the edge vu; None off a tree.  A ScriptState move sets region,
-    {vertex: parent} in breadth-first order from the new root over the
-    vertices whose messages it removed, with the post-move adjacency.
-    fold_at and reroot, which call each other, are methods, not nested
-    closures: those would form a reference cycle per move, holding the
+    the edge vu; None off a tree.  A ScriptState move sets region, the
+    vertices from _region, and compute_h1 sets it to None when it folds the
+    whole matrix instead.  fold_at and reroot call each other as methods:
+    nested closures would form a reference cycle per move, holding the
     replaced vertices until the cycle collector ran.
     """
 
     __slots__ = ("messages", "region")
 
-    def __init__(self, messages=None, region=None):
-        self.messages = messages
-        self.region = region
+    def __init__(self):
+        self.messages = self.region = None
+
+    def walk(self, ratios, adjacency, roots, within):
+        """Fold the forest `adjacency` spans on `within`, a tree from each of
+        `roots` that no earlier tree reached, children before parents: (the
+        product of the roots' D, the number of trees), or None on a cycle.
+        Each vertex joins the walk at most once, which bounds every loop."""
+        messages = self.messages
+        parent = {}
+        d = 1
+        trees = 0
+        for root in roots:
+            if root in parent:
+                continue
+            parent[root] = None
+            messages.pop(root, None)
+            order = [root]
+            for v in order:
+                above = parent[v]
+                for u in adjacency[v]:
+                    if u != above and u in within:
+                        if u in parent:
+                            return None
+                        parent[u] = v
+                        order.append(u)
+            for v in order[:0:-1]:  # children before parents, the root last
+                messages[v] = self.fold_at(ratios, adjacency, v, parent[v])
+            d *= self.fold_at(ratios, adjacency, root, None)[1]
+            trees += 1
+        return d, trees
 
     def fold_at(self, ratios, adjacency, v, skip):
-        """(D, E) of v folded over the messages of its neighbours but skip."""
+        """v's message to skip, (skip, D, E), folded over the messages of its
+        other neighbours."""
         messages = self.messages
         a, q = ratios[v]
         b = 1
@@ -483,7 +491,7 @@ class _Fold:
                     m = self.reroot(ratios, adjacency, u, v)
                 t = w * w * q * ratios[u][1]
                 a, b = a * m[1] - t * b * m[2], b * m[1]
-        return a, b
+        return skip, a, b
 
     def reroot(self, ratios, adjacency, u, v):
         """The message u -> v, folding back the path from u to the old root."""
@@ -496,7 +504,7 @@ class _Fold:
             path.append((m[0], path[-1][0]))
             m = messages.get(m[0])
         for x, y in reversed(path):
-            messages[x] = (y, *self.fold_at(ratios, adjacency, x, y))
+            messages[x] = self.fold_at(ratios, adjacency, x, y)
         return messages[u]
 
 
@@ -505,40 +513,35 @@ def compute_h1(ratios, adjacency, fold):
     and `adjacency` {id: {neighbour: weight}}: |det| of the presentation
     matrix.
 
-    With a move region set on the _Fold `fold`, the determinant is refolded
-    at the region from the messages it carries.  Otherwise those are
-    dropped and a forest is folded whole, children before parents from the
-    first vertex of each tree, with its determinant the product of the
-    roots' D, and a single tree leaves its messages in `fold`; a graph with
-    a cycle is eliminated.
+    With a move region set on the _Fold `fold`, one walk from the region's
+    root refolds the region from the messages it carries, unless the region
+    spans a cycle or more than one tree.  Otherwise those are dropped
+    and the region cleared, and a forest is folded whole from the first
+    vertex of each tree, with its determinant the product of the roots' D;
+    a single tree leaves its messages in `fold`, and a graph with a cycle
+    is eliminated.
     """
-    parent = fold.region
-    if parent is None:
-        parent = _bfs_parents(ratios, ratios, adjacency)
-        if parent is None:
-            fold.messages = None
-            idx = {vid: i for i, vid in enumerate(ratios)}
-            rows = []
-            for vid, (p, q) in ratios.items():
-                row = {idx[u]: q * w for u, w in adjacency[vid].items()}
-                if p:
-                    row[idx[vid]] = p
-                rows.append(row)
-            d = det_sparse_rows(rows, len(rows))
-            return INFINITE if d == 0 else abs(d)
-        fold.messages = {}
-    # children before their parents; _Fold.reroot refolds the messages
-    # on the path from a move region to the old root, which point away
-    messages = fold.messages
-    d = 1
-    roots = 0
-    for v in reversed(parent):
-        if parent[v] is None:
-            d *= fold.fold_at(ratios, adjacency, v, None)[0]
-            roots += 1
-        else:
-            messages[v] = (parent[v], *fold.fold_at(ratios, adjacency, v, parent[v]))
-    if roots != 1:  # the messages of a forest or the empty diagram are not kept
+    region = fold.region
+    if region is not None:
+        walked = fold.walk(ratios, adjacency, region, region)
+        if walked is not None and walked[1] == 1:
+            return INFINITE if walked[0] == 0 else abs(walked[0])
+        fold.region = None
+    fold.messages = {}
+    walked = fold.walk(ratios, adjacency, ratios, ratios)
+    if walked is None:
+        fold.messages = None
+        idx = {vid: i for i, vid in enumerate(ratios)}
+        rows = []
+        for vid, (p, q) in ratios.items():
+            row = {idx[u]: q * w for u, w in adjacency[vid].items()}
+            if p:
+                row[idx[vid]] = p
+            rows.append(row)
+        d = det_sparse_rows(rows, len(rows))
+        return INFINITE if d == 0 else abs(d)
+    d, trees = walked
+    if trees != 1:  # the messages of a forest or the empty diagram are not kept
         fold.messages = None
     return INFINITE if d == 0 else abs(d)
 

@@ -55,13 +55,24 @@ def _fresh_id(d: FramedLinkDiagram, base: str) -> str:
     return f"{base}{n}"
 
 
-def _twist(star: list, eps: int):
-    """The rank-one twist by a +-1 unknot that links each u of the [(u, lk)]
-    star lk times: framing_u += eps * lk_u^2 and lk_uv += eps * lk_u * lk_v.
-    Returns the move's (shifts, deltas), integers only."""
-    shifts = {u: eps * w * w for u, w in star}
-    deltas = {(u, v): eps * wu * wv for a, (u, wu) in enumerate(star) for v, wv in star[a + 1:]}
-    return shifts, deltas
+def _twist(d, star, eps: int, new=None):
+    """The rank-one twist by a +-1 unknot that links each u of the (u, lk)
+    star lk times, in one loop that checks u is in d, then lk an int:
+    framing_u += eps * lk_u^2, lk_uv += eps * lk_u * lk_v, and lk_u,new =
+    lk_u for an appended `new`.  Returns the move's (shifts, deltas),
+    integers only, and the (u, lk) with lk nonzero."""
+    shifts, deltas, linked = {}, {}, []
+    for u, w in star:
+        if u not in d:
+            raise IllegalMoveError(f"star references unknown vertex {u!r}")
+        if exact_int(w, "a star weight"):
+            for v, wv in linked:
+                deltas[(v, u)] = eps * wv * w
+            linked.append((u, w))
+            shifts[u] = eps * w * w
+            if new is not None:
+                deltas[(u, new)] = w
+    return shifts, deltas, linked
 
 
 def blow_down(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
@@ -76,7 +87,7 @@ def blow_down(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     if not v.is_unknot:
         raise IllegalMoveError(f"blow down needs an unknot at {vid!r}")
     eps = int(v.framing)
-    shifts, deltas = _twist(d.neighbors(vid), -eps)
+    shifts, deltas, _ = _twist(d, d.neighbors(vid), -eps)
     return d.apply_move("blow_down", (("vertex", vid), ("sign", eps)), deltas=deltas, drop=vid,
                         shifts=shifts)
 
@@ -89,15 +100,8 @@ def blow_up(d: FramedLinkDiagram, sign: int, star=None, new_id: str = None) -> F
     """
     if exact_int(sign, "blow up sign") not in (1, -1):
         raise IllegalMoveError(f"blow up sign must be +-1, got {sign}")
-    star = dict(star or {})
-    for u, w in star.items():
-        if u not in d:
-            raise IllegalMoveError(f"star references unknown vertex {u!r}")
-        exact_int(w, "a star weight")
-    star = [(u, w) for u, w in star.items() if w]
-    vid = _fresh_id(d, new_id or "u")
-    shifts, deltas = _twist(star, sign)
-    deltas.update(((u, vid), w) for u, w in star)
+    vid = _fresh_id(d, "u" if new_id is None else new_id)
+    shifts, deltas, star = _twist(d, dict(star or {}).items(), sign, vid)
     args = (("id", vid), ("sign", sign), ("star", tuple(sorted(star))))
     return d.apply_move("blow_up", args, deltas=deltas, append=(vid, sign), shifts=shifts)
 
@@ -130,7 +134,7 @@ def inverse_slam_dunk(d: FramedLinkDiagram, vid: str, n: int = None, leaf_id: st
     elif exact_int(n, "a forced split n") == r:
         raise IllegalMoveError(f"forced split n={n} equals the framing itself")
     x = 1 / (n - r)  # n - 1/x = r
-    leaf = _fresh_id(d, leaf_id or f"{vid}_leaf")
+    leaf = _fresh_id(d, f"{vid}_leaf" if leaf_id is None else leaf_id)
     args = (("vertex", vid), ("n", n), ("leaf", leaf))
     return d.apply_move("inverse_slam_dunk", args, {vid: n}, {(vid, leaf): 1}, append=(leaf, x))
 
@@ -219,16 +223,15 @@ MOVES = {
 }
 
 
-def _well_typed(kind, value) -> bool:
-    """An int (not a bool) or a str; for dict, a star, checked in one loop."""
-    if kind is not dict:
-        return type(value) is kind
+def _is_star(value) -> bool:
+    """An object {id: weight} or a list of [id, weight] pairs, each id a str
+    at most once and each weight an int (not a bool), checked in one loop."""
     if not isinstance(value, (dict, list, tuple)):
         return False
     ids = set()
     for pair in value.items() if isinstance(value, dict) else value:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
-                and pair[0] not in ids and _well_typed(int, pair[1])):
+                and pair[0] not in ids and type(pair[1]) is int):
             return False
         ids.add(pair[0])
     return True
@@ -241,26 +244,32 @@ def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
     A script that is not a list, a malformed step (not an object, missing a
     required argument, or an argument of the wrong type, such as a star
     naming an id twice) is a ValueError; an unknown move or a failed
-    precondition is an IllegalMoveError.
+    precondition is an IllegalMoveError.  Each step's arguments are checked
+    in one pass: the missing ones are named before a mistyped one.
     """
     if not isinstance(script, list):
         raise ValueError(f"move script must be a list of steps: {script!r}")
     state = ScriptState(d)
     for step in script:
-        if not isinstance(step, dict) or not isinstance(step.get("args", {}), dict):
+        args = step.get("args", {}) if isinstance(step, dict) else None
+        if not isinstance(args, dict):
             raise ValueError(f"move script step must be an object with object args: {step!r}")
         name = step.get("move")
         if not isinstance(name, str) or name not in MOVES:
             raise IllegalMoveError(f"unknown move {name!r}")
         arguments, apply = MOVES[name]
-        args = step.get("args", {})
-        missing = [a for a, needed, _ in arguments if needed and a not in args]
+        missing, wrong = [], []
+        for a, needed, kind in arguments:
+            if a not in args:
+                missing += [a] if needed else []
+            elif (needed or args[a] is not None) and not (
+                    _is_star(args[a]) if kind is dict else type(args[a]) is kind):
+                wrong.append(a)
         if missing:
             raise ValueError(f"move {name!r} is missing argument {', '.join(missing)}")
-        for a, needed, kind in arguments:
-            value = args.get(a)
-            if (needed or value is not None) and not _well_typed(kind, value):
-                raise ValueError(f"move {name!r}: argument {a!r} has the wrong type: {value!r}")
+        if wrong:
+            raise ValueError(f"move {name!r}: argument {wrong[0]!r} has the wrong type: "
+                             f"{args[wrong[0]]!r}")
         apply(state, args)
     return state.freeze()
 

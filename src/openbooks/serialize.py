@@ -12,8 +12,9 @@ writer.  json's C encoder only runs without indent; with indent=2 json
 falls back to its pure-Python generator encoder, which costs a generator
 frame per container and leaves a reference cycle of closures behind on
 every call.  The writer below keeps json's C leaves (encode_basestring_ascii
-for keys and strings, int.__repr__ for ints) and only joins containers in
-Python, with the "\\n" + "  " * level separators that indent=2 emits.
+for keys and strings, int.__repr__ for ints), appends every piece, with the
+"\\n" + "  " * level separators that indent=2 emits, to one list and joins
+it once.
 """
 
 import json
@@ -64,53 +65,58 @@ def parse_fraction(s) -> Fraction:
     raise ValueError(f"not an exact rational of the form [+-]digits[/digits]: {s!r}")
 
 
-def _pretty(obj, newline):
-    """obj as json writes it with indent=2 at the depth whose line break
-    and indent is `newline`.  The exact types come first; one Python frame
-    per level of nesting, as in json's own encoder."""
+def _write(obj, newline, out):
+    """Append to `out` the pieces of obj as json writes it with indent=2 at
+    the depth whose line break and indent is `newline`.  Exact types first;
+    one Python frame per level of nesting, as in json's own encoder."""
     t = type(obj)
     if t is str:
-        return encode_basestring_ascii(obj)
-    if t is int:
-        return int.__repr__(obj)
-    if t is dict:
+        out.append(encode_basestring_ascii(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is dict:
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         inner = newline + "  "
-        parts = []
+        sep, comma = "{" + inner, "," + inner
         for key in sorted(obj):
+            out.append(sep)
             # a non-str key is a TypeError in encode_basestring_ascii
-            parts.append(encode_basestring_ascii(key) + ": " + _pretty(obj[key], inner))
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if t is list or t is tuple:
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(obj[key], inner, out)
+            sep = comma
+        out.append(newline + "}")
+    elif t is list or t is tuple:
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
-        parts = []
+        sep, comma = "[" + inner, "," + inner
         for x in obj:
-            parts.append(_pretty(x, inner))
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+            out.append(sep)
+            _write(x, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    elif obj is None or t is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
     # subclasses, written as json writes their base type
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, dict):
-        return _pretty(dict(obj), newline)
-    if isinstance(obj, (list, tuple)):
-        return _pretty(list(obj), newline)
-    raise TypeError(f"Object of type {t.__name__} is not canonical JSON")
+    elif isinstance(obj, (str, int)):
+        _write(str.__str__(obj) if isinstance(obj, str) else int.__int__(obj), newline, out)
+    elif isinstance(obj, (dict, list, tuple)):
+        _write(dict(obj) if isinstance(obj, dict) else list(obj), newline, out)
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not canonical JSON")
 
 
 def canonical_dumps(obj) -> str:
-    """Pretty canonical document: stable bytes under a parse/re-dump cycle."""
-    return _pretty(obj, "\n") + "\n"
+    """Pretty canonical document: stable bytes under a parse/re-dump cycle,
+    written as pieces into one list and joined once."""
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def canonical_line(obj) -> str:

@@ -62,16 +62,25 @@ MUTANTS = (
            ("tests/test_linalg.py::test_det_matches_leibniz_on_random_integer_matrices",
             "tests/test_linalg.py::test_trees_with_chords_match_dense_oracles")),
     Mutant("refold_closed_star", "diagram.py",
-           "if v != centre and v not in row:", "if False:",
+           "if v != centre and parent != centre and v != above:", "if False:",
            ("tests/test_kirby.py::test_moves_outside_one_closed_star_or_splitting_the_tree_are_not_refolded",
             "tests/test_kirby.py::test_random_move_scripts_record_oracle_h1")),
     Mutant("refold_region_spans_a_subtree", "diagram.py",
-           "return parent if parent is not None and len(parent) == len(region) else None",
-           "return parent",
+           "if walked is not None and walked[1] == 1:", "if walked is not None:",
            ("tests/test_kirby.py::test_moves_outside_one_closed_star_or_splitting_the_tree_are_not_refolded",
             "tests/test_kirby.py::test_random_move_scripts_record_oracle_h1")),
+    # a walk that skips an edge closing a cycle, in place of stopping there,
+    # folds a graph with a cycle as if it were a tree
+    Mutant("fold_walk_finds_cycles", "diagram.py",
+           "if u in parent:\n                            return None",
+           "if u in parent:\n                            continue",
+           ("tests/test_kirby.py::test_h1_eliminates_only_graphs_with_a_cycle",
+            "tests/test_kirby.py::test_moves_outside_one_closed_star_or_splitting_the_tree_are_not_refolded")),
     Mutant("script_copies_its_adjacency", "diagram.py",
            "self._adjacency = dict(d._adjacency)", "self._adjacency = d._adjacency",
+           ("tests/test_kirby.py::test_a_script_never_touches_its_input",)),
+    Mutant("row_copied_on_first_write", "diagram.py",
+           "row = adjacency[vid] = dict(adjacency[vid])", "row = adjacency[vid]",
            ("tests/test_kirby.py::test_a_script_never_touches_its_input",)),
     Mutant("move_h1_check", "diagram.py",
            "        if after != before:\n", "        if False:\n",
@@ -101,6 +110,10 @@ MUTANTS = (
     Mutant("expansion_counts_check", "report.py",
            "plus == k + 1 and minus == h", "True",
            ("tests/test_report_cli.py::test_a_wrong_expansion_fails_its_named_checks",)),
+    Mutant("move_log_h1_constant_check", "report.py",
+           "all(r.h1_before == order and r.h1_after == order\n                       for r in reduced.move_log)",
+           "True",
+           ("tests/test_report_cli.py::test_a_move_log_record_off_the_order_fails_move_log_h1_constant",)),
     Mutant("expanded_det_matches_check", "report.py",
            "abs(verdict.det) == order", "True",
            ("tests/test_report_cli.py::test_a_wrong_expansion_fails_its_named_checks",

@@ -155,6 +155,15 @@ def test_diagram_serialization_roundtrip():
         doc["linking"][0][2] = bad
         with pytest.raises(ValueError):
             ContactSurgeryDiagram.from_jsonable(doc)
+    # a list given as an object or a string is refused, not read as empty
+    for key, bad in (("components", {}), ("linking", ""), ("stacks", ""), ("linking", {}),
+                     ("stacks", {})):
+        doc = e.to_jsonable()
+        doc[key] = bad
+        with pytest.raises(ValueError, match="are lists"):
+            ContactSurgeryDiagram.from_jsonable(doc)
+    with pytest.raises(ValueError, match="are lists"):
+        ContactSurgeryDiagram.from_jsonable({"components": {}, "linking": "", "stacks": ""})
 
 
 def _expand_by_dict_and_build(d):

@@ -346,6 +346,12 @@ def test_diagram_serialization_roundtrip():
     d = reduce_family_diagram(2, 2)
     back = FramedLinkDiagram.from_jsonable(d.to_jsonable())
     assert back.same_diagram(d)
+    # lists given as an object or a string are refused, not read as empty
+    # lists: {"vertices": {}, "edges": {}} once parsed to the empty diagram
+    for doc in ({"vertices": {}, "edges": {}}, {"vertices": "", "edges": []},
+                {"vertices": [], "edges": "ab"}, {"vertices": [], "edges": {}}):
+        with pytest.raises(ValueError, match="are lists"):
+            FramedLinkDiagram.from_jsonable(doc)
 
 
 def test_linear_chain_walk():
@@ -473,11 +479,12 @@ def test_a_frozen_script_state_ends():
 
 
 def test_a_script_builds_one_vertex_per_changed_vertex(monkeypatch):
-    # inside a script framings are integer ratios, so a Vertex is built at
-    # freeze for each appended or re-framed vertex, and otherwise only for
-    # the start diagram (2) and the seven move preconditions that read one
-    # (an orientation flip tests only membership); a Vertex per framing
-    # change would add two or three per move
+    # inside a script framings are integer ratios, so a checked Vertex is
+    # built only for the start diagram (2) and the seven move preconditions
+    # that read one (an orientation flip tests only membership); freeze
+    # builds one Vertex per appended or re-framed vertex from values checked
+    # where they entered the script, without __post_init__.  A Vertex per
+    # framing change would add two or three per move
     calls = []
     post_init = Vertex.__post_init__
 
@@ -486,13 +493,95 @@ def test_a_script_builds_one_vertex_per_changed_vertex(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Vertex, "__post_init__", counting)
-    extra = []
+    checked = []
     for h in (40, 160):
         del calls[:]
         d = reduce_family_diagram(h, 3)
         assert len(d.move_log) == h + 9
-        extra.append(len(calls) - len(d.vertices))
-    assert extra[0] == extra[1] == 9
+        checked.append(len(calls))
+        assert all(v == Vertex(v.id, v.framing, v.is_unknot) for v in d.vertices)
+    assert checked[0] == checked[1] == 9
+
+
+def test_an_appended_id_is_checked_where_it_enters_the_script():
+    # freeze builds the appended vertices without Vertex's checks, so a
+    # move refuses an id that is not a str before it edits anything; a
+    # falsy one (0) is refused too, not replaced by the default id
+    d = chain(-2, -3)
+    for move in (lambda s: blow_up(s, 1, {}, new_id=5),
+                 lambda s: blow_up(s, -1, {"c0": 1}, new_id=5),
+                 lambda s: blow_up(s, 1, {}, new_id=0),
+                 lambda s: inverse_slam_dunk(s, "c1", n=0, leaf_id=5),
+                 lambda s: inverse_slam_dunk(s, "c1", n=0, leaf_id=0),
+                 lambda s: s.apply_move("test", (), append=(None, 1))):
+        with pytest.raises(TypeError, match="a vertex id is a str"):
+            move(d)
+        s = ScriptState(d)
+        with pytest.raises(TypeError):
+            move(s)
+        assert s.freeze() is d
+    # the star is checked before the id: an unknown vertex, then a bad weight
+    with pytest.raises(IllegalMoveError, match="unknown vertex 'x'"):
+        blow_up(d, 1, {"x": 1.5}, new_id=5)
+    with pytest.raises(TypeError, match="a star weight"):
+        blow_up(d, 1, {"c0": 1.5}, new_id=5)
+
+
+def _fold_work(monkeypatch):
+    """Per move from now on: (_Fold.fold_at calls, adjacency rows the
+    script copied), read around each ScriptState.apply_move."""
+    from openbooks.diagram import _Fold
+
+    work = []
+    calls = [0]
+    fold_at, apply_move = _Fold.fold_at, ScriptState.apply_move
+
+    def counting_fold_at(self, *args):
+        calls[0] += 1
+        return fold_at(self, *args)
+
+    def counting_apply_move(self, *args, **kwargs):
+        start, owned = calls[0], len(self._copied)
+        apply_move(self, *args, **kwargs)
+        work.append((calls[0] - start, len(self._copied) - owned))
+        return self
+
+    monkeypatch.setattr(_Fold, "fold_at", counting_fold_at)
+    monkeypatch.setattr(ScriptState, "apply_move", counting_apply_move)
+    return work
+
+
+def test_each_family_loop_blow_up_does_the_same_fold_work_for_any_h(monkeypatch):
+    # the loop's blow-ups refold three vertices and own one new row (the
+    # appended vertex's) whatever h: no fold work or row copy grows with h
+    work = _fold_work(monkeypatch)
+    loops = []
+    for h in (50, 500):
+        del work[:]
+        d = reduce_family_diagram(h, 2)
+        assert len(work) == len(d.move_log) == h + 9
+        # the loop's blow-ups append t1, t2, ...: the id is the first argument
+        loop = [w for w, r in zip(work, d.move_log)
+                if r.move == "blow_up" and r.args[0][1].startswith("t")]
+        assert len(loop) == h - 1
+        loops.append(set(loop))
+    assert loops[0] == loops[1] == {(3, 1)}
+
+
+def test_a_one_move_script_on_a_large_tree_copies_only_its_region_rows(monkeypatch):
+    work = _fold_work(monkeypatch)
+    rng = random.Random(2205)
+    d = random_forest(rng, max_vertices=200, max_trees=1, min_vertices=200)
+    assert d.h1 and d._messages is not None  # one tree, folded whole
+    for v in rng.sample([u.id for u in d.vertices], 8):
+        s = ScriptState(d)
+        blow_up(s, 1, {v: 1}, new_id="new")
+        # v's row (one delta, to the new vertex) and the new row: the rest
+        # of the adjacency is still the input's own
+        assert s._copied == {v, "new"}
+        assert sum(s._adjacency[u.id] is not d._adjacency[u.id] for u in d.vertices) == 1
+        assert work[-1][1] == 2
+        assert s.freeze().move_log[-1].h1_after == d.h1
 
 
 def test_frozen_framings_are_fractions():
@@ -670,15 +759,17 @@ def test_random_move_scripts_record_oracle_h1():
 
 def _count_whole_matrix_determinants(monkeypatch):
     """Count the whole-matrix determinants from now on: the compute_h1
-    calls with no move region, folded or eliminated."""
+    calls that end with no move region, folded or eliminated (a region that
+    spans a cycle or no subtree is cleared)."""
     import openbooks.diagram as diagram_mod
 
     calls = []
     compute_h1 = diagram_mod.compute_h1
 
     def counting(vertices, adjacency, fold):
+        order = compute_h1(vertices, adjacency, fold)
         calls.append(fold.region is None)
-        return compute_h1(vertices, adjacency, fold)
+        return order
 
     monkeypatch.setattr(diagram_mod, "compute_h1", counting)
     return lambda: sum(calls)
@@ -720,6 +811,11 @@ def test_moves_outside_one_closed_star_or_splitting_the_tree_are_not_refolded():
     split = handle_slide(d, "s", "o", -1)
     assert ("s", "o") not in {(i, j) for i, j, _ in split.edges}
     assert split.move_log[-1].h1_after == h1_oracle(split) == h1_oracle(d)
+    # the forest it leaves carries no fold messages, so the next move is
+    # not refolded from one of its trees alone
+    assert split._messages is None
+    up = blow_up(split, 1, {"x": 1})
+    assert up.move_log[-1].h1_after == h1_oracle(up) == h1_oracle(d)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])

@@ -175,6 +175,24 @@ def test_a_wrong_linking_fails_expanded_det_matches(monkeypatch):
     assert str(err.value).endswith(": expanded_det_matches")
 
 
+def test_a_move_log_record_off_the_order_fails_move_log_h1_constant(monkeypatch):
+    # a reduction that ends on the right chain but logs one move's |H1|
+    # before or after as one more than the order: only the log check misses
+    import openbooks.report as report_module
+    from openbooks.diagram import FramedLinkDiagram
+    from openbooks.kirby import reduce_family_diagram
+
+    d = reduce_family_diagram(2, 3)
+    for field in ("h1_before", "h1_after"):
+        log = list(d.move_log)
+        log[4] = log[4]._replace(**{field: log[4].h1_after + 1})
+        monkeypatch.setattr(report_module, "reduce_family_diagram",
+                            lambda h, k, log=tuple(log): FramedLinkDiagram(d.vertices, d.edges, log))
+        with pytest.raises(InternalCheckError) as err:
+            run_family(2, 3)
+        assert str(err.value).endswith(": move_log_h1_constant")
+
+
 def test_run_sweep_io_error():
     with pytest.raises(OSError, match="no/such/dir"):
         run_sweep(1, 1, "/no/such/dir/out.jsonl")
@@ -409,6 +427,9 @@ _DEEP = "[" * 100_000 + "]" * 100_000  # json.dumps cannot write this depth
                  _REPLAY, id="diagram_edge_id_not_a_string"),
     pytest.param({"d.json": {"vertices": [{"id": "x", "framing": 0.1}]}, "s.json": []},
                  _REPLAY, id="diagram_float_framing"),
+    # lists given as an object or a string were once read as empty lists
+    pytest.param({"d.json": {"vertices": {}, "edges": {}}, "s.json": []},
+                 _REPLAY, id="diagram_lists_given_as_objects"),
     pytest.param({"d.json": {"vertices": [{"id": "x", "framing": "1", "unknot": 1}]}, "s.json": []},
                  _REPLAY, id="diagram_unknot_not_a_bool"),
     pytest.param({"d.json": {"vertices": [{"id": "a", "framing": "1"}, {"id": "b", "framing": "1"}],

@@ -26,7 +26,7 @@ def test_only_the_diagram_module_touches_diagram_internals():
     # uses its public API
     package = Path(openbooks.__file__).resolve().parent
     private = {"_by_id", "_adjacency", "_chain", "__dict__", "_source", "_h1", "_messages",
-               "_Fold", "_move_region", "_bfs_parents", "_row", "_records", "_ratios",
+               "_Fold", "_region", "_own", "_copied", "_fold", "_records", "_ratios",
                "_changed", "_ratio"}
     found = []
     for path in sorted(package.glob("*.py")):
