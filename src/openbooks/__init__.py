@@ -20,6 +20,7 @@ from .d3 import (
     TightDescriptor,
     Verdict,
     d3,
+    d3_terms,
     overtwisted_verdict,
     tight_census,
 )

@@ -10,20 +10,23 @@ structure on the surgered rational homology sphere is
 where chi = 1 + size(Q), sigma is the signature of Q, and c^2 = r^T Q^-1 r.
 The normalization makes the empty presentation give d3(S^3, standard) =
 -1/2, and adding a cancelling (+1, -1) pushoff pair never changes the
-value; both facts are pinned by calibration tests rather than trusted.
-Only c^2 depends on the rotation vector, so each Q is eliminated once, by
-linalg.solve on sparse integer rows with right-hand sides r riding along:
-the last pivot is det Q, Jacobi's rule gives sigma, and each r gets its
-bordered corner det [[Q, r], [r^T, 0]] = -r^T adj(Q) r, so each d3 is one
-exact Fraction(base - corner, 4 det Q).  A verdict is two such passes.
-The family's rows come straight from the expanded diagram's pushoff
-stacks, each written as the chain a handle slide of each pushoff over the
-one before makes of it, with rho as the right-hand side, so the rows have
-O(h + k) entries and the pass costs O(h + k) pivot steps.  The census
-chain carries one right-hand side per pair of components that can rotate
-(framing <= -3), which gives adj(Q) on them and so every entry's corner,
-however many entries there are; the verdict reads the d3 values only, so
-no census rotation vector is written out over the whole chain.
+value (Ding-Geiges-Stipsicz 2004); both facts are pinned by calibration
+tests rather than trusted, and they run through d3_terms, the entry the
+verdict calls, so the rows they calibrate are the rows the verdict
+eliminates.  Only c^2 depends on the rotation vector, so each Q is
+eliminated once, by linalg.solve on sparse integer rows with right-hand
+sides r riding along: the last pivot is det Q, Jacobi's rule gives sigma,
+and each r gets its bordered corner det [[Q, r], [r^T, 0]] = -r^T adj(Q) r,
+so each d3 is one exact Fraction(base - corner, 4 det Q).  A verdict is
+two such passes.  d3_terms writes its rows straight from an expanded
+diagram's pushoff stacks, each stack as the chain a handle slide of each
+pushoff over the one before makes of it, with rho as the right-hand side,
+so the rows have O(h + k) entries and the pass costs O(h + k) pivot steps.
+d3 on a dense PM1Presentation eliminates the rows of Q as they are.  The
+census chain carries one right-hand side per pair of components that can
+rotate (framing <= -3), which gives adj(Q) on them and so every entry's
+corner, however many entries there are; the verdict reads the d3 values
+only, so no census rotation vector is written out over the whole chain.
 
 Every tight contact structure on a lens space L(p, q) (p >= 2) arises
 from Legendrian surgery on a chain of stabilized unknots realizing the
@@ -179,6 +182,17 @@ def _d3_values(det, sigma, n, q_plus, corners, scale=1):
     return values
 
 
+def d3_terms(d):
+    """(d3, det Q, sigma(Q), c^2, q_+) of an expanded contact surgery
+    diagram, from one elimination of the rows _slid_rows writes: the d3
+    route of the verdict and of the calibration.  Requires det Q != 0."""
+    rows, q_plus = _slid_rows(d)
+    n = len(rows)
+    det, sigma, [corner] = _solve(rows, n, 1)
+    [value] = _d3_values(det, sigma, n, q_plus, [corner])
+    return value, det, sigma, Fraction(-corner, det), q_plus
+
+
 def d3(pres: PM1Presentation) -> Fraction:
     """The d3 invariant of the presentation, an exact rational.
 
@@ -318,10 +332,7 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
     check_family(h, k)
     expanded = expand_to_unit_coefficients(presentation_for(h, k))
     space = family_lens(h, k)
-    rows, q_plus = _slid_rows(expanded)
-    n = len(rows)
-    det, sigma, [corner] = _solve(rows, n, 1)
-    [value] = _d3_values(det, sigma, n, q_plus, [corner])
+    value, det, sigma, c_squared, q_plus = d3_terms(expanded)
     census_values = tuple(_census(space)[-1])  # the d3 values only
     status = OVERTWISTED_CERTIFIED if value not in census_values else INCONCLUSIVE
     return Verdict(
@@ -332,7 +343,7 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
         d3_value=value,
         census_d3=census_values,
         sigma=sigma,
-        c_squared=Fraction(-corner, det),
+        c_squared=c_squared,
         q_plus=q_plus,
         det=det,
         expanded=expanded,

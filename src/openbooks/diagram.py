@@ -48,7 +48,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .linalg import det_sparse_rows
-from .serialize import exact_fraction, fraction_str, parse_fraction
+from .serialize import exact_fraction, exact_int, fraction_str, parse_fraction
 
 
 class _InfiniteOrder:
@@ -282,19 +282,24 @@ class ScriptState(_Reads):
         logged; returns the state.
 
         framings {id: int or Fraction} replaces framings; shifts {id: s} adds
-        the integer s to framings, p/q becoming (p + s*q)/q; deltas
-        {(i, j): dw}, keyed by id pair in either order, adds to linking
-        numbers; `drop` names a vertex to remove with its edges and `append`
-        is the (str id, framing) of a new unknot (the kirby module's
-        preconditions make the data refer to current vertices).  One pass
-        edits the state and collects the vertices the move touches.  Zero
-        weights are dropped, |H_1| of the full post-move matrix (refolded at
-        the move's region when it can be, see _region) must equal the order
-        before the move, else InvariantViolationError, and the MoveRecord is
-        appended.
+        the int s to framings, p/q becoming (p + s*q)/q; deltas {(i, j): dw},
+        keyed by id pair in either order, adds the int dw to linking numbers
+        (a float, bool or Fraction shift or delta is a TypeError, raised
+        before anything is edited); `drop` names a vertex to remove with its
+        edges and `append` is the (str id, framing) of a new unknot (the
+        kirby module's preconditions make the data refer to current
+        vertices).  One pass edits the state and collects the vertices the
+        move touches.  Zero weights are dropped, |H_1| of the full post-move
+        matrix (refolded at the move's region when it can be, see _region)
+        must equal the order before the move, else InvariantViolationError,
+        and the MoveRecord is appended.
         """
         if append is not None and type(append[0]) is not str:
             raise TypeError(f"a vertex id is a str: {append[0]!r}")
+        for dw in deltas.values() if deltas else ():
+            exact_int(dw, "a linking delta")
+        for s in shifts.values() if shifts else ():
+            exact_int(s, "a framing shift")
         new = None if append is None else append[0]
         fold = self._fold
         before = self._h1

@@ -18,13 +18,9 @@ acc <- (d_t acc - u_t^2) / d_(t-1), to det [[Q, r], [r^T, 0]] =
 rows, as the d3 module writes them from a diagram's pushoff stacks or a
 chain, and returns det Q, sigma(Q) and those corners, all integers, from
 one pass; a caller holding a dense int or Fraction matrix converts it
-with symmetric_rows first, which also slides each row over its twin (a
-handle slide, e_i -> e_i - e_(i-1), where rows i-1 and i agree off
-columns i-1 and i): det, sigma and every corner stay, and a dense stack
-of parallel contact pushoffs becomes a chain, which the pass eliminates
-in O(n) instead of O(n^3).  The move engine's determinants on
-chain- and tree-shaped matrices are folded over the tree in the diagram
-module; only a graph with a cycle comes here, through det_sparse_rows.
+with symmetric_rows first.  The move engine's determinants on chain- and
+tree-shaped matrices are folded over the tree in the diagram module; only
+a graph with a cycle comes here, through det_sparse_rows.
 """
 
 from fractions import Fraction
@@ -203,52 +199,13 @@ def _integer_rows(matrix, rhs=()):
     return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in dense], scale
 
 
-def _slide_twins(rows, n):
-    """Slide each row over its twin in place: a unimodular congruence that
-    leaves det, sigma and every r^T Q^-1 r alone and makes pushoff stacks
-    sparse.
-
-    Rows i-1 and i of the symmetric Q are twins when they agree in every
-    column but i-1 and i, right-hand sides included, as parallel pushoffs of
-    one knot do.  For each such i the basis vector e_i becomes
-    e_i - e_(i-1) (a handle slide): Q' = P^T Q P and r' = P^T r with
-    det P = 1.  Since row i - row i-1 of Q is zero off columns i-1 and i,
-    a slid row i of Q' has entries only at i-1, i and, if i+1 is slid too,
-    i+1, and r'_i = r_i - r_(i-1) = 0; an unslid row keeps its entries in
-    unslid columns and gains Q'_(i-1,i) when i is slid.  So a stack of
-    pushoffs becomes a chain hanging off its first member.
-    """
-    slid = [i for i in range(1, n)
-            if {**rows[i - 1], i - 1: 0, i: 0} == {**rows[i], i - 1: 0, i: 0}]
-    if not slid:
-        return
-    # Q'_(i,i-1) = Q_(i,i-1) - Q_(i-1,i-1), and Q'_ii
-    below = {i: rows[i].get(i - 1, 0) - rows[i - 1].get(i - 1, 0) for i in slid}
-    diag = {i: rows[i].get(i, 0) - rows[i - 1].get(i, 0) - below[i] for i in slid}
-    is_slid = set(slid)
-    for c in slid:  # Q symmetric: the rows holding column c are row c's columns
-        for r in rows[c]:
-            if r < n and r not in is_slid:
-                del rows[r][c]
-    for i in slid:
-        row = {i - 1: below[i], i: diag[i]}
-        if i + 1 in is_slid:
-            row[i + 1] = below[i + 1]
-        rows[i] = {c: x for c, x in row.items() if x}
-        if i - 1 not in is_slid and below[i]:
-            rows[i - 1][i] = below[i]
-
-
 def symmetric_rows(matrix, rhs=()):
-    """_integer_rows of a matrix that must be symmetric (ValueError if not),
-    twins slid (_slide_twins): the rows solve takes, for a caller that holds
-    Q and its right-hand sides densely, and the common denominator they
-    were scaled by.  The rows are those of a unimodular congruence of Q,
-    with the same det, sigma and r^T Q^-1 r."""
+    """_integer_rows of a matrix that must be symmetric (ValueError if not):
+    the rows solve takes, for a caller that holds Q and its right-hand sides
+    densely, and the common denominator they were scaled by."""
     rows, scale = _integer_rows(matrix, rhs)
     if list(map(tuple, matrix)) != list(zip(*matrix)):
         raise ValueError("matrix is not symmetric")
-    _slide_twins(rows, len(matrix))
     return rows, scale
 
 

@@ -38,7 +38,7 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("c_squared_sign", "d3.py",
-           "c_squared=Fraction(-corner, det),", "c_squared=Fraction(corner, det),",
+           "Fraction(-corner, det), q_plus", "Fraction(corner, det), q_plus",
            ("tests/test_d3.py::test_verdict_1_1",
             "tests/test_d3.py::test_verdict_consistency_and_lens_match")),
     Mutant("corner_u_squared", "linalg.py",
@@ -103,6 +103,12 @@ MUTANTS = (
            "            rows.append({j: 2 * sign})",
            ("tests/test_d3.py::test_verdict_1_1",
             "tests/test_d3.py::test_verdict_consistency_and_lens_match")),
+    # the first member of each stack, and each unstacked knot, framed tb
+    # without its contact coefficient: the calibration's pair goes singular
+    Mutant("slid_first_member_diagonal", "d3.py",
+           "(i, c.tb + sign)", "(i, c.tb)",
+           ("tests/test_d3.py::test_calibration_cancelling_pair",
+            "tests/test_d3.py::test_cancelling_pair_insertion_never_changes_d3")),
     Mutant("first_member_linking", "d3.py",
            "rows[i][j] = rows[j][i] = w", "rows[i][j] = rows[j][i] = 2 * w",
            ("tests/test_d3.py::test_verdict_1_1",
@@ -114,6 +120,12 @@ MUTANTS = (
            "all(r.h1_before == order and r.h1_after == order\n                       for r in reduced.move_log)",
            "True",
            ("tests/test_report_cli.py::test_a_move_log_record_off_the_order_fails_move_log_h1_constant",)),
+    Mutant("verdict_consistent_check", "report.py",
+           "verdict.certified == (verdict.d3_value not in verdict.census_d3)", "True",
+           ("tests/test_report_cli.py::test_a_wrong_verdict_fails_h1_equals_lens_p_and_verdict_consistent",)),
+    Mutant("h1_equals_lens_p_check", "report.py",
+           "reduced.h1 == lens_formula.p", "True",
+           ("tests/test_report_cli.py::test_a_wrong_verdict_fails_h1_equals_lens_p_and_verdict_consistent",)),
     Mutant("expanded_det_matches_check", "report.py",
            "abs(verdict.det) == order", "True",
            ("tests/test_report_cli.py::test_a_wrong_expansion_fails_its_named_checks",

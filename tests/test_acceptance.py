@@ -17,6 +17,7 @@ from openbooks.d3 import (
     PM1Presentation,
     census_size_formula,
     d3,
+    d3_terms,
     overtwisted_verdict,
     tight_census,
 )
@@ -33,7 +34,14 @@ from openbooks.veering import (
 )
 
 from diagram_gen import exercise_moves, random_diagram
-from test_d3 import chain_pm1, insert_cancelling_pair
+from test_d3 import (
+    EMPTY,
+    chain_diagram,
+    chain_pm1,
+    criterion_4_chains,
+    insert_cancelling_knots,
+    insert_cancelling_pair,
+)
 
 
 @contextmanager
@@ -90,15 +98,18 @@ def test_criterion_3_move_invariance_property_suite():
 
 def test_criterion_4_d3_calibration():
     with criterion(4, "d3 calibration and cancelling-pair stability"):
+        # the verdict's route, d3_terms on an expanded contact diagram, and
+        # d3 on a dense presentation
+        assert d3_terms(EMPTY)[0] == Fraction(-1, 2)
+        assert d3_terms(insert_cancelling_knots(EMPTY, -1, 0, {}))[0] == Fraction(-1, 2)
         assert d3(PM1Presentation((), (), 0)) == Fraction(-1, 2)
         assert d3(PM1Presentation(((0, -1), (-1, -2)), (0, 0), 1)) == Fraction(-1, 2)
-        rng = random.Random(0xD3)
-        for _ in range(100):
-            n = rng.randint(1, 6)
-            chain = [-rng.randint(2, 6) for _ in range(n)]
-            rot = [rng.choice(range(a + 2, -a - 1, 2)) for a in chain]
-            pres = chain_pm1(chain, rot, q_plus=rng.randint(0, 2))
+        for chain, rot, q_plus in criterion_4_chains():
+            pres = chain_pm1(chain, rot, q_plus)
             assert d3(insert_cancelling_pair(pres)) == d3(pres)
+            d = chain_diagram(chain, rot)
+            paired = insert_cancelling_knots(d, -1, 0, {})
+            assert d3_terms(paired)[0] == d3_terms(d)[0] == d3(pres) - q_plus
 
 
 # 10 x 10 verdict histogram and d3 table, frozen from a prior run (the

@@ -5,12 +5,19 @@ from fractions import Fraction
 import pytest
 
 from openbooks import linalg
+from openbooks.contact import (
+    ContactSurgeryDiagram,
+    LegendrianUnknotData,
+    expand_to_unit_coefficients,
+    presentation_for,
+)
 from openbooks.d3 import (
     INCONCLUSIVE,
     OVERTWISTED_CERTIFIED,
     PM1Presentation,
     census_size_formula,
     d3,
+    d3_terms,
     overtwisted_verdict,
     tight_census,
 )
@@ -27,8 +34,6 @@ from oracles import (
     signature_oracle,
 )
 from test_linalg import solve_dense
-
-CANCELLING_PAIR = (((0, -1), (-1, -2)), (0, 0), 1)
 
 
 def chain_pm1(chain, rot, q_plus=0):
@@ -51,12 +56,49 @@ def insert_cancelling_pair(pres):
     )
 
 
+def chain_diagram(chain, rot):
+    """The chain as an expanded contact surgery diagram whose Q is
+    chain_pm1(chain, rot).q: knot i has tb a_i + 1, rotation r_i and
+    coefficient -1, and links its neighbours once."""
+    knots = [LegendrianUnknotData(f"c{i}", a + 1, r, Fraction(-1))
+             for i, (a, r) in enumerate(zip(chain, rot))]
+    return ContactSurgeryDiagram.build(knots, {(f"c{i}", f"c{i + 1}"): 1 for i in range(len(chain) - 1)})
+
+
+def insert_cancelling_knots(d, tb, rot, links):
+    """d with a Legendrian unknot P (tb, rot) of coefficient +1 and its
+    contact pushoff P1 of coefficient -1 added: P1 links P at tb, and both
+    link each knot of d as `links` {id: lk} says."""
+    pair = [LegendrianUnknotData(name, tb, rot, Fraction(sign)) for name, sign in (("P", 1), ("P1", -1))]
+    linking = {(i, j): w for i, j, w in d.linking}
+    linking["P", "P1"] = tb
+    for c, w in links.items():
+        linking[c, "P"] = linking[c, "P1"] = w
+    return ContactSurgeryDiagram.build(d.knots + tuple(pair), linking)
+
+
+def criterion_4_chains():
+    """The 100 random (chain, rotation vector, q_+) that criterion 4 draws."""
+    rng = random.Random(0xD3)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        chain = [-rng.randint(2, 6) for _ in range(n)]
+        rot = [rng.choice(range(a + 2, -a - 1, 2)) for a in chain]
+        yield chain, rot, rng.randint(0, 2)
+
+
+EMPTY = ContactSurgeryDiagram((), ())
+
+
 def test_calibration_empty_presentation():
-    assert d3(PM1Presentation((), (), 0)) == Fraction(-1, 2)
+    assert d3_terms(EMPTY) == (Fraction(-1, 2), 1, 0, 0, 0)
 
 
 def test_calibration_cancelling_pair():
-    assert d3(PM1Presentation(*CANCELLING_PAIR)) == Fraction(-1, 2)
+    # the standard unknot with coefficient +1 and its pushoff with -1: Q is
+    # [[0, -1], [-1, -2]], and S^3 keeps d3 = -1/2
+    pair = insert_cancelling_knots(EMPTY, -1, 0, {})
+    assert d3_terms(pair) == (Fraction(-1, 2), -1, 0, 0, 1)
 
 
 def test_family_1_1_exact_data():
@@ -177,14 +219,31 @@ def test_census_rot_ranges_and_parity():
 
 
 def test_cancelling_pair_insertion_never_changes_d3():
+    # a knot of coefficient +1 and its contact pushoff of coefficient -1
+    # cancel (Ding-Geiges-Stipsicz 2004) wherever the knot sits: on the
+    # chains of criterion 4, written as diagrams, a random such pair linked
+    # to the chain keeps d3, sigma and c^2, negates det Q (a hyperbolic
+    # block splits off) and adds 1 to q_+; and the chain's d3 through the
+    # verdict's rows is its d3 through the dense Q
     rng = random.Random(31337)
-    for _ in range(100):
-        n = rng.randint(1, 6)
-        chain = [-rng.randint(2, 6) for _ in range(n)]
-        rot = [rng.choice(range(a + 2, -a - 1, 2)) for a in chain]
-        pres = chain_pm1(chain, rot)
-        value = d3(pres)
-        assert d3(insert_cancelling_pair(pres)) == value
+    for chain, rot, _ in criterion_4_chains():
+        d = chain_diagram(chain, rot)
+        value, det, sigma, c_squared, q_plus = d3_terms(d)
+        assert value == d3(chain_pm1(chain, rot))
+        tb = -rng.randint(1, 4)
+        links = {c.id: rng.choice((-2, -1, 0, 0, 1, 2)) for c in d.knots}
+        paired = insert_cancelling_knots(d, tb, rng.choice(range(tb + 1, -tb, 2)), links)
+        assert d3_terms(paired) == (value, -det, sigma, c_squared, q_plus + 1)
+
+
+def test_stack_slide_is_a_congruence():
+    # _slid_rows writes each pushoff stack slid into a chain; the unstacked
+    # diagram writes every pushoff with all its linking, so its rows are Q
+    # itself: both give the same terms, det included (det P = 1)
+    for h in range(1, 13):
+        for k in range(1, 13):
+            expanded = expand_to_unit_coefficients(presentation_for(h, k))
+            assert d3_terms(expanded) == d3_terms(expanded.unstacked())
 
 
 def test_d3_signature_path_matches_oracle():
@@ -261,20 +320,6 @@ def test_verdict_eliminates_twice_whatever_the_census_size(monkeypatch):
         v = overtwisted_verdict(h, k)
         assert len(v.census_d3) == k
         assert calls == {"_pivots": 2}
-
-
-def test_family_solve_takes_linear_work(monkeypatch):
-    # the twin slide turns the dense family Q into two joined chains, so the
-    # elimination's exact divisions grow linearly in h + k, not cubically
-    # (dense Bareiss: about 8x from (40, 40) to (80, 80))
-    counts = []
-    for h, k in ((40, 40), (80, 80)):
-        pres = family_presentation(h, k)
-        calls = _count_linalg_calls(monkeypatch, ("_exact_div",))
-        solve_dense(pres.q, [pres.rho])
-        counts.append(calls["_exact_div"])
-        monkeypatch.undo()
-    assert 0 < counts[1] <= 3 * counts[0]
 
 
 def test_family_solve_matches_dense_oracle_at_20_20():

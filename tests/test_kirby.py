@@ -457,6 +457,23 @@ def test_move_data_that_changes_h1_is_refused():
         assert d.h1 == h1_oracle(d)
 
 
+def test_move_data_that_is_not_an_int_is_refused():
+    # a float delta would write a float linking number and a bool or
+    # Fraction shift would be read as an int: each is a TypeError through
+    # both apply_move methods, raised before the state is edited
+    d = FramedLinkDiagram.build([("a", -2), ("b", -3)], {("a", "b"): 1})
+    for data in ({"deltas": {("a", "b"): 0.0}}, {"shifts": {"a": True}},
+                 {"shifts": {"b": Fraction(1)}}):
+        with pytest.raises(TypeError, match="must be an int"):
+            d.apply_move("test", (), **data)
+        s = ScriptState(d)
+        with pytest.raises(TypeError, match="must be an int"):
+            s.apply_move("test", (), framings={"a": -5}, **data)
+        frozen = s.apply_move("nothing", ()).freeze()
+        assert (frozen.vertices, frozen.edges, frozen.h1) == (d.vertices, d.edges, 5)
+        assert d.edges == (("a", "b", 1),) and not d.move_log
+
+
 def test_a_frozen_script_state_ends():
     # the frozen diagram takes over the state's maps, so a read or a move on
     # the state after freeze() fails instead of editing a diagram in place

@@ -318,9 +318,10 @@ def _planted_twins(rng):
     return m, rhs, interleaved
 
 
-def test_twin_slide_matches_oracles_on_planted_twins():
-    # solve and signature slide every twin row over its neighbour first;
-    # det, sigma and each c^2 must come out as the dense oracles say, on
+def test_solve_and_signature_match_oracles_on_planted_twins():
+    # dense D + U C U^T systems, whose neighbours in one group are twin rows
+    # as a stack of contact pushoffs gives them: det, sigma and each c^2 of
+    # solve_dense and signature must come out as the dense oracles say, on
     # singular and zero-diagonal systems too, and where no row is a twin
     rng = random.Random(20249)
     seen = dict.fromkeys(("twins", "no twins", "singular", "zero diagonal", "interleaved"), 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -13,7 +14,7 @@ import openbooks
 from openbooks import certcheck, linalg
 from openbooks.cli import main
 from openbooks.contact import ContactSurgeryDiagram, presentation_for
-from openbooks.d3 import OVERTWISTED_CERTIFIED
+from openbooks.d3 import INCONCLUSIVE, OVERTWISTED_CERTIFIED, overtwisted_verdict
 from openbooks.lens import LensSpace
 from openbooks.pages import family_word
 from openbooks.report import InternalCheckError, run_family, run_sweep
@@ -173,6 +174,22 @@ def test_a_wrong_linking_fails_expanded_det_matches(monkeypatch):
     with pytest.raises(InternalCheckError) as err:
         run_family(2, 3)
     assert str(err.value).endswith(": expanded_det_matches")
+
+
+def test_a_wrong_verdict_fails_h1_equals_lens_p_and_verdict_consistent(monkeypatch):
+    # a verdict on the wrong lens space whose status disagrees with its own
+    # census comparison: the Kirby route's |H1| misses the lens's p and the
+    # status misses the comparison, and the error names every failed check
+    def wrong(h, k):
+        v = overtwisted_verdict(h, k)
+        assert v.certified and v.d3_value not in v.census_d3
+        return dataclasses.replace(v, lens=LensSpace(7, 1), status=INCONCLUSIVE)
+
+    monkeypatch.setattr(report_module, "overtwisted_verdict", wrong)
+    with pytest.raises(InternalCheckError) as err:
+        run_family(2, 3)
+    assert str(err.value).endswith(
+        ": lens_chain_equals_formula, h1_equals_lens_p, verdict_consistent")
 
 
 def test_a_move_log_record_off_the_order_fails_move_log_h1_constant(monkeypatch):
