@@ -9,8 +9,11 @@ framing of component i is p_i/q_i in lowest terms; the order of H_1 is
 determinant (every chain and tree the family reduction passes through)
 over its edges in O(n), children before parents (_Fold); any other graph
 goes through linalg's sparse fraction-free Bareiss elimination
-(linalg.det_sparse_rows).  Both give the determinant of the full matrix,
-so no move check is ever partial.
+(linalg.det_sparse_rows), which takes symmetric matrices only, so it
+eliminates diag(q) L diag(q) = M diag(q), with entries q_i q_j lk_ij and
+p_i q_i on the diagonal (L the linking matrix with the framings on its
+diagonal), and divides |det| by prod q_i exactly.  Both give the
+determinant of the full matrix, so no move check is ever partial.
 
 This module alone knows how a diagram stores its graph: the canonical
 edge rule (check_edges, shared with the contact surgery diagrams), the
@@ -276,6 +279,11 @@ class ScriptState(_Reads):
             return Vertex(vid, Fraction(*self._ratios[vid]), self._changed[vid])
         return self._by_id[vid]
 
+    @property
+    def last_move(self) -> MoveRecord:
+        """The MoveRecord of the last move applied."""
+        return self._records[-1]
+
     def apply_move(self, move, args, framings=None, deltas=None, drop=None,
                    append=None, shifts=None) -> "ScriptState":
         """Apply one Kirby move given as its congruence data, checked and
@@ -283,35 +291,54 @@ class ScriptState(_Reads):
 
         framings {id: int or Fraction} replaces framings; shifts {id: s} adds
         the int s to framings, p/q becoming (p + s*q)/q; deltas {(i, j): dw},
-        keyed by id pair in either order, adds the int dw to linking numbers
-        (a float, bool or Fraction shift or delta is a TypeError, raised
-        before anything is edited); `drop` names a vertex to remove with its
-        edges and `append` is the (str id, framing) of a new unknot (the
-        kirby module's preconditions make the data refer to current
-        vertices).  One pass edits the state and collects the vertices the
+        keyed by id pair in either order, adds the int dw to linking numbers;
+        `drop` names a vertex to remove with its edges and `append` is the
+        (str id, framing) of a new unknot, which deltas may name.  Before
+        anything is edited, a framing that Vertex would refuse, or a float,
+        bool or Fraction shift or delta, is a TypeError, an id that names no
+        current vertex (or the dropped one, in deltas) is a KeyError, and an
+        appended id that is taken, or a delta from a vertex to itself, is a
+        ValueError.  One pass edits the state and collects the vertices the
         move touches.  Zero weights are dropped, |H_1| of the full post-move
         matrix (refolded at the move's region when it can be, see _region)
         must equal the order before the move, else InvariantViolationError,
         and the MoveRecord is appended.
         """
-        if append is not None and type(append[0]) is not str:
-            raise TypeError(f"a vertex id is a str: {append[0]!r}")
-        for dw in deltas.values() if deltas else ():
-            exact_int(dw, "a linking delta")
-        for s in shifts.values() if shifts else ():
+        by_id = self._by_id
+        new = appended = None
+        if append is not None:
+            new = append[0]
+            if type(new) is not str:
+                raise TypeError(f"a vertex id is a str: {new!r}")
+            if new in by_id:
+                raise ValueError(f"vertex id {new!r} is taken")
+            appended = _ratio(append[1])
+        reframed = [(vid, _ratio(framing)) for vid, framing in framings.items()] if framings else ()
+        for vid in framings or ():
+            if vid not in by_id:
+                raise KeyError(vid)
+        for vid, s in shifts.items() if shifts else ():
             exact_int(s, "a framing shift")
-        new = None if append is None else append[0]
+            if vid not in by_id:
+                raise KeyError(vid)
+        for (i, j), dw in deltas.items() if deltas else ():
+            exact_int(dw, "a linking delta")
+            if (i not in by_id and i != new) or (j not in by_id and j != new):
+                raise KeyError((i, j))
+            if i == j:
+                raise ValueError(f"self-edge at {i!r}")
+        if drop is not None and (drop not in by_id or any(drop in ij for ij in deltas or ())):
+            raise KeyError(drop)
         fold = self._fold
         before = self._h1
         if before is None:
             before = self._h1 = self._source.h1
             if self._source._messages is not None:
                 fold.messages = self._source._messages.copy()
-        by_id, ratios, changed, adj, copied = (self._by_id, self._ratios, self._changed,
-                                               self._adjacency, self._copied)
+        ratios, changed, adj, copied = self._ratios, self._changed, self._adjacency, self._copied
         touched = {}  # the vertices the move edits, in order
-        for vid, framing in framings.items() if framings else ():
-            ratios[vid] = _ratio(framing)
+        for vid, ratio in reframed:
+            ratios[vid] = ratio
             touched[vid] = None
         for vid, s in shifts.items() if shifts else ():
             p, q = ratios[vid]
@@ -329,7 +356,7 @@ class ScriptState(_Reads):
             touched[drop] = None
         if new is not None:
             by_id[new] = None  # its place in vertex order
-            ratios[new] = _ratio(append[1])
+            ratios[new] = appended
             changed[new] = True
             adj[new] = {}
             copied.add(new)
@@ -524,7 +551,8 @@ def compute_h1(ratios, adjacency, fold):
     and the region cleared, and a forest is folded whole from the first
     vertex of each tree, with its determinant the product of the roots' D;
     a single tree leaves its messages in `fold`, and a graph with a cycle
-    is eliminated.
+    is eliminated as the symmetric diag(q) L diag(q) of the module
+    docstring, whose |det| is |det M| times prod q.
     """
     region = fold.region
     if region is not None:
@@ -538,13 +566,18 @@ def compute_h1(ratios, adjacency, fold):
         fold.messages = None
         idx = {vid: i for i, vid in enumerate(ratios)}
         rows = []
+        scale = 1
         for vid, (p, q) in ratios.items():
-            row = {idx[u]: q * w for u, w in adjacency[vid].items()}
+            row = {idx[u]: q * ratios[u][1] * w for u, w in adjacency[vid].items()}
             if p:
-                row[idx[vid]] = p
+                row[idx[vid]] = p * q
             rows.append(row)
-        d = det_sparse_rows(rows, len(rows))
-        return INFINITE if d == 0 else abs(d)
+            scale *= q
+        d, rem = divmod(abs(det_sparse_rows(rows, len(rows))), scale)
+        if rem:
+            raise InvariantViolationError(f"|det| of diag(q) L diag(q) is not a multiple of "
+                                          f"prod q = {scale}")
+        return INFINITE if d == 0 else d
     d, trees = walked
     if trees != 1:  # the messages of a forest or the empty diagram are not kept
         fold.messages = None

@@ -199,26 +199,30 @@ def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     return d.apply_move("reverse_orientation", (("vertex", vid),), deltas=deltas)
 
 
-# move name -> (((argument, required?, type), ...), the move applied to
-# (diagram, args)), required arguments first; a star is an object
-# {id: weight} or the [id, weight] pairs that a move log records, each id
-# at most once
+# move name -> (((argument, kind, type), ...), the move applied to
+# (diagram, args)), required arguments first.  kind is "required",
+# "optional" or "logged": an argument the move log writes but the move
+# works out itself, so replay does not pass it on and checks it against the
+# move's own record instead.  A star is an object {id: weight} or the
+# [id, weight] pairs that a move log records, each id at most once
 MOVES = {
-    "blow_down": ((("vertex", True, str),), lambda d, a: blow_down(d, a["vertex"])),
+    "blow_down": ((("vertex", "required", str), ("sign", "logged", int)),
+                  lambda d, a: blow_down(d, a["vertex"])),
     "blow_up": (
-        (("sign", True, int), ("star", False, dict), ("id", False, str)),
+        (("sign", "required", int), ("star", "optional", dict), ("id", "optional", str)),
         lambda d, a: blow_up(d, a["sign"], a.get("star"), a.get("id")),
     ),
     "inverse_slam_dunk": (
-        (("vertex", True, str), ("n", False, int), ("leaf", False, str)),
+        (("vertex", "required", str), ("n", "optional", int), ("leaf", "optional", str)),
         lambda d, a: inverse_slam_dunk(d, a["vertex"], a.get("n"), a.get("leaf")),
     ),
-    "slam_dunk": ((("leaf", True, str),), lambda d, a: slam_dunk(d, a["leaf"])),
+    "slam_dunk": ((("leaf", "required", str), ("into", "logged", str)),
+                  lambda d, a: slam_dunk(d, a["leaf"])),
     "handle_slide": (
-        (("slide", True, str), ("over", True, str), ("sign", True, int)),
+        (("slide", "required", str), ("over", "required", str), ("sign", "required", int)),
         lambda d, a: handle_slide(d, a["slide"], a["over"], a["sign"]),
     ),
-    "reverse_orientation": ((("vertex", True, str),),
+    "reverse_orientation": ((("vertex", "required", str),),
                             lambda d, a: reverse_orientation(d, a["vertex"])),
 }
 
@@ -242,10 +246,14 @@ def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
     to one ScriptState, and freeze it; `d` is never changed.
 
     A script that is not a list, a malformed step (not an object, missing a
-    required argument, or an argument of the wrong type, such as a star
-    naming an id twice) is a ValueError; an unknown move or a failed
-    precondition is an IllegalMoveError.  Each step's arguments are checked
-    in one pass: the missing ones are named before a mistyped one.
+    required argument, naming an argument the move does not have, or an
+    argument of the wrong type, such as a star naming an id twice) is a
+    ValueError; an unknown move, a failed precondition or a logged
+    argument other than the one the move logs is an IllegalMoveError.
+    Each step's arguments are checked before its move: the missing ones are
+    named before an unknown one, and that before a mistyped one.  A step's
+    other keys, such as the h1_before and h1_after of a move log, are not
+    read.
     """
     if not isinstance(script, list):
         raise ValueError(f"move script must be a list of steps: {script!r}")
@@ -258,19 +266,32 @@ def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
         if not isinstance(name, str) or name not in MOVES:
             raise IllegalMoveError(f"unknown move {name!r}")
         arguments, apply = MOVES[name]
-        missing, wrong = [], []
-        for a, needed, kind in arguments:
+        missing, wrong, logged, known = [], [], [], 0
+        for a, kind, type_ in arguments:
             if a not in args:
-                missing += [a] if needed else []
-            elif (needed or args[a] is not None) and not (
-                    _is_star(args[a]) if kind is dict else type(args[a]) is kind):
+                missing += [a] if kind == "required" else []
+                continue
+            known += 1
+            if kind != "required" and args[a] is None:
+                continue
+            if not (_is_star(args[a]) if type_ is dict else type(args[a]) is type_):
                 wrong.append(a)
+            elif kind == "logged":
+                logged.append(a)
         if missing:
             raise ValueError(f"move {name!r} is missing argument {', '.join(missing)}")
+        if known != len(args):
+            unknown = [a for a in args if all(a != b for b, _, _ in arguments)]
+            raise ValueError(f"move {name!r} has no argument {unknown[0]!r}")
         if wrong:
             raise ValueError(f"move {name!r}: argument {wrong[0]!r} has the wrong type: "
                              f"{args[wrong[0]]!r}")
         apply(state, args)
+        for a in logged:
+            value = dict(state.last_move.args)[a]
+            if args[a] != value:
+                raise IllegalMoveError(f"move {name!r}: argument {a!r} is {args[a]!r}, "
+                                       f"but the move logs {value!r}")
     return state.freeze()
 
 

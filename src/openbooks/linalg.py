@@ -1,6 +1,10 @@
-"""Exact linear algebra over Z and Q.
+"""Exact linear algebra over Z and Q, on symmetric matrices only.
 
 Everything in here is integer or fractions.Fraction arithmetic; no floats.
+Every matrix the program eliminates is symmetric, the linking forms behind
+|H_1| and the contact linking matrix Q behind d3, and so is every input
+here: a dense matrix that is not is a ValueError (symmetric_rows), and
+sparse rows are the caller's to keep symmetric.
 One sparse integer elimination (Bareiss 1968: fraction-free, every division
 by the previous pivot exact), _pivots, is behind det_sparse_rows, det,
 signature and solve.  It pivots on the diagonal, each time on a remaining
@@ -10,8 +14,8 @@ That order is a symmetric permutation P^T Q P, which keeps det (det P^2 =
 1), sigma (a congruence; Jacobi's rule applies to the leading principal
 minors of P^T Q P) and every bordered corner below (r is permuted with
 Q).  The pivots are those leading minors, so the last one is the
-determinant and, by Jacobi's rule, their signs give the signature.  On a
-symmetric Q it also carries right-hand sides r: each pivot row's entry
+determinant and, by Jacobi's rule, their signs give the signature.  It
+also carries right-hand sides r: each pivot row's entry
 u_t in r's column updates the corner of Q bordered by r,
 acc <- (d_t acc - u_t^2) / d_(t-1), to det [[Q, r], [r^T, 0]] =
 -r^T adj(Q) r.  solve takes Q and its right-hand sides as sparse integer
@@ -42,21 +46,23 @@ def _exact_div(x, d):
 
 
 def _pivots(rows, n, bordered=()):
-    """Yield the pivots d_1, d_2, ... of a sparse integer Bareiss elimination.
+    """Yield the pivots d_1, d_2, ... of a sparse integer Bareiss elimination
+    of a symmetric matrix.
 
-    The n x n matrix is given as dict rows {column: nonzero int}, which are
-    consumed: a row is set to None once it is taken.  Pivots are diagonal.
+    The symmetric n x n matrix is given as dict rows {column: nonzero int},
+    which are consumed: a row is set to None once it is taken.  Every step
+    keeps the remaining rows symmetric, so the rows a pivot updates are
+    read off its own row, as its columns below n.  Pivots are diagonal.
     Each step takes, among the remaining rows with a nonzero diagonal
     entry, one with the fewest entries, the lowest index on a tie (minimum
     degree, George-Liu 1989).  The candidates sit in a lazy heap of (row
     length, index), pushed again whenever an update changes the row; a
     popped entry that no longer matches its row is skipped.  When no
     candidate is left, the first remaining row i is taken: with no entry
-    left below column n it is dropped with a yielded 0 (on symmetric input
-    its column is empty too); otherwise row and column j < n are added to
-    row and column i for an a_ij != 0, so a_ii = a_ij + a_ji (2 a_ij on
-    symmetric input), or the row alone if that is 0, so a_ii = a_ji.  Both
-    keep det, and the congruence keeps the signature.
+    left below column n it is dropped with a yielded 0 (its column is
+    empty too); otherwise row and column j < n are added to row and column
+    i for an a_ij != 0, so a_ii = 2 a_ij, since a_jj = 0 as well.  That
+    congruence keeps det and the signature.
 
     Pivoting out of index order is a symmetric permutation P^T A P, with
     det P^2 = 1: d_t is the t-th leading principal minor of such a
@@ -67,29 +73,23 @@ def _pivots(rows, n, bordered=()):
 
     Columns n, n+1, ... are right-hand sides r_0, r_1, ...: they ride along
     in every row update but are never pivoted on.  `bordered` is a list of
-    one int per right-hand side, 0 on entry and updated in place.  On
-    symmetric input the pivot row's entry u_t in column n+i, at step t - 1,
-    is both border entries of the step-t Bareiss update of
-    [[Q, r_i], [r_i^T, 0]], so its corner follows
-    bordered[i] <- (d_t bordered[i] - u_t^2) / d_(t-1) and ends as
-    det [[Q, r_i], [r_i^T, 0]]; permuting Q permutes r with it, which
-    keeps r^T adj(Q) r and so every corner.
+    one int per right-hand side, 0 on entry and updated in place.  The
+    pivot row's entry u_t in column n+i, at step t - 1, is both border
+    entries of the step-t Bareiss update of [[Q, r_i], [r_i^T, 0]], so its
+    corner follows bordered[i] <- (d_t bordered[i] - u_t^2) / d_(t-1) and
+    ends as det [[Q, r_i], [r_i^T, 0]]; permuting Q permutes r with it,
+    which keeps r^T adj(Q) r and so every corner.
 
     A row the pivot column misses stays at level[r], the step it was last
     written at, standing for d_(t-1) / d_level times itself.  An update
     at step t divides by the pivot of that level, (d_t row - v prow) /
     d_level, which equals lifting the row to step t - 1 first and then
     dividing by d_(t-1); only the pivot row is lifted.  Every division is
-    checked to be exact.  With the column occupancy index, which the
-    general, non-symmetric matrices of det need, a chain or a tree with a
-    few chords costs about O(n log n).
+    checked to be exact.  A chain or a tree with a few chords costs about
+    O(n log n).
     """
     d = [1]  # d[t]: the t-th pivot
     level = [0] * n
-    col_rows = [set() for _ in range(n + len(bordered))]
-    for r, row in enumerate(rows):
-        for c in row:
-            col_rows[c].add(r)
     heap = [(len(row), r) for r, row in enumerate(rows) if r in row]
     heapify(heap)
     first = 0  # no row below it remains
@@ -116,35 +116,30 @@ def _pivots(rows, n, bordered=()):
                     rows[r] = {c: _exact_div(x * top, d[s]) for c, x in rows[r].items()}
                     level[r] = len(d) - 1
             prow, row_j = rows[p], rows[j]
-            congruence = prow[j] + row_j.get(p, 0)
             for c, x in row_j.items():
                 y = prow.get(c, 0) + x
                 if y:
                     prow[c] = y
-                    col_rows[c].add(p)
                 else:
                     del prow[c]
-                    col_rows[c].discard(p)
-            if congruence:
-                for r in col_rows[j]:
+            for r in row_j:  # column j's rows, p among them
+                if r < n:
                     row = rows[r]
                     y = row.get(p, 0) + row[j]
                     if y:
                         row[p] = y
-                        col_rows[p].add(r)
                     else:
                         del row[p]
-                        col_rows[p].discard(r)
         rows[p] = None
         top = d[-1]
         s = level[p]
         if s != len(d) - 1:
             prow = {c: _exact_div(x * top, d[s]) for c, x in prow.items()}
-        for c in prow:
-            col_rows[c].discard(p)
         piv = prow.pop(p)
         t = len(d)
-        for r in col_rows[p]:
+        for r in prow:  # column p's rows
+            if r >= n:
+                continue
             row = rows[r]
             v = row.pop(p)
             below = d[level[r]]
@@ -157,12 +152,9 @@ def _pivots(rows, n, bordered=()):
                     x = piv * x - v * y
                     if x:
                         new[c] = _exact_div(x, below)
-                    else:
-                        col_rows[c].discard(r)
             for c, y in prow.items():
                 if c not in row:
                     new[c] = _exact_div(-v * y, below)
-                    col_rows[c].add(r)
             rows[r] = new
             level[r] = t
             if r in new:
@@ -170,20 +162,23 @@ def _pivots(rows, n, bordered=()):
         for i, corner in enumerate(bordered):
             u = prow.get(n + i, 0)
             bordered[i] = _exact_div(piv * corner - u * u, top)
-        col_rows[p] = ()
         d.append(piv)
         yield piv
 
 
-def _integer_rows(matrix, rhs=()):
-    """Dict rows of a square int or Fraction matrix, with the vectors `rhs`
-    appended as columns n, n+1, ..., all times one positive common
-    denominator, and that denominator; any other entry (a float, a bool) is
-    a TypeError, since int(x * scale) would truncate a float or read True as
+def symmetric_rows(matrix, rhs=()):
+    """Dict rows of a square symmetric int or Fraction matrix, with the
+    vectors `rhs` appended as columns n, n+1, ..., all times one positive
+    common denominator, and that denominator: the rows _pivots takes, for a
+    caller that holds a matrix densely.  A matrix that is not square or not
+    symmetric is a ValueError; any other entry (a float, a bool) is a
+    TypeError, since int(x * scale) would truncate a float or read True as
     1.  An all-int matrix, the usual case, takes one type scan and scale 1."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
+    if list(map(tuple, matrix)) != list(zip(*matrix)):
+        raise ValueError("matrix is not symmetric")
     if any(len(r) != n for r in rhs):
         raise ValueError("right-hand side has wrong length")
     dense = [[*row, *extra] for row, extra in zip(matrix, zip(*rhs))] if rhs else matrix
@@ -199,16 +194,6 @@ def _integer_rows(matrix, rhs=()):
     return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in dense], scale
 
 
-def symmetric_rows(matrix, rhs=()):
-    """_integer_rows of a matrix that must be symmetric (ValueError if not):
-    the rows solve takes, for a caller that holds Q and its right-hand sides
-    densely, and the common denominator they were scaled by."""
-    rows, scale = _integer_rows(matrix, rhs)
-    if list(map(tuple, matrix)) != list(zip(*matrix)):
-        raise ValueError("matrix is not symmetric")
-    return rows, scale
-
-
 def _jacobi(pivots):
     """Jacobi's rule: each nonzero pivot d_t contributes sign(d_(t-1) d_t),
     with d_0 = 1; null directions contribute nothing."""
@@ -217,10 +202,12 @@ def _jacobi(pivots):
 
 
 def det_sparse_rows(rows, n):
-    """Determinant of an n x n integer matrix given as a list of dict rows:
-    the last pivot, or 0 when the elimination finds the rank short.
+    """Determinant of a symmetric n x n integer matrix given as a list of
+    dict rows: the last pivot, or 0 when the elimination finds the rank
+    short.
 
-    Entries must be nonzero (sparse convention); the rows are consumed.
+    Entries must be nonzero (sparse convention) and the rows symmetric, as
+    for every input of _pivots; the rows are consumed.
     """
     last = 1
     for last in _pivots(rows, n):
@@ -230,8 +217,9 @@ def det_sparse_rows(rows, n):
 
 
 def det(matrix):
-    """Determinant of a square matrix with int or Fraction entries, exact."""
-    rows, scale = _integer_rows(matrix)
+    """Determinant of a square symmetric matrix with int or Fraction
+    entries, exact; ValueError if it is not symmetric."""
+    rows, scale = symmetric_rows(matrix)
     return Fraction(det_sparse_rows(rows, len(rows)), scale ** len(rows))
 
 
@@ -248,12 +236,11 @@ def solve(rows, n, count):
     `rows` are the n dict rows {column: nonzero int} of a symmetric integer
     Q, with the `count` right-hand sides in columns n, ..., n + count - 1;
     they are consumed.  Symmetry is the caller's to keep (symmetric_rows
-    checks a dense Q), since the corner recurrence of _pivots reads u_t for
-    both border entries.  The last pivot of _pivots is det Q, Jacobi's rule
-    on its pivots gives sigma, and by Schur's formula r^T Q^-1 r =
-    -corner / det Q.  SingularMatrixError if det Q = 0.  The name is kept
-    from the Fraction solver this replaced, for the benchmark's
-    linalg.solve layer.
+    checks a dense Q), as for every input of _pivots.  The last pivot of
+    _pivots is det Q, Jacobi's rule on its pivots gives sigma, and by
+    Schur's formula r^T Q^-1 r = -corner / det Q.  SingularMatrixError if
+    det Q = 0.  The name is kept from the Fraction solver this replaced,
+    for the benchmark's linalg.solve layer.
     """
     bordered = [0] * count
     pivots = []

@@ -61,6 +61,17 @@ MUTANTS = (
            "        if False:\n            prow =",
            ("tests/test_linalg.py::test_det_matches_leibniz_on_random_integer_matrices",
             "tests/test_linalg.py::test_trees_with_chords_match_dense_oracles")),
+    # a pivot that skips updating the last row, whose column it still drops
+    Mutant("pivot_updates_every_row_of_its_column", "linalg.py",
+           "            if r >= n:\n                continue",
+           "            if r >= n - 1:\n                continue",
+           ("tests/test_linalg.py::test_det_matches_leibniz_on_random_integer_matrices",
+            "tests/test_linalg.py::test_trees_with_chords_match_dense_oracles")),
+    # the whole-matrix |H1| of a graph with a cycle, without the q_j factor:
+    # no longer symmetric, nor det M times prod q
+    Mutant("h1_elimination_scales_by_q_j", "diagram.py",
+           "q * ratios[u][1] * w", "q * w",
+           ("tests/test_kirby.py::test_h1_of_graphs_with_a_cycle_and_every_framing_rational_matches_the_oracle",)),
     Mutant("refold_closed_star", "diagram.py",
            "if v != centre and parent != centre and v != above:", "if False:",
            ("tests/test_kirby.py::test_moves_outside_one_closed_star_or_splitting_the_tree_are_not_refolded",
@@ -126,6 +137,21 @@ MUTANTS = (
     Mutant("h1_equals_lens_p_check", "report.py",
            "reduced.h1 == lens_formula.p", "True",
            ("tests/test_report_cli.py::test_a_wrong_verdict_fails_h1_equals_lens_p_and_verdict_consistent",)),
+    Mutant("lens_chain_equals_formula_check", "report.py",
+           "lens_equal(lens_from_chain, lens_formula, oriented=True)", "True",
+           ("tests/test_report_cli.py::test_internal_check_error_names_every_failed_check",
+            "tests/test_report_cli.py::test_a_wrong_reduction_fails_every_check_that_reads_it")),
+    Mutant("h1_equals_order_formula_check", "report.py",
+           "reduced.h1 == order", "True",
+           ("tests/test_report_cli.py::test_a_wrong_reduction_fails_every_check_that_reads_it",)),
+    Mutant("certificate_validates_check", "report.py",
+           "(\"certificate_validates\", destab is not None)", "(\"certificate_validates\", True)",
+           ("tests/test_report_cli.py::test_a_valid_certificate_of_another_word_fails_certificate_validates",)),
+    Mutant("destabilization_closes_check", "report.py",
+           "destab is not None and destab.conclusion == NOT_DESTABILIZABLE\n"
+           "                   and destab.unverified_computed_count == 0", "True",
+           ("tests/test_report_cli.py::test_a_destabilization_report_that_does_not_close_fails_destabilization_closes",
+            "tests/test_report_cli.py::test_a_valid_certificate_of_another_word_fails_certificate_validates")),
     Mutant("expanded_det_matches_check", "report.py",
            "abs(verdict.det) == order", "True",
            ("tests/test_report_cli.py::test_a_wrong_expansion_fails_its_named_checks",

@@ -18,6 +18,7 @@ which the library's pushoff stacks must instantiate to.
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 from openbooks.contact import (
@@ -169,6 +170,22 @@ def presentation_matrix(d):
         m[ia][ib] = d.vertices[ia].framing.denominator * w
         m[ib][ia] = d.vertices[ib].framing.denominator * w
     return m
+
+
+def symmetrized_presentation_rows(d):
+    """The sparse rows {column: nonzero int} of diag(q) L diag(q), L the
+    linking matrix with the framings p_i/q_i on its diagonal: q_i q_j lk_ij
+    off the diagonal and p_i q_i on it, symmetric and integral, with
+    determinant det M * prod q_i for the presentation matrix M; and
+    prod q_i."""
+    idx = {v.id: i for i, v in enumerate(d.vertices)}
+    q = [v.framing.denominator for v in d.vertices]
+    rows = [{i: v.framing.numerator * q[i]} if v.framing else {}
+            for i, v in enumerate(d.vertices)]
+    for a, b, w in d.edges:
+        ia, ib = idx[a], idx[b]
+        rows[ia][ib] = rows[ib][ia] = q[ia] * q[ib] * w
+    return rows, math.prod(q)
 
 
 def has_integer_framings(d):

@@ -402,10 +402,35 @@ def test_replay_accepts_its_own_json_move_log():
     {"move": "handle_slide", "args": {"slide": "c0", "over": {"c1": 1}, "sign": 1}},
     # a star names each id at most once: the log would keep only one weight
     {"move": "blow_up", "args": {"sign": 1, "star": [["c0", 1], ["c0", 2]]}},
+    # an argument the move log writes and the move works out itself
+    {"move": "blow_down", "args": {"vertex": "c0", "sign": "1"}},
+    {"move": "slam_dunk", "args": {"leaf": "c0", "into": 1}},
 ])
 def test_replay_rejects_mistyped_arguments(step):
     with pytest.raises(ValueError, match="wrong type"):
         replay(chain(-2, -3), [step])
+
+
+def test_replay_refuses_unknown_arguments_and_checks_logged_ones():
+    # an argument the move does not have was once dropped in silence, so a
+    # misspelt star replayed as a blow-up that links nothing
+    with pytest.raises(ValueError, match="has no argument 'stra'"):
+        replay(chain(-2, -3), [{"move": "blow_up", "args": {"sign": 1, "stra": {"c0": 1}}}])
+    # a blow-down's sign and a slam dunk's target are logged but not passed
+    # on: a log that names others is refused, not replayed as the move made
+    start = smooth_diagram(presentation_for(3, 2))
+    moves = reduce_family_diagram(3, 2).to_jsonable()["moves"]
+    flipped = [dict(m, args={**m["args"], "sign": -m["args"]["sign"]})
+               if m["move"] == "blow_down" else m for m in moves]
+    assert replay(start, moves).move_log == reduce_family_diagram(3, 2).move_log
+    with pytest.raises(IllegalMoveError, match="argument 'sign' is -1, but the move logs 1"):
+        replay(start, flipped)
+    d = chain(-2, -2, -3)
+    [step] = slam_dunk(d, "c0").to_jsonable()["moves"]
+    assert step["args"] == {"leaf": "c0", "into": "c1"}
+    assert replay(d, [step]).same_diagram(slam_dunk(d, "c0"))
+    with pytest.raises(IllegalMoveError, match="argument 'into' is 'c2'"):
+        replay(d, [dict(step, args={**step["args"], "into": "c2"})])
 
 
 def test_a_script_never_touches_its_input():
@@ -472,6 +497,30 @@ def test_move_data_that_is_not_an_int_is_refused():
         frozen = s.apply_move("nothing", ()).freeze()
         assert (frozen.vertices, frozen.edges, frozen.h1) == (d.vertices, d.edges, 5)
         assert d.edges == (("a", "b", 1),) and not d.move_log
+
+
+@pytest.mark.parametrize("error, data", [
+    pytest.param(TypeError, {"framings": {"a": -5, "b": 0.5}}, id="float_framing_after_a_good_one"),
+    pytest.param(KeyError, {"deltas": {("a", "b"): 1, ("a", "zz"): 1}}, id="delta_names_no_vertex"),
+    pytest.param(KeyError, {"framings": {"a": -5, "zz": 1}}, id="framing_names_no_vertex"),
+    pytest.param(KeyError, {"shifts": {"a": 1, "zz": 1}}, id="shift_names_no_vertex"),
+    pytest.param(KeyError, {"deltas": {("a", "b"): 1}, "drop": "b"}, id="delta_names_the_dropped"),
+    pytest.param(TypeError, {"framings": {"a": -5}, "append": ("c", 0.5)}, id="float_appended_framing"),
+    # once an AttributeError, after the appended vertex had replaced a's row
+    pytest.param(ValueError, {"shifts": {"b": 1}, "append": ("a", 1)}, id="appended_id_taken"),
+    # once written into the adjacency as a self-edge that `edges` lacks
+    pytest.param(ValueError, {"shifts": {"b": 1}, "deltas": {("a", "a"): 1}}, id="self_edge_delta"),
+])
+def test_refused_move_data_leaves_the_script_state_unedited(error, data):
+    # every framing is converted and every id checked before the first
+    # edit, so after a refused move an empty move still finds |H1| = 5 and
+    # freeze() gives back the start diagram
+    d = FramedLinkDiagram.build([("a", -2), ("b", -3)], {("a", "b"): 1})
+    s = ScriptState(d)
+    with pytest.raises(error):
+        s.apply_move("test", (), **data)
+    frozen = s.apply_move("nothing", ()).freeze()
+    assert (frozen.vertices, frozen.edges, frozen.h1) == (d.vertices, d.edges, 5)
 
 
 def test_a_frozen_script_state_ends():
@@ -721,6 +770,26 @@ def test_h1_eliminates_only_graphs_with_a_cycle(monkeypatch):
         assert not is_forest(d)
         assert d.h1 == h1_oracle(d)
     assert len(calls) == 101
+
+
+def test_h1_of_graphs_with_a_cycle_and_every_framing_rational_matches_the_oracle():
+    # the elimination takes diag(q) L diag(q), entries q_i q_j lk_ij, and
+    # divides its |det| by prod q; with every q >= 2 a wrong scaling or a
+    # wrong division changes the order
+    rng = random.Random(1620)
+    infinite = 0
+    for _ in range(200):
+        shape = random_cyclic(rng)
+        framings = []
+        for v in shape.vertices:
+            q = rng.randint(2, 5)
+            framings.append((v.id, Fraction(rng.choice([p for p in range(-9, 10)
+                                                        if math.gcd(p, q) == 1]), q)))
+        d = FramedLinkDiagram.build(framings, {(i, j): w for i, j, w in shape.edges})
+        assert min(v.framing.denominator for v in d.vertices) >= 2
+        assert d.h1 == h1_oracle(d)
+        infinite += d.h1 is INFINITE
+    assert infinite < 200
 
 
 def test_h1_of_the_empty_and_one_vertex_diagrams():

@@ -27,6 +27,7 @@ from oracles import (
     leibniz_det,
     presentation_matrix,
     signature_oracle,
+    symmetrized_presentation_rows,
 )
 
 
@@ -54,16 +55,40 @@ def _variants(m):
     return m, skew, hyperbolic, singular
 
 
+def _symmetric_variants(m):
+    """m + m^T; the hyperbolic variant of _variants; and m + m^T with its
+    last index replaced by index 0, singular when n >= 2."""
+    n = len(m)
+    sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    idx = [*range(n - 1), 0] if n > 1 else range(n)
+    return sym, _variants(m)[2], [[sym[i][j] for j in idx] for i in idx]
+
+
+def _is_symmetric(m):
+    return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
+
+
 def test_det_matches_leibniz_on_random_integer_matrices():
+    # det takes symmetric matrices only, as every caller has them: a
+    # symmetric variant matches Leibniz, and m and its skew part, unless
+    # they are symmetric, are refused
+    with pytest.raises(ValueError, match="not symmetric"):
+        det([[1, 2], [0, 1]])
     rng = random.Random(20240)
     for _ in range(1500):
         n = rng.randint(0, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        for v in _variants(m):
+        for v in _symmetric_variants(m):
             assert det(v) == leibniz_det(v)
+        for v in _variants(m)[:2]:
+            if not _is_symmetric(v):
+                with pytest.raises(ValueError, match="not symmetric"):
+                    det(v)
 
 
 def test_det_matches_leibniz_on_rational_matrices():
+    with pytest.raises(ValueError, match="not symmetric"):
+        det([[Fraction(1, 2), 1], [Fraction(1, 3), 1]])
     rng = random.Random(20241)
     for _ in range(400):
         n = rng.randint(1, 4)
@@ -71,8 +96,12 @@ def test_det_matches_leibniz_on_rational_matrices():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
             for _ in range(n)
         ]
-        for v in _variants(m):
+        for v in _symmetric_variants(m):
             assert det(v) == leibniz_det(v)
+        for v in _variants(m)[:2]:
+            if not _is_symmetric(v):
+                with pytest.raises(ValueError, match="not symmetric"):
+                    det(v)
 
 
 def test_det_empty_matrix_is_one():
@@ -252,6 +281,13 @@ def _order(det_m):
     return INFINITE if det_m == 0 else abs(det_m)
 
 
+def _symmetrized_det(d):
+    """det of d's presentation matrix M by the elimination, which takes the
+    symmetric diag(q) L diag(q) = M diag(q) and is divided by prod q."""
+    rows, scale = symmetrized_presentation_rows(d)
+    return Fraction(det_sparse_rows(rows, len(rows)), scale)
+
+
 def test_tree_fold_matches_elimination_and_dense_oracle():
     # a forest's |H1| comes from the diagram module's tree fold, never from
     # elimination; both must give the same determinant
@@ -261,7 +297,7 @@ def test_tree_fold_matches_elimination_and_dense_oracle():
         d = random_forest(rng)
         m = presentation_matrix(d)
         value = d.h1
-        assert value == _order(det_sparse_rows(_sparse_rows(m), len(m))) == _order(dense_det(m))
+        assert value == _order(_symmetrized_det(d)) == _order(dense_det(m))
         zero += value is INFINITE
         several_trees += len(d.edges) < len(d.vertices) - 1
     assert zero >= 30 and several_trees >= 200
@@ -273,7 +309,7 @@ def test_tree_fold_on_long_chains():
         d = random_chain(rng, n)
         m = presentation_matrix(d)
         value = d.h1
-        assert value == _order(det_sparse_rows(_sparse_rows(m), n)) == _order(dense_det(m))
+        assert value == _order(_symmetrized_det(d)) == _order(dense_det(m))
     # the family's chain [-2, -(k+1), -2 x h] has determinant +-p
     h, k = 399, 3
     ids = [f"c{i:03}" for i in range(h + 2)]

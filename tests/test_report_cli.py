@@ -210,6 +210,40 @@ def test_a_move_log_record_off_the_order_fails_move_log_h1_constant(monkeypatch)
         assert str(err.value).endswith(": move_log_h1_constant")
 
 
+def test_a_wrong_reduction_fails_every_check_that_reads_it(monkeypatch):
+    # the reduction of (2, 4) handed to the report of (2, 3): its chain's
+    # lens space, its |H1| and every |H1| its log records miss
+    from openbooks.kirby import reduce_family_diagram
+
+    monkeypatch.setattr(report_module, "reduce_family_diagram",
+                        lambda h, k: reduce_family_diagram(h, k + 1))
+    with pytest.raises(InternalCheckError) as err:
+        run_family(2, 3)
+    assert str(err.value).endswith(": lens_chain_equals_formula, h1_equals_order_formula, "
+                                   "h1_equals_lens_p, move_log_h1_constant")
+
+
+def test_a_destabilization_report_that_does_not_close_fails_destabilization_closes(monkeypatch):
+    # a validated certificate, but a report that concludes otherwise or
+    # leaves a computed step unverified: only the closing check misses
+    real = report_module.destabilization_report
+
+    def other_conclusion(*args):
+        return dataclasses.replace(real(*args), conclusion="DESTABILIZABLE")
+
+    def unverified(*args):
+        report = real(*args)
+        steps = tuple(dataclasses.replace(s, verified=False) if s.kind == "computed" else s
+                      for s in report.steps)
+        return dataclasses.replace(report, steps=steps)
+
+    for wrong in (other_conclusion, unverified):
+        monkeypatch.setattr(report_module, "destabilization_report", wrong)
+        with pytest.raises(InternalCheckError) as err:
+            run_family(2, 3)
+        assert str(err.value).endswith(": destabilization_closes")
+
+
 def test_run_sweep_io_error():
     with pytest.raises(OSError, match="no/such/dir"):
         run_sweep(1, 1, "/no/such/dir/out.jsonl")
@@ -434,6 +468,10 @@ _DEEP = "[" * 100_000 + "]" * 100_000  # json.dumps cannot write this depth
                   "s.json": [{"move": "inverse_slam_dunk", "args": {"vertex": "x", "n": [1]}}]},
                  _REPLAY, id="replay_n_not_an_integer"),
     pytest.param({"d.json": _ONE_UNKNOT, "s.json": 5}, _REPLAY, id="replay_script_not_a_list"),
+    # an argument the move does not have was once dropped: a blow-up with no star
+    pytest.param({"d.json": _ONE_UNKNOT,
+                  "s.json": [{"move": "blow_up", "args": {"sign": 1, "stra": {"x": 1}}}]},
+                 _REPLAY, id="replay_unknown_argument"),
     pytest.param({"d.json": _ONE_UNKNOT,
                   "s.json": [{"move": "blow_up", "args": {"sign": 1, "star": [["x", 1], ["x", 2]]}}]},
                  _REPLAY, id="replay_star_names_an_id_twice"),

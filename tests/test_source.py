@@ -79,7 +79,7 @@ def test_no_int_call_truncates():
     # it only on values known to be exact integers: a framing after its +-1
     # check, and an exact multiple of a common denominator.  cli.py parses
     # argv text with it.
-    allowed = {("blow_down", "int(v.framing)"), ("_integer_rows", "int(x * scale)")}
+    allowed = {("blow_down", "int(v.framing)"), ("symmetric_rows", "int(x * scale)")}
     package = Path(openbooks.__file__).resolve().parent
     found = [
         f"{path.name}:{scope} {call}"
