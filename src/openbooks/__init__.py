@@ -16,11 +16,9 @@ from .contact import (
     smooth_diagram,
 )
 from .d3 import (
-    PM1Presentation,
     TightDescriptor,
     Verdict,
     d3,
-    d3_terms,
     overtwisted_verdict,
     tight_census,
 )

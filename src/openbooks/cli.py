@@ -56,6 +56,11 @@ MAX_REPLAY_VERTICES = 250
 MAX_REPLAY_EDGES = 250
 MAX_REPLAY_STEPS = 250
 
+# argparse reads "-3/2", "-2,-3" or "-5,-2" as an option, since only a lone
+# number looks negative to it; the lens verbs, which have no option that
+# starts with a digit, read them as positional arguments with this matcher
+NEGATIVE_ARGUMENT = re.compile(r"^-\d")
+
 
 def _check_limit(name, value, limit):
     if value > limit:
@@ -151,18 +156,18 @@ def build_parser() -> argparse.ArgumentParser:
     lens_sub = p_lens.add_subparsers(dest="lens_verb", required=True)
     p_cf = lens_sub.add_parser("cf", help="negative continued fraction of p/q")
     p_cf.add_argument("value", help="a rational > 1 written p/q, e.g. 8/5")
+    p_cf._negative_number_matcher = NEGATIVE_ARGUMENT
     p_cf.add_argument("--json", action="store_true")
     p_cf.set_defaults(run=_cmd_lens_cf)
     p_chain = lens_sub.add_parser("chain", help="identify a chain of framed unknots")
     p_chain.add_argument("framings", help='integer framing list, e.g. "[-2,-3,-2]" or -2,-3,-2')
-    # argparse reads "-2,-3" as an option, since only a lone number looks
-    # negative to it; this verb has no option that starts with a digit
-    p_chain._negative_number_matcher = re.compile(r"^-\d")
+    p_chain._negative_number_matcher = NEGATIVE_ARGUMENT
     p_chain.add_argument("--json", action="store_true")
     p_chain.set_defaults(run=_cmd_lens_chain)
     p_eq = lens_sub.add_parser("eq", help="compare two lens spaces")
     p_eq.add_argument("left", type=_parse_pq, help="p,q")
     p_eq.add_argument("right", type=_parse_pq, help="p,q")
+    p_eq._negative_number_matcher = NEGATIVE_ARGUMENT
     p_eq.add_argument("--unoriented", action="store_true")
     p_eq.add_argument("--json", action="store_true")
     p_eq.set_defaults(run=_cmd_lens_eq)
@@ -322,9 +327,9 @@ def _cmd_d3_family(args) -> int:
     _check_limit("h + k + 1", args.h + args.k + 1, MAX_D3_FAMILY_DIM)
     verdict = overtwisted_verdict(args.h, args.k)
     payload = verdict.to_jsonable()
-    pres = verdict.presentation
-    payload["Q"] = [list(row) for row in pres.q]
-    payload["rho"] = list(pres.rho)
+    q, rho = verdict.presentation
+    payload["Q"] = [list(row) for row in q]
+    payload["rho"] = list(rho)
     lines = [
         f"(h, k) = ({args.h}, {args.k}) on {verdict.lens}",
         f"d3 = {fraction_str(verdict.d3_value)}  (sigma = {verdict.sigma}, "

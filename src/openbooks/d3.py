@@ -7,26 +7,26 @@ structure on the surgered rational homology sphere is
 
     d3 = (c^2 - 2*chi - 3*sigma) / 4 + q_+
 
-where chi = 1 + size(Q), sigma is the signature of Q, and c^2 = r^T Q^-1 r.
-The normalization makes the empty presentation give d3(S^3, standard) =
--1/2, and adding a cancelling (+1, -1) pushoff pair never changes the
-value (Ding-Geiges-Stipsicz 2004); both facts are pinned by calibration
-tests rather than trusted, and they run through d3_terms, the entry the
-verdict calls, so the rows they calibrate are the rows the verdict
-eliminates.  Only c^2 depends on the rotation vector, so each Q is
-eliminated once, by linalg.solve on sparse integer rows with right-hand
-sides r riding along: the last pivot is det Q, Jacobi's rule gives sigma,
-and each r gets its bordered corner det [[Q, r], [r^T, 0]] = -r^T adj(Q) r,
-so each d3 is one exact Fraction(base - corner, 4 det Q).  A verdict is
-two such passes.  d3_terms writes its rows straight from an expanded
+where chi = 1 + size(Q), sigma is the signature of Q, and c^2 = r^T Q^-1 r
+(Ding-Geiges-Stipsicz 2004).  d3 is the one function that computes it, on
+an expanded contact surgery diagram, and the verdict calls it.  The
+calibration tests call it too: they pin that the empty presentation gives
+d3(S^3, standard) = -1/2 and that a cancelling (+1, -1) pushoff pair never
+changes the value, and compare it with the test suite's dense oracle,
+which shares no code with it.  Only c^2 depends on the rotation vector, so each
+Q is eliminated once, by linalg.solve on sparse integer rows with
+right-hand sides r riding along: the last pivot is det Q, Jacobi's rule
+gives sigma, and each r gets its bordered corner det [[Q, r], [r^T, 0]] =
+-r^T adj(Q) r, so each d3 is one exact Fraction(base - corner, 4 det Q).
+A verdict is two such passes.  d3 writes its rows straight from the
 diagram's pushoff stacks, each stack as the chain a handle slide of each
 pushoff over the one before makes of it, with rho as the right-hand side,
 so the rows have O(h + k) entries and the pass costs O(h + k) pivot steps.
-d3 on a dense PM1Presentation eliminates the rows of Q as they are.  The
-census chain carries one right-hand side per pair of components that can
-rotate (framing <= -3), which gives adj(Q) on them and so every entry's
-corner, however many entries there are; the verdict reads the d3 values
-only, so no census rotation vector is written out over the whole chain.
+The census chain carries one right-hand side per pair of components that
+can rotate (framing <= -3), which gives adj(Q) on them and so every
+entry's corner, however many entries there are; the verdict reads the d3
+values only, so no census rotation vector is written out over the whole
+chain.
 
 Every tight contact structure on a lens space L(p, q) (p >= 2) arises
 from Legendrian surgery on a chain of stabilized unknots realizing the
@@ -51,34 +51,10 @@ from . import linalg
 from .contact import expand_to_unit_coefficients, presentation_for
 from .lens import LensSpace, family_lens, neg_cf_expand
 from .pages import check_family
-from .serialize import exact_int, fraction_str
+from .serialize import fraction_str
 
 OVERTWISTED_CERTIFIED = "OVERTWISTED_CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-
-@dataclass(frozen=True)
-class PM1Presentation:
-    """A +-1-coefficient contact surgery presentation, smoothed.
-
-    q: symmetric integer linking matrix (smooth framings on the diagonal);
-    rho: rotation numbers; q_plus: how many coefficients are +1.
-    """
-
-    q: tuple  # tuple of tuples of ints
-    rho: tuple
-    q_plus: int
-
-    def __post_init__(self):
-        n = len(self.q)
-        if any(len(row) != n for row in self.q):
-            raise ValueError("Q must be square")
-        if len(self.rho) != n:
-            raise ValueError("rho length must match Q")
-        if tuple(map(tuple, self.q)) != tuple(zip(*self.q)):
-            raise ValueError("Q must be symmetric")
-        if exact_int(self.q_plus, "q_plus") < 0:
-            raise ValueError("q_plus is a count")
 
 
 def _signed_members(d):
@@ -129,10 +105,10 @@ def _slid_rows(d):
     return rows, q_plus
 
 
-def from_expanded_diagram(d) -> PM1Presentation:
-    """The dense presentation of an expanded contact surgery diagram, written
-    block by block from its stacks: the stack of a knot (tb, rot) of m
-    pushoffs of coefficient eps is the block tb J + eps I of Q, and a
+def from_expanded_diagram(d):
+    """Q and rho of an expanded contact surgery diagram, densely, as tuples,
+    written block by block from its stacks: the stack of a knot (tb, rot)
+    of m pushoffs of coefficient eps is the block tb J + eps I of Q, and a
     linking w between two knots fills the block between their stacks.  Only
     a caller that prints or compares Q needs it; the verdict never does."""
     members = _signed_members(d)
@@ -150,8 +126,7 @@ def from_expanded_diagram(d) -> PM1Presentation:
         for rows, cols in ((blocks[a], blocks[b]), (blocks[b], blocks[a])):
             for i in rows:
                 q[i][cols.start:cols.stop] = [w] * len(cols)
-    q_plus = sum(count for _, count, sign in members if sign == 1)
-    return PM1Presentation(tuple(map(tuple, q)), tuple(rho), q_plus)
+    return tuple(map(tuple, q)), tuple(rho)
 
 
 def _solve(rows, n, count):
@@ -164,25 +139,14 @@ def _solve(rows, n, count):
         ) from None
 
 
-def _d3_values(det, sigma, n, q_plus, corners, scale=1):
+def _d3_values(det, sigma, n, q_plus, corners):
     """d3 = (c^2 - 2 chi - 3 sigma) / 4 + q_+ for each corner, one Fraction
-    apiece.  The elimination ran on scale * Q and scale * r, so det is
-    det(scale Q), c^2 = -corner / (scale det), and d3 = (base - corner) /
-    (4 scale det); 4 |det Q| d3 = (base - corner) / scale^(n+1) is checked
-    to be an integer."""
-    denominator = 4 * scale * det
-    base = (4 * q_plus - 2 * (1 + n) - 3 * sigma) * scale * det
-    bound = scale ** (n + 1)
-    values = []
-    for corner in corners:
-        numerator = base - corner
-        if numerator % bound:
-            raise ArithmeticError("d3 denominator exceeded 4|det Q|")
-        values.append(Fraction(numerator, denominator))
-    return values
+    apiece: c^2 = -corner / det, so d3 = (base - corner) / (4 det)."""
+    base = (4 * q_plus - 2 * (1 + n) - 3 * sigma) * det
+    return [Fraction(base - corner, 4 * det) for corner in corners]
 
 
-def d3_terms(d):
+def d3(d):
     """(d3, det Q, sigma(Q), c^2, q_+) of an expanded contact surgery
     diagram, from one elimination of the rows _slid_rows writes: the d3
     route of the verdict and of the calibration.  Requires det Q != 0."""
@@ -191,19 +155,6 @@ def d3_terms(d):
     det, sigma, [corner] = _solve(rows, n, 1)
     [value] = _d3_values(det, sigma, n, q_plus, [corner])
     return value, det, sigma, Fraction(-corner, det), q_plus
-
-
-def d3(pres: PM1Presentation) -> Fraction:
-    """The d3 invariant of the presentation, an exact rational.
-
-    Requires det Q != 0 (a rational homology sphere).  The reduced
-    denominator always divides 4 |det Q|, which is checked.
-    """
-    rows, scale = linalg.symmetric_rows(pres.q, [pres.rho])
-    n = len(rows)
-    det, sigma, corners = _solve(rows, n, 1)
-    [value] = _d3_values(det, sigma, n, pres.q_plus, corners, scale)
-    return value
 
 
 @dataclass(frozen=True)
@@ -299,9 +250,9 @@ class Verdict:
     expanded: object = field(default=None, compare=False, repr=False)
 
     @property
-    def presentation(self) -> PM1Presentation:
-        """The dense presentation of the expanded diagram, built on each
-        access: the verdict itself never needs Q densely."""
+    def presentation(self):
+        """(Q, rho) of the expanded diagram, densely, built on each access:
+        the verdict itself never needs Q densely."""
         return from_expanded_diagram(self.expanded)
 
     @property
@@ -332,7 +283,7 @@ def overtwisted_verdict(h: int, k: int) -> Verdict:
     check_family(h, k)
     expanded = expand_to_unit_coefficients(presentation_for(h, k))
     space = family_lens(h, k)
-    value, det, sigma, c_squared, q_plus = d3_terms(expanded)
+    value, det, sigma, c_squared, q_plus = d3(expanded)
     census_values = tuple(_census(space)[-1])  # the d3 values only
     status = OVERTWISTED_CERTIFIED if value not in census_values else INCONCLUSIVE
     return Verdict(

@@ -21,10 +21,11 @@ acc <- (d_t acc - u_t^2) / d_(t-1), to det [[Q, r], [r^T, 0]] =
 -r^T adj(Q) r.  solve takes Q and its right-hand sides as sparse integer
 rows, as the d3 module writes them from a diagram's pushoff stacks or a
 chain, and returns det Q, sigma(Q) and those corners, all integers, from
-one pass; a caller holding a dense int or Fraction matrix converts it
-with symmetric_rows first.  The move engine's determinants on chain- and
-tree-shaped matrices are folded over the tree in the diagram module; only
-a graph with a cycle comes here, through det_sparse_rows.
+one pass; it is the only entry the program's d3 work takes.  det and
+signature take a dense int or Fraction matrix through symmetric_rows.
+The move engine's determinants on chain- and tree-shaped matrices are
+folded over the tree in the diagram module; only a graph with a cycle
+comes here, through det_sparse_rows.
 """
 
 from fractions import Fraction
@@ -166,32 +167,29 @@ def _pivots(rows, n, bordered=()):
         yield piv
 
 
-def symmetric_rows(matrix, rhs=()):
-    """Dict rows of a square symmetric int or Fraction matrix, with the
-    vectors `rhs` appended as columns n, n+1, ..., all times one positive
-    common denominator, and that denominator: the rows _pivots takes, for a
-    caller that holds a matrix densely.  A matrix that is not square or not
-    symmetric is a ValueError; any other entry (a float, a bool) is a
-    TypeError, since int(x * scale) would truncate a float or read True as
-    1.  An all-int matrix, the usual case, takes one type scan and scale 1."""
+def symmetric_rows(matrix):
+    """Dict rows of a square symmetric int or Fraction matrix, times one
+    positive common denominator, and that denominator: the rows _pivots
+    takes, for det and signature, which hold a matrix densely.  A matrix
+    that is not square or not symmetric is a ValueError; any other entry (a
+    float, a bool) is a TypeError, since int(x * scale) would truncate a
+    float or read True as 1.  An all-int matrix, the usual case, takes one
+    type scan and scale 1."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if list(map(tuple, matrix)) != list(zip(*matrix)):
         raise ValueError("matrix is not symmetric")
-    if any(len(r) != n for r in rhs):
-        raise ValueError("right-hand side has wrong length")
-    dense = [[*row, *extra] for row, extra in zip(matrix, zip(*rhs))] if rhs else matrix
-    if set(map(type, chain.from_iterable(dense))) <= {int}:
-        return [dict(filter(itemgetter(1), enumerate(row))) for row in dense], 1
+    if set(map(type, chain.from_iterable(matrix))) <= {int}:
+        return [dict(filter(itemgetter(1), enumerate(row))) for row in matrix], 1
     scale = 1
-    for row in dense:
+    for row in matrix:
         for x in row:
             if isinstance(x, Fraction):
                 scale = lcm(scale, x.denominator)
             elif type(x) is not int:
                 raise TypeError(f"matrix entries must be int or Fraction, got {x!r}")
-    return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in dense], scale
+    return [{j: int(x * scale) for j, x in enumerate(row) if x} for row in matrix], scale
 
 
 def _jacobi(pivots):
@@ -235,8 +233,8 @@ def solve(rows, n, count):
 
     `rows` are the n dict rows {column: nonzero int} of a symmetric integer
     Q, with the `count` right-hand sides in columns n, ..., n + count - 1;
-    they are consumed.  Symmetry is the caller's to keep (symmetric_rows
-    checks a dense Q), as for every input of _pivots.  The last pivot of
+    they are consumed.  Symmetry is the caller's to keep, as for every
+    input of _pivots.  The last pivot of
     _pivots is det Q, Jacobi's rule on its pivots gives sigma, and by
     Schur's formula r^T Q^-1 r = -corner / det Q.  SingularMatrixError if
     det Q = 0.  The name is kept from the Fraction solver this replaced,

@@ -49,9 +49,6 @@ MUTANTS = (
     Mutant("polarization_a_jj", "d3.py",
            "coefficient -= block[i, i] + block[j, j]", "coefficient -= block[i, i]",
            ("tests/test_d3.py::test_census_rot_ranges_and_parity",)),
-    Mutant("d3_denominator_check", "d3.py",
-           "if numerator % bound:", "if numerator % 1:",
-           ("tests/test_d3.py::test_d3_denominator_check_holds_for_rational_input",)),
     Mutant("jacobi_rule", "linalg.py",
            "return sum(a * b for a, b in zip(signs, signs[1:]))", "return sum(signs[1:])",
            ("tests/test_d3.py::test_calibration_cancelling_pair",
@@ -96,6 +93,18 @@ MUTANTS = (
     Mutant("move_h1_check", "diagram.py",
            "        if after != before:\n", "        if False:\n",
            ("tests/test_kirby.py::test_move_data_that_changes_h1_is_refused",)),
+    # a single negative twist passes POS (0 is refused before any rule)
+    Mutant("certcheck_pos_exponent", "certcheck.py",
+           "if exp < 1:", "if exp < -1:",
+           ("tests/test_veering.py::test_checker_rejects_negative_twist_in_pos_leaf",)),
+    # a twist of either sign along a curve parallel to the arc's end is exempt
+    Mutant("certcheck_arc_boundary_exemption", "certcheck.py",
+           "and exp >= 1", "and exp != 0",
+           ("tests/test_veering.py::test_checker_exempts_only_positive_boundary_twists_at_the_arcs_ends",)),
+    # strings written between quotes as they are, nothing escaped
+    Mutant("canonical_string_escape", "serialize.py",
+           "encode_basestring_ascii(obj)", "'\"' + obj + '\"'",
+           ("tests/test_json_fuzz.py::test_canonical_dumps_writes_the_bytes_of_json_indent_2",)),
     Mutant("canonical_key_order", "serialize.py",
            "for key in sorted(obj):", "for key in obj:",
            ("tests/test_kirby.py::test_family_move_logs_golden",

@@ -6,8 +6,9 @@ polynomial (Faddeev-LeVerrier) via Descartes' rule (exact for the real-rooted po
 symmetric matrices) or, when no leading principal minor vanishes, from
 the signs of those minors by Jacobi's rule; continued fractions are
 evaluated by plain Fraction division, and homology orders, leading
-minors and linear solves by dense fraction elimination.  The canonical
-pretty JSON document is json's own indent=2 encoder.
+minors and linear solves by dense fraction elimination.  d3_oracle puts
+the last three together into the d3 formula on a dense presentation.  The
+canonical pretty JSON document is json's own indent=2 encoder.
 
 family_presentation is the one exception: it is the library's own dense
 presentation of the (h, k) family, kept here for the tests that pin it
@@ -128,8 +129,8 @@ def dense_det(mat):
 
 
 def dense_solve(mat, rhs):
-    """x with mat @ x = rhs, by dense Gauss-Jordan elimination over Fractions;
-    None when mat is singular."""
+    """x with mat @ x = rhs, by dense Gaussian elimination over Fractions and
+    back substitution; None when mat is singular."""
     n = len(mat)
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
     for c in range(n):
@@ -137,17 +138,37 @@ def dense_solve(mat, rhs):
         if piv is None:
             return None
         m[c], m[piv] = m[piv], m[c]
-        m[c] = [x / m[c][c] for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [row[n] for row in m]
+        _eliminate_below(m, c)
+    x = [Fraction(0)] * n
+    for c in reversed(range(n)):
+        x[c] = (m[c][n] - sum(m[c][j] * x[j] for j in range(c + 1, n))) / m[c][c]
+    return x
+
+
+def _eliminate_below(m, c):
+    """Subtract multiples of row c of the Fraction rows m from the rows
+    below it, clearing column c there; columns left of c are not read."""
+    top = m[c]
+    for row in m[c + 1:]:
+        f = row[c] / top[c]
+        if f:
+            for j in range(c + 1, len(top)):
+                row[j] -= f * top[j]
 
 
 def leading_minors(m):
-    """dense_det of each leading principal k x k block, k = 1..n."""
-    return [dense_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+    """The determinant D_k of each leading principal k x k block, k = 1..n:
+    while no pivot is 0, dense fraction elimination without row exchanges
+    has the k-th pivot D_k / D_(k-1); from a 0 pivot on, dense_det of each
+    block."""
+    a = [[Fraction(x) for x in row] for row in m]
+    minors = []
+    for c in range(len(a)):
+        if not a[c][c]:
+            return minors + [dense_det([row[:k] for row in m[:k]]) for k in range(c + 1, len(m) + 1)]
+        minors.append(a[c][c] * (minors[-1] if minors else 1))
+        _eliminate_below(a, c)
+    return minors
 
 
 def jacobi_signature(minors):
@@ -156,6 +177,24 @@ def jacobi_signature(minors):
     eigenvalue, so sigma is the sum of sign(D_(k-1) * D_k)."""
     signs = [1] + [1 if d > 0 else -1 for d in minors]
     return sum(a * b for a, b in zip(signs, signs[1:]))
+
+
+def d3_oracle(q, rho, q_plus):
+    """d3 = (c^2 - 2 chi - 3 sigma) / 4 + q_+ (Ding-Geiges-Stipsicz 2004) of
+    a +-1 contact surgery presentation given densely: the symmetric integer
+    linking matrix q, the rotation numbers rho and the count q_plus of +1
+    coefficients.  chi = 1 + n; c^2 = rho . x with q x = rho (dense_solve);
+    sigma by Jacobi's rule on the leading minors, or from the
+    characteristic polynomial when one of them is 0.  None when q is
+    singular."""
+    n = len(q)
+    x = dense_solve(q, rho)
+    if x is None:
+        return None
+    minors = leading_minors(q)
+    sigma = jacobi_signature(minors) if all(minors) else signature_oracle(q)
+    c_squared = sum(r * xi for r, xi in zip(rho, x))
+    return Fraction(c_squared - 2 * (1 + n) - 3 * sigma, 4) + q_plus
 
 
 def presentation_matrix(d):
@@ -211,9 +250,11 @@ def h1_oracle(d):
 
 
 def family_presentation(h, k):
-    """Expanded +-1 presentation of the (h, k) family: k+1 positive
-    coefficients on the tb = -2 pushoffs and h negative ones on tb = -3."""
-    return from_expanded_diagram(expand_to_unit_coefficients(presentation_for(h, k)))
+    """(Q, rho, q_+) of the expanded +-1 presentation of the (h, k) family:
+    k+1 positive coefficients on the tb = -2 pushoffs and h negative ones on
+    tb = -3."""
+    q, rho = from_expanded_diagram(expand_to_unit_coefficients(presentation_for(h, k)))
+    return q, rho, k + 1
 
 
 def all_pairs_expansion(d):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,8 @@ from openbooks.contact import (
 from openbooks.d3 import (
     INCONCLUSIVE,
     OVERTWISTED_CERTIFIED,
-    PM1Presentation,
     census_size_formula,
     d3,
-    d3_terms,
     overtwisted_verdict,
     tight_census,
 )
@@ -26,6 +25,7 @@ from openbooks.linalg import SingularMatrixError, signature
 from openbooks.report import run_family
 
 from oracles import (
+    d3_oracle,
     dense_det,
     dense_solve,
     family_presentation,
@@ -36,30 +36,31 @@ from oracles import (
 from test_linalg import solve_dense
 
 
-def chain_pm1(chain, rot, q_plus=0):
+def chain_presentation(chain, rot, q_plus=0):
+    """(Q, rho, q_+) of a chain of framings, densely, as d3_oracle takes it."""
     n = len(chain)
     q = [[0] * n for _ in range(n)]
     for i, a in enumerate(chain):
         q[i][i] = a
     for i in range(n - 1):
         q[i][i + 1] = q[i + 1][i] = 1
-    return PM1Presentation(tuple(tuple(r) for r in q), tuple(rot), q_plus)
+    return tuple(map(tuple, q)), tuple(rot), q_plus
 
 
-def insert_cancelling_pair(pres):
-    n = len(pres.q)
-    q = [list(row) + [0, 0] for row in pres.q]
-    q.append([0] * n + [0, -1])
-    q.append([0] * n + [-1, -2])
-    return PM1Presentation(
-        tuple(tuple(r) for r in q), pres.rho + (0, 0), pres.q_plus + 1
-    )
+def insert_cancelling_pair(q, rho, q_plus):
+    """(Q, rho, q_+) with an unlinked tb = -1 unknot at +1 and its pushoff
+    at -1 added: the block [[0, -1], [-1, -2]]."""
+    n = len(q)
+    rows = [list(row) + [0, 0] for row in q]
+    rows.append([0] * n + [0, -1])
+    rows.append([0] * n + [-1, -2])
+    return tuple(map(tuple, rows)), tuple(rho) + (0, 0), q_plus + 1
 
 
 def chain_diagram(chain, rot):
     """The chain as an expanded contact surgery diagram whose Q is
-    chain_pm1(chain, rot).q: knot i has tb a_i + 1, rotation r_i and
-    coefficient -1, and links its neighbours once."""
+    chain_presentation(chain, rot)[0]: knot i has tb a_i + 1, rotation r_i
+    and coefficient -1, and links its neighbours once."""
     knots = [LegendrianUnknotData(f"c{i}", a + 1, r, Fraction(-1))
              for i, (a, r) in enumerate(zip(chain, rot))]
     return ContactSurgeryDiagram.build(knots, {(f"c{i}", f"c{i + 1}"): 1 for i in range(len(chain) - 1)})
@@ -91,38 +92,34 @@ EMPTY = ContactSurgeryDiagram((), ())
 
 
 def test_calibration_empty_presentation():
-    assert d3_terms(EMPTY) == (Fraction(-1, 2), 1, 0, 0, 0)
+    assert d3(EMPTY) == (Fraction(-1, 2), 1, 0, 0, 0)
 
 
 def test_calibration_cancelling_pair():
     # the standard unknot with coefficient +1 and its pushoff with -1: Q is
     # [[0, -1], [-1, -2]], and S^3 keeps d3 = -1/2
     pair = insert_cancelling_knots(EMPTY, -1, 0, {})
-    assert d3_terms(pair) == (Fraction(-1, 2), -1, 0, 0, 1)
+    assert d3(pair) == (Fraction(-1, 2), -1, 0, 0, 1)
 
 
 def test_family_1_1_exact_data():
-    pres = family_presentation(1, 1)
-    assert pres.q == ((-1, -2, -2), (-2, -1, -2), (-2, -2, -4))
-    assert pres.rho == (-1, -1, -2)
-    assert pres.q_plus == 2
-    q = [list(r) for r in pres.q]
-    assert dense_solve(q, pres.rho) == [0, 0, Fraction(1, 2)]
-    assert solve_dense(q, [pres.rho]) == (4, -1, [-1])  # det, sigma, c^2 = rho . x
-    assert signature([list(r) for r in pres.q]) == -1
-    assert d3(pres) == Fraction(1, 2)
+    q, rho, q_plus = family_presentation(1, 1)
+    assert q == ((-1, -2, -2), (-2, -1, -2), (-2, -2, -4))
+    assert rho == (-1, -1, -2)
+    assert q_plus == 2
+    m = [list(r) for r in q]
+    assert dense_solve(m, rho) == [0, 0, Fraction(1, 2)]
+    assert solve_dense(m, [rho]) == (4, -1, [-1])  # det, sigma, c^2 = rho . x
+    assert signature(m) == -1
+    assert d3_oracle(q, rho, q_plus) == Fraction(1, 2)
 
 
 def test_d3_rejects_singular_presentations():
-    with pytest.raises(SingularMatrixError):
-        d3(PM1Presentation(((0,),), (0,), 0))
-
-
-def test_pm1_validation():
-    with pytest.raises(ValueError):
-        PM1Presentation(((0, 1), (2, 0)), (0, 0), 0)  # not symmetric
-    with pytest.raises(ValueError):
-        PM1Presentation(((1,),), (0, 0), 0)  # dimension mismatch
+    # a tb = -1 unknot at coefficient +1 is framed 0: Q = [[0]]
+    knot = LegendrianUnknotData("u", -1, 0, Fraction(1))
+    with pytest.raises(SingularMatrixError, match="rational homology sphere"):
+        d3(ContactSurgeryDiagram.build([knot], {}))
+    assert d3_oracle(((0,),), (0,), 0) is None
 
 
 def test_census_l43():
@@ -168,7 +165,7 @@ def _oracle_census_d3(chain):
     sigma = -n, as a chain with every a_i <= -2 is irreducibly diagonally
     dominant with a negative diagonal, so negative definite; chi = 1 + n."""
     n = len(chain)
-    q = [list(row) for row in chain_pm1(chain, [0] * n).q]
+    q = [list(row) for row in chain_presentation(chain, [0] * n)[0]]
     columns = {j: dense_solve(q, [int(i == j) for i in range(n)])
                for j, a in enumerate(chain) if a <= -3}
 
@@ -208,7 +205,7 @@ def test_census_counts_small():
         assert chain is None or census[0].chain == chain
         oracle = _oracle_census_d3(census[0].chain)
         for t in census:
-            assert t.d3 == d3(chain_pm1(t.chain, t.rot)) == oracle(t.rot)
+            assert t.d3 == d3(chain_diagram(t.chain, t.rot))[0] == oracle(t.rot)
 
 
 def test_census_rot_ranges_and_parity():
@@ -224,16 +221,16 @@ def test_cancelling_pair_insertion_never_changes_d3():
     # chains of criterion 4, written as diagrams, a random such pair linked
     # to the chain keeps d3, sigma and c^2, negates det Q (a hyperbolic
     # block splits off) and adds 1 to q_+; and the chain's d3 through the
-    # verdict's rows is its d3 through the dense Q
+    # verdict's rows is the dense oracle's
     rng = random.Random(31337)
     for chain, rot, _ in criterion_4_chains():
         d = chain_diagram(chain, rot)
-        value, det, sigma, c_squared, q_plus = d3_terms(d)
-        assert value == d3(chain_pm1(chain, rot))
+        value, det, sigma, c_squared, q_plus = d3(d)
+        assert value == d3_oracle(*chain_presentation(chain, rot))
         tb = -rng.randint(1, 4)
         links = {c.id: rng.choice((-2, -1, 0, 0, 1, 2)) for c in d.knots}
         paired = insert_cancelling_knots(d, tb, rng.choice(range(tb + 1, -tb, 2)), links)
-        assert d3_terms(paired) == (value, -det, sigma, c_squared, q_plus + 1)
+        assert d3(paired) == (value, -det, sigma, c_squared, q_plus + 1)
 
 
 def test_stack_slide_is_a_congruence():
@@ -243,7 +240,7 @@ def test_stack_slide_is_a_congruence():
     for h in range(1, 13):
         for k in range(1, 13):
             expanded = expand_to_unit_coefficients(presentation_for(h, k))
-            assert d3_terms(expanded) == d3_terms(expanded.unstacked())
+            assert d3(expanded) == d3(expanded.unstacked())
 
 
 def test_d3_signature_path_matches_oracle():
@@ -251,21 +248,21 @@ def test_d3_signature_path_matches_oracle():
     for _ in range(200):
         n = rng.randint(1, 5)
         chain = [-rng.randint(2, 5) for _ in range(n)]
-        pres = chain_pm1(chain, [0 if a % 2 == 0 else 1 for a in chain])
-        m = [list(r) for r in pres.q]
+        q, _, _ = chain_presentation(chain, [0 if a % 2 == 0 else 1 for a in chain])
+        m = [list(r) for r in q]
         assert signature(m) == signature_oracle(m)
 
 
 def test_det_and_signature_match_leading_minors():
     # the family Q for h, k <= 8 and every census chain with p <= 40: no
     # leading principal minor is 0, so Jacobi's rule gives the signature
-    matrices = [[list(r) for r in family_presentation(h, k).q]
+    matrices = [[list(r) for r in family_presentation(h, k)[0]]
                 for h in range(1, 9) for k in range(1, 9)]
     for p in range(2, 41):
         for q in range(1, p):
             if math.gcd(p, q) == 1:
                 chain = [-a for a in neg_cf_expand(Fraction(p, q))]
-                matrices.append([list(r) for r in chain_pm1(chain, [0] * len(chain)).q])
+                matrices.append([list(r) for r in chain_presentation(chain, [0] * len(chain))[0]])
     for m in matrices:
         minors = leading_minors(m)
         assert all(minors)
@@ -276,7 +273,7 @@ def test_det_and_signature_match_leading_minors():
 def test_family_det_at_k_1_for_large_h():
     # |H1| of L(h + 3, h + 2); the elimination keeps the entries small
     for h in (24, 40, 60):
-        assert abs(linalg.det([list(r) for r in family_presentation(h, 1).q])) == h + 3
+        assert abs(linalg.det([list(r) for r in family_presentation(h, 1)[0]])) == h + 3
 
 
 def _count_linalg_calls(monkeypatch, names):
@@ -311,6 +308,26 @@ def test_verdict_1_1(monkeypatch):
     assert v.q_plus == 2
 
 
+def test_the_verdicts_d3_runs_under_the_traced_name(monkeypatch):
+    # the benchmark's tracer times the d3 layer by swapping the function d3
+    # in every loaded openbooks module for a wrapper; a count done the same
+    # way sees the report's one verdict call it, so its elimination is
+    # booked under that name and not as its caller's own time
+    calls = []
+
+    def counting(expanded):
+        calls.append(expanded)
+        return d3(expanded)
+
+    for name, module in list(sys.modules.items()):
+        if name == "openbooks" or name.startswith("openbooks."):
+            for key, value in list(vars(module).items()):
+                if value is d3:
+                    monkeypatch.setattr(module, key, counting)
+    run_family(3, 2)
+    assert len(calls) == 1
+
+
 def test_verdict_eliminates_twice_whatever_the_census_size(monkeypatch):
     # the family Q with its rotation vector, and the census chain with all
     # k of its rotation vectors as right-hand sides of one pass
@@ -323,12 +340,12 @@ def test_verdict_eliminates_twice_whatever_the_census_size(monkeypatch):
 
 
 def test_family_solve_matches_dense_oracle_at_20_20():
-    pres = family_presentation(20, 20)
-    m = [list(r) for r in pres.q]
-    x = dense_solve(m, pres.rho)
-    c_squared = sum(xi * ri for xi, ri in zip(x, pres.rho))
+    q, rho, _ = family_presentation(20, 20)
+    m = [list(r) for r in q]
+    x = dense_solve(m, rho)
+    c_squared = sum(xi * ri for xi, ri in zip(x, rho))
     # sigma = k - h - 1, and c^2 = -(3hk - h + k + 1) / p with p = 821
-    assert solve_dense(m, [pres.rho]) == (dense_det(m), -1, [c_squared])
+    assert solve_dense(m, [rho]) == (dense_det(m), -1, [c_squared])
     assert c_squared == Fraction(-1201, 821)
 
 
@@ -350,7 +367,7 @@ def test_census_from_one_pass_matches_per_rotation_d3():
         assert len(census) == p - 1
         for t in census:
             assert t.chain == (-p,)
-            assert t.d3 == d3(chain_pm1(t.chain, t.rot))
+            assert t.d3 == d3(chain_diagram(t.chain, t.rot))[0]
 
 
 def test_census_work_does_not_grow_with_the_census_size(monkeypatch):
@@ -367,31 +384,22 @@ def test_census_work_does_not_grow_with_the_census_size(monkeypatch):
     assert big == (small[0], 200) and small[1] == 100
 
 
-def test_d3_denominator_check_holds_for_rational_input():
-    # Q = [[1/2]], r = (1): c^2 = 2 and d3 = -5/4, but 4|det Q| = 2
-    with pytest.raises(ArithmeticError, match="denominator"):
-        d3(PM1Presentation(((Fraction(1, 2),),), (1,), 0))
-    # Q = [[1/2]], r = (1/2): d3 = (1/2 - 4 - 3)/4 = -13/8 and 2 * d3 is not whole
-    with pytest.raises(ArithmeticError, match="denominator"):
-        d3(PM1Presentation(((Fraction(1, 2),),), (Fraction(1, 2),), 0))
-
-
 def test_verdict_consistency_and_lens_match():
     # run_family and overtwisted_verdict eliminate rows written from the
-    # expanded diagram's edges; the dense Q of family_presentation, through
+    # expanded diagram's stacks; the dense Q of family_presentation, through
     # linalg's dense entry points and the oracles, must give the same terms
     for h in range(1, 13):
         for k in range(1, 13):
             v = run_family(h, k).verdict
             assert v == overtwisted_verdict(h, k)
             assert v.lens == family_lens(h, k)
-            pres = family_presentation(h, k)
-            m = [list(r) for r in pres.q]
-            x = dense_solve(m, pres.rho)
+            q, rho, q_plus = family_presentation(h, k)
+            m = [list(r) for r in q]
+            x = dense_solve(m, rho)
             assert v.det == linalg.det(m)
             assert v.sigma == linalg.signature(m)
-            assert v.c_squared == sum(xi * ri for xi, ri in zip(x, pres.rho))
-            assert v.d3_value == d3(pres)
+            assert v.c_squared == sum(xi * ri for xi, ri in zip(x, rho))
+            assert (v.d3_value, v.q_plus) == (d3_oracle(q, rho, q_plus), q_plus)
             assert abs(v.det) == (h + 1) * (2 * k - 1) + 2
             match = v.d3_value in v.census_d3
             if v.status == OVERTWISTED_CERTIFIED:

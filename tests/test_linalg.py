@@ -15,7 +15,6 @@ from openbooks.linalg import (
     symmetric_rows,
 )
 
-from openbooks.d3 import PM1Presentation, d3
 from openbooks.diagram import INFINITE, FramedLinkDiagram
 
 from diagram_gen import random_chain, random_forest
@@ -32,11 +31,15 @@ from oracles import (
 
 
 def solve_dense(m, rhs):
-    """solve on a dense int or Fraction system, as a caller holding Q densely
-    runs it: det Q, sigma(Q) and r^T Q^-1 r for each r in rhs, exact."""
-    rows, scale = symmetric_rows(m, rhs)
-    n = len(rows)
-    det_q, sigma, corners = solve(rows, n, len(rhs))
+    """solve on a dense int or Fraction system: det Q, sigma(Q) and
+    r^T Q^-1 r for each r in rhs, exact.  symmetric_rows writes the bordered
+    [[Q, R], [R^T, 0]], whose first n rows are Q's with the right-hand sides
+    in columns n, n+1, ..., all over one common denominator."""
+    n = len(m)
+    bordered = [[*row, *(r[i] for r in rhs)] for i, row in enumerate(m)]
+    bordered += [[*r, *[0] * len(rhs)] for r in rhs]
+    rows, scale = symmetric_rows(bordered)
+    det_q, sigma, corners = solve(rows[:n], n, len(rhs))
     return Fraction(det_q, scale ** n), sigma, [Fraction(-c, scale * det_q) for c in corners]
 
 
@@ -160,10 +163,6 @@ def test_inexact_entries_are_rejected():
         det([[True]])
     with pytest.raises(TypeError):
         signature([[True, False], [False, True]])
-    with pytest.raises(TypeError):
-        d3(PM1Presentation(((-1,),), (True,), 0))
-    with pytest.raises(TypeError):
-        PM1Presentation(((-1,),), (1,), True)
 
 
 def test_signature_rejects_asymmetric_input():

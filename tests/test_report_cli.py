@@ -298,6 +298,12 @@ def test_cli_lens_verbs(capsys):
     assert json.loads(capsys.readouterr().out)["equal"] is False
     assert main(["lens", "eq", "4,1", "4,3", "--unoriented", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["equal"] is True
+    # a negative first number is an argument, not an option: p, q and -p, -q
+    # are one lens space, and a negative rational has no expansion
+    assert main(["lens", "eq", "5,2", "-5,-2"]) == 0
+    assert capsys.readouterr().out == "L(5,2) = L(5,2)\n"
+    assert main(["lens", "cf", "-3/2"]) == 2
+    assert "expansion needs x > 1" in capsys.readouterr().err
 
 
 def test_cli_lens_chain_comma_form_with_a_negative_first_framing(capsys):
@@ -510,6 +516,7 @@ _DEEP = "[" * 100_000 + "]" * 100_000  # json.dumps cannot write this depth
                  _REPLAY, id="diagram_exponent_framing"),
     pytest.param({}, ["lens", "cf", "1.6"], id="lens_cf_decimal"),
     pytest.param({}, ["lens", "cf", "10002/10001"], id="lens_cf_above_limit"),
+    pytest.param({}, ["lens", "cf", "-3/2"], id="lens_cf_negative"),
     pytest.param({}, ["lens", "chain", "[1.5]"], id="lens_chain_float"),
     pytest.param({}, ["lens", "chain", "[-2,-2.0]"], id="lens_chain_integral_float"),
     pytest.param({}, ["lens", "chain", "[true]"], id="lens_chain_bool"),

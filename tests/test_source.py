@@ -1,10 +1,18 @@
 import ast
 import importlib
+import json
 import re
+import types
 from pathlib import Path
 
 import mutants
 import openbooks
+from openbooks import linalg
+from openbooks.contact import expand_to_unit_coefficients, presentation_for, smooth_diagram
+from openbooks.d3 import census_size_formula, tight_census
+from openbooks.kirby import reduce_family_diagram, replay
+from openbooks.lens import LensSpace
+from openbooks.serialize import canonical_dumps, canonical_line
 
 
 def test_package_has_no_assert_statements():
@@ -157,6 +165,44 @@ def test_benchmark_trace_layers_resolve():
             missing.append(f"{modname}.{attr}")
     assert len(layers) > 20
     assert missing == []
+
+
+def _tracer():
+    """perfbench/tracer.py as a module, compiled from its text, so nothing
+    is written beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    module = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_benchmark_trace_counters_read_attributes_that_exist():
+    # each counter and maximum of perfbench/tracer.py reads the arguments
+    # and the result of one traced call; run each on a real call of its
+    # layer, so deleting an attribute one reads fails here, not only in a
+    # --trace 1 run.  A counter with no call below is a KeyError.
+    tracer = _tracer()
+    h, k = 2, 2
+    start = presentation_for(h, k)
+    reduced = reduce_family_diagram(h, k)
+    moves = json.loads(canonical_dumps(reduced.to_jsonable()))["moves"]
+    replay_args = (smooth_diagram(start), moves)
+    space = LensSpace(12, 5)
+    matrix = [[-2, 1], [1, -3]]
+    calls = {  # span name -> (args, result, the value it must count)
+        "contact.expand_to_unit_coefficients":
+            ((start,), expand_to_unit_coefficients(start), h + k + 1),
+        "kirby.reduce_family_diagram": ((h, k), reduced, h + 9),
+        "kirby.replay": (replay_args, replay(*replay_args), len(reduced.move_log)),
+        "d3.tight_census": ((space,), tight_census(space), census_size_formula(space)),
+        "serialize": (({"a": 1},), canonical_line({"a": 1}), len('{"a":1}')),
+        "linalg.det": ((matrix,), linalg.det(matrix), 2),
+    }
+    got, want = {}, {}
+    for name, (_, read) in {**tracer.COUNTERS, **tracer.MAXIMA}.items():
+        args, result, want[name] = calls[name]
+        got[name] = read(args, result)
+    assert got and got == want
 
 
 def _docstrings(tree):

@@ -142,18 +142,31 @@ def test_checker_rejects_wrong_arc():
 
 
 def test_checker_rejects_negative_twist_in_pos_leaf():
-    cert = family_certificate(2, 1)
+    # every goal of an all-positive word is one POS leaf; the same negative
+    # twist in the certified word and in every leaf keeps the roots
+    # consistent, so only POS can fail, at a single negative twist too
+    cert = prove_right_veering(TwistWord((("a", 2), ("b", 1), ("c", 1))))
+    for exp in (-1, -2):
+        def mutate(d):
+            d["word"] = [["a", 2], ["b", exp], ["c", 1]]
+            for node in d["goals"].values():
+                node["word"] = d["word"]
 
-    def mutate(d):
-        node = d["goals"]["∂d"]["children"][0]
-        node["word"] = [["a", -2], ["b", 1], ["c", 1]]
-        # keep the root composition consistent so only POS can fail
-        d["goals"]["∂d"]["word"] = [["a", -2], ["b", 1], ["c", 1], ["d", 1], ["e", -2]]
-        d["word"] = d["goals"]["∂d"]["word"]
+        with pytest.raises(CertificateError, match="negative twist along 'b'"):
+            check_certificate(corrupt(cert, mutate))
 
-    bad = corrupt(cert, mutate)
-    with pytest.raises(CertificateError):
-        check_certificate(bad)
+
+def test_checker_exempts_only_positive_boundary_twists_at_the_arcs_ends():
+    # ARC[γ_cd] at ∂c on c d^s: after the head c, γ_cd crosses d, the curve
+    # parallel to its other end, which is exempt only for s >= 1.  The ∂c
+    # goal is checked first; ∂a, where γ_cd has no end, fails in any case.
+    from openbooks.veering import CertNode
+
+    for s, message in ((1, "no endpoint on '∂a'"), (-1, "fails at curve 'd'")):
+        word = TwistWord((("c", 1), ("d", s)))
+        goals = tuple((b, CertNode("ARC", b, word, arc="γ_cd")) for b in ("∂c", "∂a", "∂b", "∂d"))
+        with pytest.raises(CertificateError, match=message):
+            check_certificate(Certificate(word, goals))
 
 
 def test_checker_rejects_arc_with_bad_head():
