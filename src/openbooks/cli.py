@@ -19,8 +19,8 @@ import sys
 
 from . import certcheck
 from .d3 import overtwisted_verdict, tight_census
-from .diagram import FramedLinkDiagram, InvariantViolationError, order_to_jsonable
-from .kirby import IllegalMoveError, replay
+from .diagram import FramedLinkDiagram, InvariantViolationError, ScriptState, order_to_jsonable
+from .kirby import IllegalMoveError, check_script, replay_step
 from .lens import LensSpace, chain_to_lens, lens_equal, neg_cf_expand
 from .pages import family_word
 from .report import InternalCheckError, run_family, run_sweep
@@ -234,23 +234,22 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_diagram_size(d, when):
-    _check_limit(f"vertices{when}", len(d.vertices), MAX_REPLAY_VERTICES)
-    _check_limit(f"edges{when}", len(d.edges), MAX_REPLAY_EDGES)
+def _check_diagram_size(size, when):
+    vertices, edges = size
+    _check_limit(f"vertices{when}", vertices, MAX_REPLAY_VERTICES)
+    _check_limit(f"edges{when}", edges, MAX_REPLAY_EDGES)
 
 
 def _replay_within_limits(d, script):
-    """replay, one step at a time, so that a step which takes the diagram
-    past a limit ends the script; the log and the result are those of one
-    replay of the whole script."""
-    _check_diagram_size(d, "")
-    if not isinstance(script, list):
-        return replay(d, script)  # a ValueError: a script is a list
-    _check_limit("script steps", len(script), MAX_REPLAY_STEPS)
-    for i, step in enumerate(script, 1):
-        d = replay(d, [step])
-        _check_diagram_size(d, f" after step {i}")
-    return d
+    """replay, with the size of the diagram checked after each step, so that
+    a step which takes it past a limit ends the script."""
+    _check_diagram_size((len(d.vertices), len(d.edges)), "")
+    _check_limit("script steps", len(script) if type(script) is list else 0, MAX_REPLAY_STEPS)
+    state = ScriptState(d)
+    for i, step in enumerate(check_script(script)):
+        replay_step(state, step, i)
+        _check_diagram_size(state.size(), f" after step {i + 1}")
+    return state.freeze()
 
 
 def _cmd_kirby_replay(args) -> int:

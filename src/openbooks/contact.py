@@ -30,7 +30,7 @@ from functools import cached_property
 
 from .diagram import FramedLinkDiagram, Vertex, canonical_edges, check_edges
 from .pages import check_family
-from .serialize import exact_fraction, exact_int, fraction_str, parse_fraction
+from .serialize import check_shape, exact_fraction, exact_int, fraction_str, parse_fraction
 
 
 class UnsupportedCoefficientError(ValueError):
@@ -155,6 +155,9 @@ class ContactSurgeryDiagram:
                     linking[p.id, q.id] = w
         return ContactSurgeryDiagram.build([p for _, group in groups.values() for p in group], linking)
 
+    SHAPE = {"components": [{"id": str, "tb": int, "rot": int, "coeff": Fraction}],
+             "linking?": [[str, str, int]], "stacks?": [{"companion": str, "count": int, "sign": int}]}
+
     def to_jsonable(self):
         out = {
             "components": [c.to_jsonable() for c in self.knots],
@@ -168,17 +171,11 @@ class ContactSurgeryDiagram:
     @classmethod
     def from_jsonable(cls, data) -> "ContactSurgeryDiagram":
         """Parse a contact diagram document; any malformed input is a ValueError."""
-        try:
-            components = data["components"]
-            linking, stacks = data.get("linking", []), data.get("stacks", [])
-            if not all(isinstance(x, list) for x in (components, linking, stacks)):
-                raise TypeError("components, linking and stacks are lists")
-            knots = tuple(LegendrianUnknotData(c["id"], c["tb"], c["rot"], parse_fraction(c["coeff"]))
-                          for c in components)
-            stacks = sorted((s["companion"], s["count"], s["sign"]) for s in stacks)
-            return cls(knots, tuple(sorted(map(tuple, linking))), tuple(stacks))
-        except (KeyError, TypeError, AttributeError) as e:
-            raise ValueError(f"malformed contact diagram JSON: {e!r}") from None
+        check_shape(data, cls.SHAPE)
+        knots = tuple(LegendrianUnknotData(c["id"], c["tb"], c["rot"], parse_fraction(c["coeff"]))
+                      for c in data["components"])
+        stacks = sorted((s["companion"], s["count"], s["sign"]) for s in data.get("stacks", ()))
+        return cls(knots, tuple(sorted(map(tuple, data.get("linking", ())))), tuple(stacks))
 
 
 def _check_stacks(knots, stacks):

@@ -51,7 +51,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .linalg import det_sparse_rows
-from .serialize import exact_fraction, exact_int, fraction_str, parse_fraction
+from .serialize import check_shape, exact_fraction, exact_int, fraction_str, parse_fraction
 
 
 class _InfiniteOrder:
@@ -71,6 +71,9 @@ INFINITE = _InfiniteOrder()
 
 def order_to_jsonable(order):
     return "INF" if order is INFINITE else order
+
+
+ORDER_SHAPE = (int, "INF")  # order_to_jsonable's
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,10 @@ class MoveRecord(NamedTuple):
     args: tuple  # ((name, jsonable value), ...)
     h1_before: object
     h1_after: object
+
+    # a logged argument is an id, an int, or a blow-up's star of [id, weight] pairs
+    SHAPE = {"move": str, "args": {str: (str, int, [[str, int]])}, "h1_before": ORDER_SHAPE,
+             "h1_after": ORDER_SHAPE}
 
     def to_jsonable(self):
         return {
@@ -220,6 +227,10 @@ class FramedLinkDiagram(_Reads):
 
     # -- serialization -----------------------------------------------------
 
+    # edges are optional for a diagram without any; kirby replay --json adds h1_order
+    SHAPE = {"vertices": [{"id": str, "framing": Fraction, "unknot?": bool}],
+             "edges?": [[str, str, int]], "moves?": [MoveRecord.SHAPE], "h1_order?": ORDER_SHAPE}
+
     def to_jsonable(self):
         return {
             "vertices": [
@@ -232,16 +243,12 @@ class FramedLinkDiagram(_Reads):
 
     @classmethod
     def from_jsonable(cls, data) -> "FramedLinkDiagram":
-        """Parse a diagram document; any malformed input is a ValueError."""
-        try:
-            vertices, edges = data["vertices"], data.get("edges", [])
-            if not isinstance(vertices, list) or not isinstance(edges, list):
-                raise TypeError("vertices and edges are lists")
-            vs = tuple(Vertex(v["id"], parse_fraction(v["framing"]), v.get("unknot", True))
-                       for v in vertices)
-            return cls(vs, tuple(sorted(map(tuple, edges))))
-        except (KeyError, TypeError, AttributeError) as e:
-            raise ValueError(f"malformed diagram JSON: {e!r}") from None
+        """Parse a diagram document; any malformed input is a ValueError.
+        The move log is checked but not read: the diagram has none."""
+        check_shape(data, cls.SHAPE)
+        vs = tuple(Vertex(v["id"], parse_fraction(v["framing"]), v.get("unknot", True))
+                   for v in data["vertices"])
+        return cls(vs, tuple(sorted(map(tuple, data.get("edges", ())))))
 
     def same_diagram(self, other: "FramedLinkDiagram") -> bool:
         """Equality of vertices and edges, ignoring the move logs."""
@@ -278,6 +285,10 @@ class ScriptState(_Reads):
         if vid in self._changed:
             return Vertex(vid, Fraction(*self._ratios[vid]), self._changed[vid])
         return self._by_id[vid]
+
+    def size(self):
+        """(vertices, edges) as the state stands."""
+        return len(self._by_id), sum(map(len, self._adjacency.values())) // 2
 
     @property
     def last_move(self) -> MoveRecord:

@@ -30,9 +30,10 @@ sequence of moves whose pictures are known.  That reduction takes the
 from fractions import Fraction
 
 from .contact import presentation_for, smooth_diagram
-from .diagram import FramedLinkDiagram, InvariantViolationError, ScriptState, Vertex
+from .diagram import (ORDER_SHAPE, FramedLinkDiagram, InvariantViolationError, ScriptState,
+                      Vertex, order_to_jsonable)
 from .pages import check_family
-from .serialize import exact_int
+from .serialize import check_shape, exact_int
 
 
 class IllegalMoveError(ValueError):
@@ -101,7 +102,10 @@ def blow_up(d: FramedLinkDiagram, sign: int, star=None, new_id: str = None) -> F
     if exact_int(sign, "blow up sign") not in (1, -1):
         raise IllegalMoveError(f"blow up sign must be +-1, got {sign}")
     vid = _fresh_id(d, "u" if new_id is None else new_id)
-    shifts, deltas, star = _twist(d, dict(star or {}).items(), sign, vid)
+    pairs = dict(star or {})
+    if type(star) in (list, tuple) and len(pairs) != len(star):  # [id, weight] pairs
+        raise ValueError(f"a star names an id twice: {star!r}")
+    shifts, deltas, star = _twist(d, pairs.items(), sign, vid)
     args = (("id", vid), ("sign", sign), ("star", tuple(sorted(star))))
     return d.apply_move("blow_up", args, deltas=deltas, append=(vid, sign), shifts=shifts)
 
@@ -199,100 +203,75 @@ def reverse_orientation(d: FramedLinkDiagram, vid: str) -> FramedLinkDiagram:
     return d.apply_move("reverse_orientation", (("vertex", vid),), deltas=deltas)
 
 
-# move name -> (((argument, kind, type), ...), the move applied to
-# (diagram, args)), required arguments first.  kind is "required",
-# "optional" or "logged": an argument the move log writes but the move
-# works out itself, so replay does not pass it on and checks it against the
-# move's own record instead.  A star is an object {id: weight} or the
-# [id, weight] pairs that a move log records, each id at most once
+# move name -> (the shape of its "args", the arguments its log writes that
+# the move works out itself, the move applied to (diagram, args)).  Replay
+# does not pass a logged argument on, and compares it with the move's own
+# record; an optional argument may be null.  A star is an object
+# {id: weight} or the [id, weight] pairs that a move log records
+STAR = ([[str, int]], {str: int}, None)
 MOVES = {
-    "blow_down": ((("vertex", "required", str), ("sign", "logged", int)),
+    "blow_down": ({"vertex": str, "sign?": int}, ("sign",),
                   lambda d, a: blow_down(d, a["vertex"])),
-    "blow_up": (
-        (("sign", "required", int), ("star", "optional", dict), ("id", "optional", str)),
-        lambda d, a: blow_up(d, a["sign"], a.get("star"), a.get("id")),
-    ),
-    "inverse_slam_dunk": (
-        (("vertex", "required", str), ("n", "optional", int), ("leaf", "optional", str)),
-        lambda d, a: inverse_slam_dunk(d, a["vertex"], a.get("n"), a.get("leaf")),
-    ),
-    "slam_dunk": ((("leaf", "required", str), ("into", "logged", str)),
-                  lambda d, a: slam_dunk(d, a["leaf"])),
-    "handle_slide": (
-        (("slide", "required", str), ("over", "required", str), ("sign", "required", int)),
-        lambda d, a: handle_slide(d, a["slide"], a["over"], a["sign"]),
-    ),
-    "reverse_orientation": ((("vertex", "required", str),),
-                            lambda d, a: reverse_orientation(d, a["vertex"])),
+    "blow_up": ({"sign": int, "star?": STAR, "id?": (str, None)}, (),
+                lambda d, a: blow_up(d, a["sign"], a.get("star"), a.get("id"))),
+    "inverse_slam_dunk": ({"vertex": str, "n?": (int, None), "leaf?": (str, None)}, (),
+                          lambda d, a: inverse_slam_dunk(d, a["vertex"], a.get("n"), a.get("leaf"))),
+    "slam_dunk": ({"leaf": str, "into?": str}, ("into",), lambda d, a: slam_dunk(d, a["leaf"])),
+    "handle_slide": ({"slide": str, "over": str, "sign": int}, (),
+                     lambda d, a: handle_slide(d, a["slide"], a["over"], a["sign"])),
+    "reverse_orientation": ({"vertex": str}, (), lambda d, a: reverse_orientation(d, a["vertex"])),
 }
-
-
-def _is_star(value) -> bool:
-    """An object {id: weight} or a list of [id, weight] pairs, each id a str
-    at most once and each weight an int (not a bool), checked in one loop."""
-    if not isinstance(value, (dict, list, tuple)):
-        return False
-    ids = set()
-    for pair in value.items() if isinstance(value, dict) else value:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
-                and pair[0] not in ids and type(pair[1]) is int):
-            return False
-        ids.add(pair[0])
-    return True
+# a step of a move script, as MoveRecord writes it but with its |H1| records
+# optional; check_script picks it by the step's move, so "move" is any str here
+_STEPS = {name: {"move": str, "args": args, "h1_before?": ORDER_SHAPE, "h1_after?": ORDER_SHAPE}
+          for name, (args, _, _) in MOVES.items()}
 
 
 def replay(d: FramedLinkDiagram, script) -> FramedLinkDiagram:
-    """Apply a JSON move script, a list of {"move": name, "args": {...}},
-    to one ScriptState, and freeze it; `d` is never changed.
-
-    A script that is not a list, a malformed step (not an object, missing a
-    required argument, naming an argument the move does not have, or an
-    argument of the wrong type, such as a star naming an id twice) is a
-    ValueError; an unknown move, a failed precondition or a logged
-    argument other than the one the move logs is an IllegalMoveError.
-    Each step's arguments are checked before its move: the missing ones are
-    named before an unknown one, and that before a mistyped one.  A step's
-    other keys, such as the h1_before and h1_after of a move log, are not
-    read.
-    """
-    if not isinstance(script, list):
-        raise ValueError(f"move script must be a list of steps: {script!r}")
+    """Apply a JSON move script, a list of steps {"move": name, "args":
+    {...}}, to one ScriptState, and freeze it; `d` is never changed.  The
+    whole script is checked (check_script) before its first move."""
     state = ScriptState(d)
-    for step in script:
-        args = step.get("args", {}) if isinstance(step, dict) else None
-        if not isinstance(args, dict):
-            raise ValueError(f"move script step must be an object with object args: {step!r}")
-        name = step.get("move")
-        if not isinstance(name, str) or name not in MOVES:
-            raise IllegalMoveError(f"unknown move {name!r}")
-        arguments, apply = MOVES[name]
-        missing, wrong, logged, known = [], [], [], 0
-        for a, kind, type_ in arguments:
-            if a not in args:
-                missing += [a] if kind == "required" else []
-                continue
-            known += 1
-            if kind != "required" and args[a] is None:
-                continue
-            if not (_is_star(args[a]) if type_ is dict else type(args[a]) is type_):
-                wrong.append(a)
-            elif kind == "logged":
-                logged.append(a)
-        if missing:
-            raise ValueError(f"move {name!r} is missing argument {', '.join(missing)}")
-        if known != len(args):
-            unknown = [a for a in args if all(a != b for b, _, _ in arguments)]
-            raise ValueError(f"move {name!r} has no argument {unknown[0]!r}")
-        if wrong:
-            raise ValueError(f"move {name!r}: argument {wrong[0]!r} has the wrong type: "
-                             f"{args[wrong[0]]!r}")
-        apply(state, args)
-        for a in logged:
-            value = dict(state.last_move.args)[a]
-            if args[a] != value:
-                raise IllegalMoveError(f"move {name!r}: argument {a!r} is {args[a]!r}, "
-                                       f"but the move logs {value!r}")
+    for i, step in enumerate(check_script(script)):
+        replay_step(state, step, i)
     return state.freeze()
+
+
+def check_script(script) -> list:
+    """The script, once every step fits the shape of its move in MOVES: a
+    script that is not a list, or a step that is not an object naming its
+    move, or whose keys or arguments do not fit (a missing or unknown key,
+    a value of the wrong type), is a ValueError naming its JSON path, such
+    as $[3].args.star; an unknown move is an IllegalMoveError."""
+    if type(script) is not list:
+        raise ValueError("$: a move script is a list of steps")
+    for i, step in enumerate(script):
+        name = step.get("move") if type(step) is dict else None
+        if type(name) is not str:
+            raise ValueError(f"$[{i}]: a step is an object whose \"move\" is a string")
+        if name not in MOVES:
+            raise IllegalMoveError(f"$[{i}]: unknown move {name!r}")
+        check_shape(step, _STEPS[name], f"$[{i}]")
+    return script
+
+
+def replay_step(state: ScriptState, step, i: int) -> None:
+    """Make step i of a script that check_script passed on the ScriptState;
+    a failed precondition, or a logged argument, h1_before or h1_after
+    other than the move's own MoveRecord, is an IllegalMoveError."""
+    _, logged, apply = MOVES[step["move"]]
+    args = step["args"]
+    apply(state, args)
+    made = state.last_move
+    for a in logged:
+        if a in args and args[a] != dict(made.args)[a]:
+            raise IllegalMoveError(f"$[{i}]: argument {a!r} is {args[a]!r}, but the move logs "
+                                   f"{dict(made.args)[a]!r}")
+    order = order_to_jsonable(made.h1_after)  # and h1_before: a move keeps |H1|
+    if step.get("h1_before", order) != order or step.get("h1_after", order) != order:
+        raise IllegalMoveError(f"$[{i}]: the step records |H1| {step.get('h1_before', order)!r} "
+                               f"-> {step.get('h1_after', order)!r}, but the move logs {order!r} "
+                               f"-> {order!r}")
 
 
 def reduce_family_diagram(h: int, k: int) -> FramedLinkDiagram:

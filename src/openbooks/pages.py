@@ -152,27 +152,14 @@ class TwistWord:
     def __init__(self, letters=()):
         object.__setattr__(self, "letters", _normalize(letters))
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def is_positive(self) -> bool:
         """True when every letter is a positive twist (empty word included)."""
         return all(exp >= 1 for _, exp in self.letters)
 
+    SHAPE = [[tuple(CURVES), int]]  # a certificate's words; TwistWord(letters) reads one
+
     def to_jsonable(self):
         return [[name, exp] for name, exp in self.letters]
-
-    @classmethod
-    def from_jsonable(cls, data) -> "TwistWord":
-        """Parse [[curve, exponent], ...]; any malformed input is a ValueError."""
-        try:
-            if isinstance(data, list):
-                return cls(data)
-        except KeyError as e:
-            raise ValueError(f"twist word names unknown curves: {e.args[0]}") from None
-        except (TypeError, ValueError):
-            pass
-        raise ValueError(f"twist word must be a list of [curve, exponent] pairs: {data!r}")
 
     def __str__(self) -> str:
         if not self.letters:

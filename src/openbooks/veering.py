@@ -44,7 +44,7 @@ from .pages import (
     family_word,
     geometric_intersection,
 )
-from .serialize import fraction_str
+from .serialize import check_shape, fraction_str
 
 POS_CITATION = (
     "Honda-Kazez-Matic: right-veering diffeomorphisms form a monoid "
@@ -80,6 +80,9 @@ class CertNode:
             raise TypeError("certificate node needs a TwistWord word, str rule, boundary "
                             "and citation, a str or None arc and a tuple of nodes")
 
+    SHAPE = {"rule": str, "boundary": str, "word": TwistWord.SHAPE, "arc?": str, "citation?": str}
+    SHAPE["children?"] = [SHAPE]
+
     def to_jsonable(self):
         out = {
             "rule": self.rule,
@@ -93,19 +96,10 @@ class CertNode:
         return out
 
     @classmethod
-    def from_jsonable(cls, data) -> "CertNode":
-        message = ("certificate node needs a word, string rule and boundary, "
-                   "and optional string arc and citation and children list")
-        if (not isinstance(data, dict) or not {"rule", "boundary", "word"} <= data.keys()
-                or not isinstance(data.get("children", []), list)):
-            raise ValueError(message)
-        word = TwistWord.from_jsonable(data["word"])
-        children = tuple(cls.from_jsonable(c) for c in data.get("children", []))
-        try:
-            return cls(data["rule"], data["boundary"], word, data.get("arc"), children,
-                       data.get("citation", ""))
-        except TypeError:
-            raise ValueError(message) from None
+    def _build(cls, data) -> "CertNode":
+        """The node of a document that fits SHAPE, one frame per level."""
+        return cls(data["rule"], data["boundary"], TwistWord(data["word"]), data.get("arc"),
+                   tuple(map(cls._build, data.get("children", ()))), data.get("citation", ""))
 
 
 @dataclass(frozen=True)
@@ -119,6 +113,8 @@ class Certificate:
     def boundaries(self):
         return tuple(b for b, _ in self.goals)
 
+    SHAPE = {"version": 1, "word": TwistWord.SHAPE, "goals": {str: CertNode.SHAPE}}
+
     def to_jsonable(self):
         return {
             "version": 1,
@@ -128,13 +124,11 @@ class Certificate:
 
     @classmethod
     def from_jsonable(cls, data) -> "Certificate":
-        if (not isinstance(data, dict) or "word" not in data
-                or not isinstance(data.get("goals"), dict)):
-            raise ValueError("certificate needs a \"word\" and a \"goals\" object")
-        goals = tuple(sorted(
-            (b, CertNode.from_jsonable(node)) for b, node in data["goals"].items()
-        ))
-        return cls(TwistWord.from_jsonable(data["word"]), goals)
+        """Parse a certificate document, version 1; any malformed input is a
+        ValueError."""
+        check_shape(data, cls.SHAPE)
+        goals = tuple(sorted((b, CertNode._build(node)) for b, node in data["goals"].items()))
+        return cls(TwistWord(data["word"]), goals)
 
 
 @dataclass(frozen=True)

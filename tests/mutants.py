@@ -161,6 +161,26 @@ MUTANTS = (
            "                   and destab.unverified_computed_count == 0", "True",
            ("tests/test_report_cli.py::test_a_destabilization_report_that_does_not_close_fails_destabilization_closes",
             "tests/test_report_cli.py::test_a_valid_certificate_of_another_word_fails_certificate_validates")),
+    # the shape check of every JSON document: a key the shape does not name,
+    # a required key that is absent, and a certificate's version
+    Mutant("shape_unknown_key_refused", "serialize.py",
+           'return [key], "unknown key"', "continue",
+           ("tests/test_json_fuzz.py::test_misspelt_keys_are_refused_at_their_path",
+            "tests/test_kirby.py::test_replay_refuses_unknown_arguments_and_checks_logged_ones",
+            "tests/test_report_cli.py::test_cli_malformed_input_exits_2_without_traceback")),
+    Mutant("shape_required_key_present", "serialize.py",
+           "[k for k in required if k not in value]", "[]",
+           ("tests/test_json_fuzz.py::test_misspelt_keys_are_refused_at_their_path",
+            "tests/test_report_cli.py::test_cli_malformed_input_exits_2_without_traceback")),
+    Mutant("certificate_version_is_1", "veering.py",
+           'SHAPE = {"version": 1,', 'SHAPE = {"version": int,',
+           ("tests/test_report_cli.py::test_cli_rv_check_reads_version_1_only",)),
+    # a step's |H1| records against the move's own MoveRecord
+    Mutant("replay_h1_records_compared", "kirby.py",
+           'if step.get("h1_before", order) != order or step.get("h1_after", order) != order:',
+           "if False:",
+           ("tests/test_kirby.py::test_replay_compares_each_steps_h1_records_with_its_move",
+            "tests/test_report_cli.py::test_cli_replay_checks_the_h1_records_of_each_step")),
     Mutant("expanded_det_matches_check", "report.py",
            "abs(verdict.det) == order", "True",
            ("tests/test_report_cli.py::test_a_wrong_expansion_fails_its_named_checks",

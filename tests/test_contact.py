@@ -160,9 +160,9 @@ def test_diagram_serialization_roundtrip():
                      ("stacks", {})):
         doc = e.to_jsonable()
         doc[key] = bad
-        with pytest.raises(ValueError, match="are lists"):
+        with pytest.raises(ValueError, match=rf"^\$\.{key}: expected a list"):
             ContactSurgeryDiagram.from_jsonable(doc)
-    with pytest.raises(ValueError, match="are lists"):
+    with pytest.raises(ValueError, match=r"^\$\.(components|linking|stacks): expected a list"):
         ContactSurgeryDiagram.from_jsonable({"components": {}, "linking": "", "stacks": ""})
 
 

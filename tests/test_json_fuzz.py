@@ -190,3 +190,107 @@ def test_canonical_dumps_refuses_floats_fractions_and_non_string_keys(doc, bad, 
                     {"a": doc, key: doc}]:
         with pytest.raises(TypeError):
             canonical_dumps(wrapped)
+
+
+# the type-swap probe: every node of a valid document of each kind, the
+# root included, replaced by each of these values in turn
+_SWAPS = (None, True, 0, 2, 1.5, "", "x", [], {}, [[]], {"k": 1})
+
+
+def _swapped(doc):
+    """Each copy of doc with one node replaced by one of _SWAPS."""
+    yield from (json.loads(json.dumps(value)) for value in _SWAPS)
+    slots = []
+
+    def walk(node, path):
+        for key in (list(node) if isinstance(node, dict) else range(len(node))):
+            slots.append(path + (key,))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key], path + (key,))
+
+    walk(doc, ())
+    for path in slots:
+        for value in _SWAPS:
+            copy = json.loads(json.dumps(doc))
+            node = copy
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = json.loads(json.dumps(value))
+            yield copy
+
+
+def _family_documents():
+    from openbooks.contact import smooth_diagram
+    from openbooks.kirby import reduce_family_diagram
+
+    reduced = reduce_family_diagram(1, 2).to_jsonable()
+    reduced["h1_order"] = 6  # as kirby replay --json writes it
+    return {
+        "diagram": json.loads(canonical_dumps(reduced)),
+        "contact": json.loads(canonical_dumps(
+            expand_to_unit_coefficients(presentation_for(2, 2)).to_jsonable())),
+        "certificate": json.loads(canonical_dumps(prove_right_veering(family_word(1, 1)).to_jsonable())),
+        "script": json.loads(canonical_dumps(reduced))["moves"],
+        "start": smooth_diagram(presentation_for(1, 2)),
+    }
+
+
+def test_type_swap_probe_raises_only_value_errors_and_the_cli_exits_0_2_or_3(tmp_path, capsys):
+    from openbooks.cli import main
+    from openbooks.kirby import replay
+
+    docs = _family_documents()
+    start = docs["start"]
+    (tmp_path / "start.json").write_text(canonical_dumps(start.to_jsonable()))
+    (tmp_path / "empty.json").write_text("[]")
+    kinds = {
+        "diagram": (FramedLinkDiagram.from_jsonable,
+                    ["kirby", "replay", "--diagram", "doc.json", "--script", "empty.json"]),
+        "contact": (ContactSurgeryDiagram.from_jsonable, None),  # no verb reads one
+        "certificate": (Certificate.from_jsonable, ["rv", "check", "doc.json"]),
+        "script": (lambda script: replay(start, script),
+                   ["kirby", "replay", "--diagram", "start.json", "--script", "doc.json"]),
+    }
+    exits = set()
+    for kind, (parse, argv) in kinds.items():
+        parse(docs[kind])  # the valid document parses
+        for i, doc in enumerate(_swapped(docs[kind])):
+            try:
+                parse(doc)
+            except ValueError:  # IllegalMoveError is one
+                pass
+            # the CLI reads every swap at the root, and one swap per node
+            # after it, the values rotating from node to node (12 is prime to 11)
+            if argv is not None and (i < len(_SWAPS) or i % 12 == 0):
+                (tmp_path / "doc.json").write_text(json.dumps(doc))
+                code = main([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+                capsys.readouterr()
+                assert code in (0, 2, 3), (kind, doc)
+                exits.add(code)
+    assert exits == {0, 2, 3}
+
+
+def test_misspelt_keys_are_refused_at_their_path():
+    # each was once read as an absent optional key: no edges, no stacks,
+    # a leaf with no children
+    docs = _family_documents()
+    diagram = {"vertices": [{"id": "a", "framing": "-2"}, {"id": "b", "framing": "-3"}],
+               "edge": [["a", "b", 1]]}
+    with pytest.raises(ValueError, match=r"^\$\.edge: unknown key$"):
+        FramedLinkDiagram.from_jsonable(diagram)
+    contact = docs["contact"]
+    contact["stack"] = contact.pop("stacks")
+    with pytest.raises(ValueError, match=r"^\$\.stack: unknown key$"):
+        ContactSurgeryDiagram.from_jsonable(contact)
+    cert = docs["certificate"]
+    cert["goals"]["∂d"]["childs"] = cert["goals"]["∂d"].pop("children")
+    with pytest.raises(ValueError, match=r"^\$\.goals\.∂d\.childs: unknown key$"):
+        Certificate.from_jsonable(cert)
+    cert = _family_documents()["certificate"]
+    cert["goals"]["∂d"]["children"][1]["word"][0][1] = 1.5
+    with pytest.raises(ValueError, match=r"^\$\.goals\.∂d\.children\[1\]\.word\[0\]\[1\]: "
+                                         r"expected an int, got 1\.5$"):
+        Certificate.from_jsonable(cert)
+    del cert["goals"]["∂d"]["children"][1]["word"]
+    with pytest.raises(ValueError, match=r"^\$\.goals\.∂d\.children\[1\]\.word: missing key$"):
+        Certificate.from_jsonable(cert)

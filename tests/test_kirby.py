@@ -350,7 +350,7 @@ def test_diagram_serialization_roundtrip():
     # lists: {"vertices": {}, "edges": {}} once parsed to the empty diagram
     for doc in ({"vertices": {}, "edges": {}}, {"vertices": "", "edges": []},
                 {"vertices": [], "edges": "ab"}, {"vertices": [], "edges": {}}):
-        with pytest.raises(ValueError, match="are lists"):
+        with pytest.raises(ValueError, match=r"^\$\.(vertices|edges): expected a list"):
             FramedLinkDiagram.from_jsonable(doc)
 
 
@@ -407,14 +407,16 @@ def test_replay_accepts_its_own_json_move_log():
     {"move": "slam_dunk", "args": {"leaf": "c0", "into": 1}},
 ])
 def test_replay_rejects_mistyped_arguments(step):
-    with pytest.raises(ValueError, match="wrong type"):
+    # the message names the argument's JSON path in the script; a repeated
+    # id is refused by blow_up itself
+    with pytest.raises(ValueError, match=r"^\$\[0\]\.args\.\w+\S*: expected |^a star names an id twice"):
         replay(chain(-2, -3), [step])
 
 
 def test_replay_refuses_unknown_arguments_and_checks_logged_ones():
     # an argument the move does not have was once dropped in silence, so a
     # misspelt star replayed as a blow-up that links nothing
-    with pytest.raises(ValueError, match="has no argument 'stra'"):
+    with pytest.raises(ValueError, match=r"^\$\[0\]\.args\.stra: unknown key$"):
         replay(chain(-2, -3), [{"move": "blow_up", "args": {"sign": 1, "stra": {"c0": 1}}}])
     # a blow-down's sign and a slam dunk's target are logged but not passed
     # on: a log that names others is refused, not replayed as the move made
@@ -431,6 +433,24 @@ def test_replay_refuses_unknown_arguments_and_checks_logged_ones():
     assert replay(d, [step]).same_diagram(slam_dunk(d, "c0"))
     with pytest.raises(IllegalMoveError, match="argument 'into' is 'c2'"):
         replay(d, [dict(step, args={**step["args"], "into": "c2"})])
+
+
+def test_replay_compares_each_steps_h1_records_with_its_move():
+    # a log's records were once never read: the (3, 2) log with every
+    # record set to 999 replayed to |H1| = 14
+    start = smooth_diagram(presentation_for(3, 2))
+    moves = reduce_family_diagram(3, 2).to_jsonable()["moves"]
+    with pytest.raises(IllegalMoveError, match=r"^\$\[0\]: the step records \|H1\| 999 -> 999, "
+                                               r"but the move logs 14 -> 14$"):
+        replay(start, [dict(m, h1_before=999, h1_after=999) for m in moves])
+    with pytest.raises(IllegalMoveError, match=r"^\$\[4\]: the step records \|H1\| 14 -> 15,"):
+        replay(start, [dict(m, h1_after=15) if i == 4 else m for i, m in enumerate(moves)])
+    # a hand-written script need not carry them, and a record is an order
+    bare = [{"move": m["move"], "args": m["args"]} for m in moves]
+    assert replay(start, bare).move_log == replay(start, moves).move_log
+    for bad in ("14", 14.0, True, None):
+        with pytest.raises(ValueError, match=r"^\$\[2\]\.h1_before: expected an int or \"INF\""):
+            replay(start, [dict(m, h1_before=bad) if i == 2 else m for i, m in enumerate(moves)])
 
 
 def test_a_script_never_touches_its_input():
@@ -987,7 +1007,7 @@ def test_reduce_serialize_replay_and_report_leave_no_cyclic_garbage():
 # framing, and a quarter of the steps are malformed
 _SIGNS = st.sampled_from([1, -1, 1, -1, 0, 2, -2])
 _JUNK = st.none() | st.booleans() | st.floats(-2, 2) | st.text(max_size=2) | st.integers(-2, 2)
-_ARG_NAMES = sorted({a for arguments, _ in MOVES.values() for a, _, _ in arguments})
+_ARG_NAMES = sorted({a.rstrip("?") for arguments, _, _ in MOVES.values() for a in arguments})
 
 
 def _step(ids):

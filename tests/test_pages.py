@@ -98,7 +98,7 @@ def test_word_composition_and_serialization():
     # composition is concatenation in normal form
     assert TwistWord(u.letters + v.letters).letters == (("a", 3), ("e", -2))
     w = family_word(3, 2)
-    assert TwistWord.from_jsonable(w.to_jsonable()) == w
+    assert TwistWord(w.to_jsonable()) == w
 
 
 def test_word_rejects_unknown_curves_and_zero_exponents():

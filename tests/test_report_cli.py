@@ -522,6 +522,16 @@ _DEEP = "[" * 100_000 + "]" * 100_000  # json.dumps cannot write this depth
     pytest.param({}, ["lens", "chain", "[true]"], id="lens_chain_bool"),
     pytest.param({}, ["lens", "chain", "[1e400]"], id="lens_chain_infinite_float"),
     pytest.param({}, ["lens", "eq", "0,0", "1,0"], id="lens_eq_zero_over_zero"),
+    # misspelt keys were once read as absent: "edge" replayed an edgeless
+    # diagram to |H1| = 6 where the true order is 5
+    pytest.param({"d.json": {"vertices": [{"id": "a", "framing": "-2"}, {"id": "b", "framing": "-3"}],
+                             "edge": [["a", "b", 1]]}, "s.json": []},
+                 _REPLAY, id="diagram_misspelt_edges"),
+    pytest.param({"c.json": {"version": 1, "word": [], "goals": {
+        "∂a": {"rule": "POS", "boundary": "∂a", "word": [], "childs": []}}}},
+                 ["rv", "check", "c.json"], id="certificate_misspelt_children"),
+    pytest.param({"c.json": {"word": [], "goals": {}}}, ["rv", "check", "c.json"],
+                 id="certificate_without_version"),
     # raw text, nested past the JSON decoder's recursion limit
     pytest.param({"c.json": _DEEP}, ["rv", "check", "c.json"], id="certificate_nested_too_deep"),
     pytest.param({"d.json": _DEEP, "s.json": []}, _REPLAY, id="diagram_nested_too_deep"),
@@ -573,3 +583,88 @@ def test_cli_replay_limits_exit_2_and_name_the_limit(tmp_path, capsys, diagram, 
             "--script", str(tmp_path / "s.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {named} is above the limit 250\n"
+
+
+def _run_cli(tmp_path, argv):
+    env = dict(os.environ)
+    src = str(Path(openbooks.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "openbooks.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_rv_check_reads_certificates_nested_to_the_decoders_limit(tmp_path):
+    # the shape check walks its own list of parts, not the Python stack: a
+    # certificate as deep as the JSON decoder reads is checked (and fails
+    # validation, exit 3); one level more is "nested too deeply" (exit 2)
+    def nested(levels):  # written as text: json.dumps stops short of this depth
+        comp = '{"rule": "COMP", "boundary": "∂a", "word": [], "children": ['
+        leaf = '{"rule": "POS", "boundary": "∂a", "word": []}'
+        return ('{"version": 1, "word": [], "goals": {"∂a": ' + comp * levels + leaf
+                + "]}" * levels + "}}")
+
+    for levels, code in ((492, 3), (493, 2)):
+        (tmp_path / "c.json").write_text(nested(levels))
+        result = _run_cli(tmp_path, ["rv", "check", "c.json"])
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+    assert "nested too deeply" in result.stderr
+
+
+def test_cli_rv_check_reads_version_1_only(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["rv", "prove", "--h", "1", "--k", "1", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 1
+    assert main(["rv", "check", str(path)]) == 0
+    for version in (None, 1.5, "x", [], {}, 2, 0, True, "1"):
+        path.write_text(json.dumps(dict(doc, version=version)))
+        capsys.readouterr()
+        assert main(["rv", "check", str(path)]) == 2, version
+        assert capsys.readouterr().err.startswith("error: $.version: expected 1, got ")
+
+
+def test_cli_replay_checks_the_h1_records_of_each_step(tmp_path, capsys):
+    # a step's h1_before and h1_after are compared with the move's own
+    # record: the (3, 2) log with every record 999 once replayed to |H1| = 14
+    from openbooks.contact import smooth_diagram
+
+    (tmp_path / "d.json").write_text(canonical_dumps(smooth_diagram(presentation_for(3, 2)).to_jsonable()))
+    moves = run_family(3, 2).reduced.to_jsonable()["moves"]
+    argv = ["kirby", "replay", "--diagram", str(tmp_path / "d.json"), "--script", str(tmp_path / "s.json")]
+    (tmp_path / "s.json").write_text(json.dumps(moves))
+    assert main(argv) == 0
+    capsys.readouterr()
+    for changed, step in (([dict(m, h1_before=999, h1_after=999) for m in moves], 0),
+                          ([dict(m, h1_after=15) if i == 7 else m for i, m in enumerate(moves)], 7)):
+        (tmp_path / "s.json").write_text(json.dumps(changed))
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"error: $[{step}]: the step records |H1| ")
+
+
+def test_every_document_the_cli_writes_parses_back(tmp_path, capsys):
+    from openbooks.contact import smooth_diagram
+    from openbooks.diagram import FramedLinkDiagram
+    from openbooks.veering import Certificate
+
+    assert main(["family", "--h", "3", "--k", "2", "--json", "--verbose"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    reduced = FramedLinkDiagram.from_jsonable(report["reduced_diagram"])
+    assert reduced.same_diagram(run_family(3, 2).reduced) and reduced.move_log == ()
+    for key in ("contact_diagram", "expanded_diagram"):
+        contact = ContactSurgeryDiagram.from_jsonable(report[key])
+        assert contact.to_jsonable() == report[key]
+    tree = report["certificate"]["tree"]
+    assert Certificate.from_jsonable(tree).to_jsonable() == tree
+
+    (tmp_path / "d.json").write_text(canonical_dumps(smooth_diagram(presentation_for(3, 2)).to_jsonable()))
+    (tmp_path / "s.json").write_text(json.dumps(report["reduced_diagram"]["moves"]))
+    assert main(["kirby", "replay", "--diagram", str(tmp_path / "d.json"),
+                 "--script", str(tmp_path / "s.json"), "--json"]) == 0
+    replayed = json.loads(capsys.readouterr().out)
+    assert replayed["h1_order"] == 14
+    assert FramedLinkDiagram.from_jsonable(replayed).same_diagram(reduced)
+
+    assert main(["rv", "prove", "--h", "3", "--k", "2", "--out", str(tmp_path / "c.json")]) == 0
+    written = json.loads((tmp_path / "c.json").read_text())
+    assert Certificate.from_jsonable(written).to_jsonable() == written
